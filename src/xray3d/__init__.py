@@ -11,7 +11,6 @@ from .camera import (
     DEFAULT_DISTANCE,
     DEFAULT_FOV_X,
     Camera,
-    Ray,
     RayGrid,
     camera_from_spherical,
     generate_rays,
@@ -42,9 +41,9 @@ from .mesh import (
     MeshError,
     RigidTransform,
     TriangleMesh,
-    face_normal,
     face_normals,
     normalize_mesh,
+    surface_attributes,
 )
 from .meshio import (
     MeshIOError,
@@ -63,13 +62,11 @@ from .metrics import (
     sample_surface,
 )
 from .poisson import (
-    DensityField,
+    Field,
     GridSpec,
     PoissonError,
-    ScalarField,
     SolveInfo,
     SolverConvergenceError,
-    VectorField,
     density_trim,
     divergence,
     extract_isosurface,
@@ -81,33 +78,29 @@ from .poisson import (
 from .raycast import (
     BvhAccel,
     HitBatch,
-    HitRecord,
     build_bvh,
-    cast_ray_all_hits,
     cast_rays,
-    surface_attributes,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Camera", "Ray", "RayGrid", "camera_from_spherical", "generate_rays",
+    "Camera", "RayGrid", "camera_from_spherical", "generate_rays",
     "look_at", "sample_view_angles", "sample_views", "DEFAULT_FOV_X",
     "DEFAULT_DISTANCE",
     "PointCloud", "XRayTensor", "XRayDataError", "XRayFormatError",
     "encode", "decode_to_pointcloud", "pad_or_truncate", "read_xray",
     "write_xray", "storage_ratio",
     "NoiseSchedule", "forward_step", "reverse_step", "dm_loss", "upsampler_loss",
-    "MeshError", "RigidTransform", "TriangleMesh", "face_normal",
-    "face_normals", "normalize_mesh",
+    "MeshError", "RigidTransform", "TriangleMesh", "face_normals",
+    "normalize_mesh", "surface_attributes",
     "MeshIOError", "load_mesh", "save_mesh", "load_pointcloud_ply",
     "save_pointcloud_ply",
     "IcpResult", "MetricReport", "NearestNeighborIndex", "chamfer_f_score",
     "evaluate_pair", "icp_align", "sample_surface",
-    "GridSpec", "ScalarField", "VectorField", "DensityField", "SolveInfo",
+    "GridSpec", "Field", "SolveInfo",
     "PoissonError", "SolverConvergenceError", "splat_normals", "divergence",
     "normalize_field", "solve_poisson", "extract_isosurface", "density_trim",
     "reconstruct",
-    "BvhAccel", "HitBatch", "HitRecord", "build_bvh", "cast_rays",
-    "cast_ray_all_hits", "surface_attributes",
+    "BvhAccel", "HitBatch", "build_bvh", "cast_rays",
 ]

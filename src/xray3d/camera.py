@@ -19,8 +19,9 @@ import numpy as np
 from .mesh import _frozen
 
 # Horizontal field of view (radians) paired with a view distance of 1.2
-# so that a bounding sphere of radius 0.5 just fills the frame.
-DEFAULT_FOV_X = 0.8575560450553894
+# so that a normalized mesh (unit bounding box, bounding sphere radius
+# 0.866) stays inside a square frame from every direction, with a margin.
+DEFAULT_FOV_X = 2.0 * math.asin(0.875 / 1.2)
 DEFAULT_DISTANCE = 1.2
 
 
@@ -58,20 +59,6 @@ class Camera:
 
 
 @dataclass(frozen=True)
-class Ray:
-    origin: np.ndarray
-    direction: np.ndarray
-
-    def __post_init__(self):
-        o = np.asarray(self.origin, dtype=np.float64).reshape(3)
-        d = np.asarray(self.direction, dtype=np.float64).reshape(3)
-        if abs(np.linalg.norm(d) - 1.0) > 1e-9:
-            raise ValueError("ray direction must be unit length")
-        object.__setattr__(self, "origin", _frozen(o))
-        object.__setattr__(self, "direction", _frozen(d))
-
-
-@dataclass(frozen=True)
 class RayGrid:
     """One ray per pixel: origins and unit directions, shape (H, W, 3)."""
 
@@ -88,9 +75,6 @@ class RayGrid:
 
     def flat(self) -> tuple[np.ndarray, np.ndarray]:
         return self.origins.reshape(-1, 3), self.directions.reshape(-1, 3)
-
-    def ray(self, row: int, col: int) -> Ray:
-        return Ray(self.origins[row, col], self.directions[row, col])
 
 
 def generate_rays(camera: Camera) -> RayGrid:

@@ -16,7 +16,6 @@ from .camera import (
     DEFAULT_FOV_X,
     camera_from_spherical,
     sample_view_angles,
-    sample_views,
 )
 from .codec import (
     decode_to_pointcloud,
@@ -29,7 +28,7 @@ from .mesh import normalize_mesh
 from .meshio import load_mesh, save_mesh, save_pointcloud_ply
 from .metrics import evaluate_pair
 from .poisson import MAX_RESOLUTION, reconstruct
-from .sweep import SWEEP_FOV_X, plot_sweep_svg, rows_to_csv, run_sweep
+from .sweep import plot_sweep_svg, rows_to_csv, run_sweep
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,8 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poisson-res", type=int, default=64)
     p.add_argument("--samples", type=int, default=16384)
     p.add_argument("--threshold", type=float, default=0.1)
-    p.add_argument("--fov", type=float, default=SWEEP_FOV_X,
-                   help="view fov in radians; default covers a unit-box mesh")
+    p.add_argument("--fov", type=float, default=DEFAULT_FOV_X, help="horizontal fov, radians")
     p.add_argument("--plot", help="also write an SVG line chart here")
     p.add_argument("--no-timings", action="store_true",
                    help="zero the timing columns for byte-stable output")
@@ -239,12 +237,11 @@ def cmd_views(args) -> int:
     mesh, _ = normalize_mesh(mesh)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cameras = sample_views(args.seed, args.num, width=args.width, height=args.height)
-    azimuths, elevations = sample_view_angles(args.seed, args.num)
     stem = Path(args.mesh_path).stem
-    for i, camera in enumerate(cameras):
+    for az, el in zip(*sample_view_angles(args.seed, args.num)):
+        camera = camera_from_spherical(az, el, width=args.width, height=args.height)
         tensor = encode(mesh, camera, args.layers)
-        name = f"{stem}_az{azimuths[i]:+08.3f}_el{elevations[i]:07.3f}.xray"
+        name = f"{stem}_az{az:+08.3f}_el{el:07.3f}.xray"
         write_xray(tensor, out_dir / name)
         print(f"wrote {out_dir / name} ({tensor.total_hits()} hits)")
     return 0

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import Camera, generate_rays
-from .mesh import TriangleMesh, _frozen, face_normals
+from .mesh import TriangleMesh, _frozen, surface_attributes
 from .raycast import BvhAccel, build_bvh, cast_rays
 
 MAGIC = b"XRAY"
@@ -29,6 +29,7 @@ CH_HIT = 0
 CH_DEPTH = 1
 CH_NORMAL = slice(2, 5)
 CH_COLOR = slice(5, 8)
+_CHANNEL_NAMES = ("hit", "depth", "normal", "normal", "normal", "color", "color", "color")
 
 
 class XRayFormatError(ValueError):
@@ -53,6 +54,10 @@ class PointCloud:
         col = np.asarray(self.colors, dtype=np.float64).reshape(-1, 3)
         if not (len(pos) == len(nrm) == len(col)):
             raise ValueError("positions, normals, and colors must have equal length")
+        for name, arr in (("positions", pos), ("normals", nrm), ("colors", col)):
+            bad = np.argwhere(~np.isfinite(arr))
+            if len(bad):
+                raise ValueError(f"non-finite {name} at point {bad[0, 0]}")
         if len(nrm):
             lengths = np.linalg.norm(nrm, axis=1)
             if np.abs(lengths - 1.0).max() > 1e-3:
@@ -114,6 +119,12 @@ class XRayTensor:
 
     def validate(self) -> None:
         """Check every tensor invariant; raises XRayDataError on violation."""
+        non_finite = np.argwhere(~np.isfinite(self.data))
+        if len(non_finite):
+            layer, channel, row, col = non_finite[0]
+            raise XRayDataError(
+                f"non-finite {_CHANNEL_NAMES[channel]} at layer {layer}, pixel ({row}, {col})"
+            )
         hit = self.data[:, CH_HIT]
         if not np.all((np.abs(hit) <= 1e-6) | (np.abs(hit - 1.0) <= 1e-6)):
             raise XRayDataError("hit channel contains values other than 0/1")
@@ -188,19 +199,7 @@ def encode(
         u, v = batch.bary_u[sel], batch.bary_v[sel]
         row, col = ray // w, ray % w
 
-        normal = face_normals(mesh)[face]
-        if mesh.vertex_colors is not None:
-            w0 = 1.0 - u - v
-            c = mesh.vertex_colors
-            f = mesh.faces[face]
-            color = (
-                w0[:, None] * c[f[:, 0]]
-                + u[:, None] * c[f[:, 1]]
-                + v[:, None] * c[f[:, 2]]
-            )
-            color = np.clip(color, 0.0, 1.0)
-        else:
-            color = np.ones((len(ray), 3))
+        normal, color = surface_attributes(mesh, face, u, v)
 
         data[layer, CH_HIT, row, col] = 1.0
         data[layer, CH_DEPTH, row, col] = depth

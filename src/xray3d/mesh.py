@@ -140,8 +140,7 @@ def face_areas(mesh: TriangleMesh) -> np.ndarray:
 def face_normals(mesh: TriangleMesh) -> np.ndarray:
     """Geometric (winding-defined) unit normals for every face.
 
-    Zero-area faces produce zero vectors here; use `face_normal` for the
-    checked single-face variant.
+    Zero-area faces produce zero vectors.
     """
     a, b, c = mesh.triangle_corners()
     n = np.cross(b - a, c - a)
@@ -151,17 +150,24 @@ def face_normals(mesh: TriangleMesh) -> np.ndarray:
     return unit
 
 
-def face_normal(mesh: TriangleMesh, face_index: int) -> np.ndarray:
-    """Unit normal of one face, right-hand rule over the winding order."""
-    if not 0 <= face_index < mesh.n_faces:
-        raise MeshError(f"face index {face_index} out of range")
-    i0, i1, i2 = mesh.faces[face_index]
-    v0, v1, v2 = mesh.vertices[i0], mesh.vertices[i1], mesh.vertices[i2]
-    n = np.cross(v1 - v0, v2 - v0)
-    length = np.linalg.norm(n)
-    if length < 1e-12:
-        raise MeshError(f"face {face_index} is degenerate (zero area)")
-    return n / length
+def surface_attributes(
+    mesh: TriangleMesh, face: np.ndarray, u: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(normals, colors) at surface points given by face index and the
+    barycentric weights u, v of the face's second and third vertices.
+
+    Normals are the winding-defined face normals, never flipped toward a
+    viewer. Colors interpolate the vertex colors, clipped to [0, 1];
+    colorless meshes report white.
+    """
+    normals = face_normals(mesh)[face]
+    if mesh.vertex_colors is None:
+        return normals, np.ones((len(face), 3))
+    w0 = 1.0 - u - v
+    c = mesh.vertex_colors
+    f = mesh.faces[face]
+    colors = w0[:, None] * c[f[:, 0]] + u[:, None] * c[f[:, 1]] + v[:, None] * c[f[:, 2]]
+    return normals, np.clip(colors, 0.0, 1.0)
 
 
 def normalize_mesh(mesh: TriangleMesh) -> tuple[TriangleMesh, RigidTransform]:

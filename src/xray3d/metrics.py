@@ -15,7 +15,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .codec import PointCloud
-from .mesh import MeshError, RigidTransform, TriangleMesh, face_areas, face_normals, normalize_mesh
+from .mesh import MeshError, RigidTransform, TriangleMesh, face_areas, normalize_mesh, surface_attributes
 
 DEFAULT_SAMPLES = 16384
 DEFAULT_THRESHOLD = 0.1
@@ -61,7 +61,8 @@ class IcpResult:
 
 
 def sample_surface(mesh: TriangleMesh, n: int, seed: int = 0) -> PointCloud:
-    """Draw n area-weighted uniform surface points with face normals."""
+    """Draw n area-weighted uniform surface points with face normals and
+    interpolated colors."""
     if mesh.is_empty:
         raise MeshError("cannot sample an empty mesh")
     if n < 1:
@@ -81,13 +82,7 @@ def sample_surface(mesh: TriangleMesh, n: int, seed: int = 0) -> PointCloud:
     positions = (
         w0[:, None] * a[chosen] + w1[:, None] * b[chosen] + w2[:, None] * c[chosen]
     )
-    normals = face_normals(mesh)[chosen]
-    if mesh.vertex_colors is not None:
-        vc = mesh.vertex_colors
-        f = mesh.faces[chosen]
-        colors = w0[:, None] * vc[f[:, 0]] + w1[:, None] * vc[f[:, 1]] + w2[:, None] * vc[f[:, 2]]
-    else:
-        colors = np.ones_like(positions)
+    normals, colors = surface_attributes(mesh, chosen, w1, w2)
     return PointCloud(positions, normals, colors)
 
 

@@ -3,7 +3,7 @@
 Pipeline: splat oriented point normals into a vector field on a regular
 grid, take its divergence as the source term f, solve the screened
 system (lap - screening * density) phi = f with zero-Dirichlet ghost
-boundaries by preconditioned conjugate gradient, then extract the iso
+boundaries by unpreconditioned conjugate residual, then extract the iso
 surface at the mean potential of the input samples.
 
 Grid layout is cell-centered: resolution R means R nodes per axis at
@@ -34,7 +34,7 @@ class PoissonError(ValueError):
 
 
 class SolverConvergenceError(RuntimeError):
-    """Conjugate gradient failed to reach the residual tolerance."""
+    """The conjugate-residual solve failed to reach the residual tolerance."""
 
     def __init__(self, residual: float, iterations: int):
         super().__init__(
@@ -86,36 +86,16 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
-class ScalarField:
+class Field:
+    """Scalar (R, R, R) or vector (R, R, R, 3) samples on a grid's nodes."""
+
     grid: GridSpec
     data: np.ndarray
 
     def __post_init__(self):
         r = self.grid.resolution
-        if self.data.shape != (r, r, r):
-            raise ValueError(f"expected shape {(r, r, r)}, got {self.data.shape}")
-
-
-@dataclass(frozen=True)
-class VectorField:
-    grid: GridSpec
-    data: np.ndarray  # (R, R, R, 3)
-
-    def __post_init__(self):
-        r = self.grid.resolution
-        if self.data.shape != (r, r, r, 3):
-            raise ValueError(f"expected shape {(r, r, r, 3)}, got {self.data.shape}")
-
-
-@dataclass(frozen=True)
-class DensityField:
-    grid: GridSpec
-    data: np.ndarray
-
-    def __post_init__(self):
-        r = self.grid.resolution
-        if self.data.shape != (r, r, r):
-            raise ValueError(f"expected shape {(r, r, r)}, got {self.data.shape}")
+        if self.data.shape not in ((r, r, r), (r, r, r, 3)):
+            raise ValueError(f"expected shape {(r, r, r)} or {(r, r, r, 3)}, got {self.data.shape}")
 
 
 @dataclass(frozen=True)
@@ -128,7 +108,7 @@ class SolveInfo:
 
 def splat_normals(
     pc: PointCloud, resolution: int, grid: GridSpec | None = None
-) -> tuple[VectorField, DensityField]:
+) -> tuple[Field, Field]:
     """Distribute each point's unit normal over its 8 surrounding nodes.
 
     Trilinear weights form a partition of unity, so the density field
@@ -161,14 +141,14 @@ def splat_normals(
             vec_flat[:, a] += np.bincount(
                 flat, weights=w * pc.normals[:, a], minlength=r * r * r
             )
-    return VectorField(grid, vec), DensityField(grid, den.reshape(r, r, r))
+    return Field(grid, vec), Field(grid, den.reshape(r, r, r))
 
 
-def divergence(v: VectorField) -> ScalarField:
+def divergence(v: Field) -> Field:
     """Divergence in grid units: central differences inside, one-sided at
     the boundary (what np.gradient computes)."""
     f = sum(np.gradient(v.data[..., a], axis=a) for a in range(3))
-    return ScalarField(v.grid, f)
+    return Field(v.grid, f)
 
 
 def _neg_laplacian(phi: np.ndarray) -> np.ndarray:
@@ -184,12 +164,12 @@ def _neg_laplacian(phi: np.ndarray) -> np.ndarray:
 
 
 def solve_poisson(
-    f: ScalarField,
+    f: Field,
     screening_weight: float = 0.0,
-    density: DensityField | None = None,
+    density: Field | None = None,
     tol: float = 1e-6,
     max_iter: int | None = None,
-) -> tuple[ScalarField, SolveInfo]:
+) -> tuple[Field, SolveInfo]:
     """Solve (lap - screening * density) phi = f to a relative residual.
 
     Krylov solve of the SPD form (-lap + screening * density) phi = -f,
@@ -213,7 +193,7 @@ def solve_poisson(
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         zero = np.zeros_like(b)
-        return ScalarField(f.grid, zero), SolveInfo(True, 0, 0.0, np.zeros(1))
+        return Field(f.grid, zero), SolveInfo(True, 0, 0.0, np.zeros(1))
 
     screen = screening_weight * density.data if screening_weight > 0 else None
 
@@ -252,13 +232,13 @@ def solve_poisson(
 
     relative = res_norm / b_norm
     info = SolveInfo(relative <= tol, iterations, relative, np.asarray(history))
-    return ScalarField(f.grid, x), info
+    return Field(f.grid, x), info
 
 
 def extract_isosurface(
-    phi: ScalarField,
+    phi: Field,
     pc: PointCloud,
-    density: DensityField | None = None,
+    density: Field | None = None,
 ) -> tuple[TriangleMesh, np.ndarray]:
     """Iso-surface at the mean potential of the sample points.
 
@@ -282,7 +262,7 @@ def extract_isosurface(
     return mesh, vertex_density
 
 
-def _orient_to_gradient(mesh: TriangleMesh, phi: ScalarField) -> TriangleMesh:
+def _orient_to_gradient(mesh: TriangleMesh, phi: Field) -> TriangleMesh:
     # Table winding is consistent across cells, so one global vote on
     # grad(phi) alignment decides the flip.
     a, b, c = mesh.triangle_corners()
@@ -323,7 +303,7 @@ def density_trim(
     )
 
 
-def normalize_field(vec: VectorField, den: DensityField) -> VectorField:
+def normalize_field(vec: Field, den: Field) -> Field:
     """Rescale splatted normals to the density-weighted mean per node.
 
     Raw splats carry the local sample density, which for ray-cast clouds
@@ -333,7 +313,7 @@ def normalize_field(vec: VectorField, den: DensityField) -> VectorField:
     the surface jump is uniform regardless of sampling density.
     """
     weight = np.maximum(den.data, 1e-12)[..., None]
-    return VectorField(vec.grid, vec.data / weight)
+    return Field(vec.grid, vec.data / weight)
 
 
 def reconstruct(

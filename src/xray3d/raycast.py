@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import Ray
-from .mesh import MeshError, TriangleMesh, face_normal
+from .mesh import MeshError, TriangleMesh
 
 EPS_MIN = 1e-6  # reject hits this close to the ray origin (self-hits)
 EPS_DUP = 1e-6  # merge coincident hits (shared edge/vertex double-counts)
@@ -25,21 +24,6 @@ _N_BINS = 16
 _RAY_CHUNK = 1 << 18
 _BRUTE_THRESHOLD = 64   # test every triangle directly below this face count
 _PAIR_BUDGET = 1 << 22  # max vectorized ray-triangle pairs per batch
-
-
-@dataclass(frozen=True)
-class HitRecord:
-    """One ray-surface intersection.
-
-    depth is the ray parameter t, equal to Euclidean distance because
-    directions are unit length. barycentric holds the weights of the
-    face's three vertices (sums to 1).
-    """
-
-    depth: float
-    face_index: int
-    barycentric: tuple[float, float, float]
-    position: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -399,41 +383,3 @@ def cast_rays(accel: BvhAccel, origins: np.ndarray, directions: np.ndarray) -> H
     u = np.concatenate([p[3] for p in parts])
     v = np.concatenate([p[4] for p in parts])
     return _sort_merge_cap(ray, t, face, u, v)
-
-
-def cast_ray_all_hits(accel: BvhAccel, mesh: TriangleMesh, ray: Ray) -> list[HitRecord]:
-    """All intersections of one ray, nearest first, duplicates merged."""
-    batch = cast_rays(accel, ray.origin[None, :], ray.direction[None, :])
-    records = []
-    for t, f, u, v in zip(batch.depth, batch.face, batch.bary_u, batch.bary_v):
-        records.append(
-            HitRecord(
-                depth=float(t),
-                face_index=int(f),
-                barycentric=(float(1.0 - u - v), float(u), float(v)),
-                position=ray.origin + t * ray.direction,
-            )
-        )
-    return records
-
-
-def surface_attributes(
-    mesh: TriangleMesh, hit: HitRecord
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """(depth, geometric unit normal, interpolated color) at a hit.
-
-    The normal is the winding-defined face normal, never flipped toward
-    the camera. Colorless meshes report white.
-    """
-    normal = face_normal(mesh, hit.face_index)
-    if mesh.vertex_colors is not None:
-        w0, w1, w2 = hit.barycentric
-        i0, i1, i2 = mesh.faces[hit.face_index]
-        color = (
-            w0 * mesh.vertex_colors[i0]
-            + w1 * mesh.vertex_colors[i1]
-            + w2 * mesh.vertex_colors[i2]
-        )
-    else:
-        color = np.ones(3)
-    return hit.depth, normal, np.clip(color, 0.0, 1.0)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import sample_views
+from .camera import DEFAULT_FOV_X, sample_views
 from .codec import decode_to_pointcloud, encode, pad_or_truncate
 from .mesh import TriangleMesh, normalize_mesh
 from .metrics import evaluate_pair
@@ -31,13 +31,6 @@ from .raycast import build_bvh
 CSV_HEADER = "mesh,view,layers,resolution,chamfer,f_score,encode_ms,decode_ms,recon_ms,error"
 
 THREADS_ENV = "XRAY_THREADS"
-
-# Wide enough that a unit-bbox mesh (bounding sphere 0.866) stays fully
-# inside the frustum from distance 1.2 in every sampled view. The render
-# constant used elsewhere only covers a 0.5-radius sphere; with partial
-# visibility the sweep would measure a clipping floor instead of the
-# layer/resolution error it is after.
-SWEEP_FOV_X = 2.0 * np.arcsin(0.875 / 1.2)
 
 
 @dataclass(frozen=True)
@@ -101,7 +94,7 @@ def run_sweep(
     trim: float = 0.0,
     n_samples: int = 16384,
     threshold: float = 0.1,
-    fov_x: float = SWEEP_FOV_X,
+    fov_x: float = DEFAULT_FOV_X,
     max_workers: int | None = None,
 ) -> list[SweepRow]:
     """Evaluate the intrinsic round-trip error over the parameter grid."""

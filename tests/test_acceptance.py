@@ -27,7 +27,7 @@ from xray3d.diffusion import NoiseSchedule, dm_loss, forward_step, upsampler_los
 from xray3d.fixtures import cube, nested_cubes, standard_suite
 from xray3d.mesh import normalize_mesh
 from xray3d.metrics import chamfer_f_score, icp_align
-from xray3d.poisson import GridSpec, ScalarField, reconstruct, solve_poisson
+from xray3d.poisson import Field, GridSpec, reconstruct, solve_poisson
 from xray3d.sweep import mean_chamfer, run_sweep
 
 
@@ -192,7 +192,7 @@ def test_criterion_07_poisson_oracles():
             k = np.pi / 1.2
             target = np.cos(k * xs) * np.cos(k * ys) * np.cos(k * zs)
             source = -3.0 * k**2 * target * grid.spacing**2
-            phi, info = solve_poisson(ScalarField(grid, source), tol=1e-8)
+            phi, info = solve_poisson(Field(grid, source), tol=1e-8)
             assert info.converged
             return float(np.abs(phi.data - target).max())
 

@@ -5,7 +5,6 @@ import pytest
 
 from xray3d.camera import (
     Camera,
-    Ray,
     camera_from_spherical,
     generate_rays,
     look_at,
@@ -108,12 +107,6 @@ def test_camera_validation():
     bad[0, 0] = 2.0
     with pytest.raises(ValueError, match="orthonormal"):
         Camera(4, 4, 0.8, bad)
-
-
-def test_ray_requires_unit_direction():
-    with pytest.raises(ValueError):
-        Ray(np.zeros(3), np.array([0.0, 0.0, -2.0]))
-    Ray(np.zeros(3), np.array([0.0, 0.0, -1.0]))
 
 
 def test_look_at_degenerate_cases():

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from xray3d.camera import DEFAULT_FOV_X
 from xray3d.cli import main
 from xray3d.codec import XRayTensor, read_xray, write_xray
 from xray3d.fixtures import cube, icosphere
@@ -21,6 +24,18 @@ def sphere_obj(tmp_path):
     return path
 
 
+def front_view_cube_hits(size: int) -> int:
+    """Exact hit count of the default front view of the unit cube.
+
+    Pinhole model: the ray through pixel centre i meets the front face
+    (z = 0.5, depth 0.7) at 0.7 * (i - size / 2) / fx; every ray that
+    meets it also leaves through the back face, and no other ray hits.
+    """
+    fx = 0.5 * size / math.tan(0.5 * DEFAULT_FOV_X)
+    offsets = 0.7 * (np.arange(size) - 0.5 * size) / fx
+    return 2 * int(np.sum(np.abs(offsets) <= 0.5)) ** 2
+
+
 def run_cli(*argv) -> int:
     try:
         return main([str(a) for a in argv])
@@ -34,7 +49,7 @@ def test_encode_writes_file_and_stats(tmp_path, cube_obj, capsys):
     assert code == 0
     assert out.exists()
     printed = capsys.readouterr().out
-    assert "total hits: 8192" in printed
+    assert f"total hits: {front_view_cube_hits(64)}," in printed
     tensor = read_xray(out)
     assert tensor.layers == 8 and tensor.width == 64
     # front view central pixel depths
@@ -60,7 +75,7 @@ def test_decode_points_only(tmp_path, cube_obj):
     out = tmp_path / "points.ply"
     assert run_cli("decode", xray, out, "--points-only") == 0
     cloud = load_pointcloud_ply(out)
-    assert len(cloud) == 48 * 48 * 2
+    assert len(cloud) == front_view_cube_hits(48)
     # points on the cube surface (world frame by default)
     q = np.abs(cloud.positions) - 0.5
     sdf = np.linalg.norm(np.maximum(q, 0), axis=1) + np.minimum(q.max(axis=1), 0)

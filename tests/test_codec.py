@@ -16,7 +16,7 @@ from xray3d.codec import (
     write_xray,
 )
 from xray3d.fixtures import cube, icosphere, nested_cubes
-from xray3d.mesh import TriangleMesh
+from xray3d.mesh import TriangleMesh, normalize_mesh
 
 
 def front_camera(size=64):
@@ -317,3 +317,27 @@ def test_pointcloud_validation():
         PointCloud(np.zeros((2, 3)), np.zeros((1, 3)), np.zeros((2, 3)))
     with pytest.raises(ValueError, match="unit"):
         PointCloud(np.zeros((1, 3)), np.array([[0.5, 0, 0]]), np.zeros((1, 3)))
+
+
+@pytest.mark.parametrize("channel,name", [(1, "depth"), (2, "normal"), (6, "color")])
+def test_validate_rejects_non_finite(channel, name):
+    x = encode(cube(), front_camera(8), 2)
+    bad = _tweak(x.data, 0, channel, 4, 4, np.nan)
+    with pytest.raises(XRayDataError, match=f"non-finite {name} at layer 0, pixel \\(4, 4\\)"):
+        XRayTensor(bad, x.fov_x, x.c2w).validate()
+
+
+@pytest.mark.parametrize("name", ["positions", "normals", "colors"])
+def test_pointcloud_rejects_non_finite(name):
+    arrays = {"positions": np.zeros((2, 3)), "normals": np.eye(3)[:2], "colors": np.ones((2, 3))}
+    arrays[name][1, 0] = np.nan
+    with pytest.raises(ValueError, match=f"non-finite {name} at point 1"):
+        PointCloud(**arrays)
+
+
+def test_default_camera_does_not_clip_normalized_cube():
+    mesh, _ = normalize_mesh(cube())
+    hit = encode(mesh, camera_from_spherical(30.0, 20.0), 2).hit_mask()[0]
+    assert hit.shape == (256, 256) and hit.any()
+    border = np.concatenate([hit[0], hit[-1], hit[:, 0], hit[:, -1]])
+    assert not border.any()

@@ -6,10 +6,11 @@ from xray3d.mesh import (
     MeshError,
     RigidTransform,
     TriangleMesh,
-    face_normal,
     face_normals,
     normalize_mesh,
+    surface_attributes,
 )
+from xray3d.raycast import build_bvh, cast_rays
 
 
 def test_face_index_out_of_range_rejected():
@@ -85,23 +86,26 @@ def test_normalize_rejects_degenerate():
 
 def test_face_normal_right_hand_rule():
     mesh = TriangleMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
-    np.testing.assert_allclose(face_normal(mesh, 0), [0, 0, 1], atol=1e-15)
+    np.testing.assert_allclose(face_normals(mesh)[0], [0, 0, 1], atol=1e-15)
 
 
 def test_face_normal_reversed_winding():
     mesh = TriangleMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 2, 1]])
-    np.testing.assert_allclose(face_normal(mesh, 0), [0, 0, -1], atol=1e-15)
+    np.testing.assert_allclose(face_normals(mesh)[0], [0, 0, -1], atol=1e-15)
 
 
 def test_face_normal_colinear_degenerate():
+    # A zero-area face has no normal; the ray cast and the area sampler
+    # never select it, so the attribute path never reads this zero.
     mesh = TriangleMesh([[0, 0, 0], [1, 0, 0], [2, 0, 0]], [[0, 1, 2]])
-    with pytest.raises(MeshError, match="degenerate"):
-        face_normal(mesh, 0)
+    np.testing.assert_array_equal(face_normals(mesh)[0], [0, 0, 0])
+    batch = cast_rays(build_bvh(mesh), [[1.0, 0.0, 1.0]], [[0.0, 0.0, -1.0]])
+    assert batch.face.size == 0
 
 
 def test_face_normal_bad_index(cube_mesh):
-    with pytest.raises(MeshError):
-        face_normal(cube_mesh, 12)
+    with pytest.raises(IndexError):
+        surface_attributes(cube_mesh, np.array([12]), np.zeros(1), np.zeros(1))
 
 
 def test_face_normals_unit_outward_on_sphere():

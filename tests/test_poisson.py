@@ -5,10 +5,9 @@ from conftest import closed_two_manifold, euler_characteristic
 from xray3d.codec import PointCloud
 from xray3d.mesh import face_normals
 from xray3d.poisson import (
-    DensityField,
+    Field,
     GridSpec,
     PoissonError,
-    ScalarField,
     SolverConvergenceError,
     density_trim,
     divergence,
@@ -82,30 +81,33 @@ def test_splat_rejects_empty():
         splat_normals(empty, 16)
 
 
+def test_field_accepts_scalar_or_vector_grids_only():
+    grid = GridSpec(4)
+    Field(grid, np.zeros((4, 4, 4)))
+    Field(grid, np.zeros((4, 4, 4, 3)))
+    for shape in ((4, 4, 5), (4, 4, 4, 2), (64,)):
+        with pytest.raises(ValueError, match="expected shape"):
+            Field(grid, np.zeros(shape))
+
+
 def test_divergence_constant_field_zero():
     grid = GridSpec(12)
     vec = VectorLike = np.ones((12, 12, 12, 3))
-    from xray3d.poisson import VectorField
-
-    f = divergence(VectorField(grid, vec))
+    f = divergence(Field(grid, vec))
     np.testing.assert_allclose(f.data[1:-1, 1:-1, 1:-1], 0.0, atol=1e-12)
 
 
 def test_divergence_linear_field_unit():
-    from xray3d.poisson import VectorField
-
     grid = GridSpec(12)
     idx = np.arange(12, dtype=np.float64)
     x = np.broadcast_to(idx[:, None, None], (12, 12, 12))
     vec = np.zeros((12, 12, 12, 3))
     vec[..., 0] = x
-    f = divergence(VectorField(grid, vec))
+    f = divergence(Field(grid, vec))
     np.testing.assert_allclose(f.data[1:-1, 1:-1, 1:-1], 1.0, atol=1e-12)
 
 
 def test_divergence_solenoidal_zero():
-    from xray3d.poisson import VectorField
-
     grid = GridSpec(12)
     idx = np.arange(12, dtype=np.float64)
     x = np.broadcast_to(idx[:, None, None], (12, 12, 12))
@@ -113,13 +115,13 @@ def test_divergence_solenoidal_zero():
     vec = np.zeros((12, 12, 12, 3))
     vec[..., 0] = -y
     vec[..., 1] = x
-    f = divergence(VectorField(grid, vec))
+    f = divergence(Field(grid, vec))
     np.testing.assert_allclose(f.data[1:-1, 1:-1, 1:-1], 0.0, atol=1e-12)
 
 
 def test_solve_zero_source_gives_zero():
     grid = GridSpec(16)
-    phi, info = solve_poisson(ScalarField(grid, np.zeros((16, 16, 16))))
+    phi, info = solve_poisson(Field(grid, np.zeros((16, 16, 16))))
     assert info.converged and info.iterations == 0
     assert not phi.data.any()
 
@@ -144,7 +146,7 @@ def test_solve_recovers_manufactured_discrete_solution(rng):
     k = np.pi / 1.2
     phi_star = np.cos(k * X) * np.cos(k * Y) * np.cos(k * Z)
     f = -_discrete_neg_lap(phi_star)  # (lap phi*) in grid units
-    phi, info = solve_poisson(ScalarField(grid, f), tol=1e-9)
+    phi, info = solve_poisson(Field(grid, f), tol=1e-9)
     assert info.converged
     err = np.abs(phi.data - phi_star).max()
     assert err <= 1e-6 * np.abs(phi_star).max()
@@ -154,7 +156,7 @@ def test_solve_residual_history_non_increasing():
     grid = GridSpec(24)
     rng = np.random.default_rng(5)
     f = rng.normal(size=(24, 24, 24))
-    phi, info = solve_poisson(ScalarField(grid, f), tol=1e-8)
+    phi, info = solve_poisson(Field(grid, f), tol=1e-8)
     h = info.residual_history
     assert np.all(h[1:] <= h[:-1] + 1e-15)
     assert info.relative_residual <= 1e-8
@@ -164,7 +166,7 @@ def test_solve_non_convergence_reported_not_raised():
     grid = GridSpec(24)
     rng = np.random.default_rng(6)
     f = rng.normal(size=(24, 24, 24))
-    phi, info = solve_poisson(ScalarField(grid, f), tol=1e-12, max_iter=3)
+    phi, info = solve_poisson(Field(grid, f), tol=1e-12, max_iter=3)
     assert not info.converged
     assert info.iterations == 3
     assert info.relative_residual > 1e-12
@@ -180,7 +182,7 @@ def test_solve_convergence_improves_with_resolution():
         k = np.pi / 1.2
         phi_star = np.cos(k * X) * np.cos(k * Y) * np.cos(k * Z)
         f = -3.0 * k**2 * phi_star * grid.spacing**2
-        phi, info = solve_poisson(ScalarField(grid, f), tol=1e-8)
+        phi, info = solve_poisson(Field(grid, f), tol=1e-8)
         assert info.converged
         return np.abs(phi.data - phi_star).max()
 
@@ -204,7 +206,7 @@ def test_extract_sphere_sdf():
     X, Y, Z = np.meshgrid(coords, coords, coords, indexing="ij")
     sdf = np.sqrt(X**2 + Y**2 + Z**2) - 0.4
     pc = sphere_cloud(4000)
-    mesh, dens = extract_isosurface(ScalarField(grid, sdf), pc)
+    mesh, dens = extract_isosurface(Field(grid, sdf), pc)
     radii = np.linalg.norm(mesh.vertices, axis=1)
     assert np.abs(radii - 0.4).max() <= 2 * (1.2 / 64)
     assert closed_two_manifold(mesh)
@@ -222,7 +224,7 @@ def test_extract_constant_field_degenerate():
     grid = GridSpec(16)
     pc = sphere_cloud(100)
     with pytest.raises(PoissonError, match="iso"):
-        extract_isosurface(ScalarField(grid, np.ones((16, 16, 16))), pc)
+        extract_isosurface(Field(grid, np.ones((16, 16, 16))), pc)
 
 
 def test_density_trim_noop_and_empty(cube_mesh):

@@ -1,63 +1,49 @@
 import numpy as np
 import pytest
 
-from xray3d.camera import Ray
-from xray3d.fixtures import cube, icosphere
-from xray3d.mesh import MeshError, TriangleMesh
-from xray3d.raycast import (
-    EPS_DUP,
-    EPS_MIN,
-    MAX_HITS,
-    build_bvh,
-    cast_ray_all_hits,
-    cast_rays,
-    surface_attributes,
-)
+from xray3d.fixtures import cube
+from xray3d.mesh import MeshError, TriangleMesh, surface_attributes
+from xray3d.raycast import EPS_DUP, EPS_MIN, MAX_HITS, build_bvh, cast_rays
 
 
 def brute_force_hits(mesh, origin, direction):
     """Independent all-triangle oracle with the same accept/merge rules."""
-    hits = []
-    v = mesh.vertices
-    for fi, (i0, i1, i2) in enumerate(mesh.faces):
-        v0, v1, v2 = v[i0], v[i1], v[i2]
-        e1, e2 = v1 - v0, v2 - v0
-        pvec = np.cross(direction, e2)
-        det = float(e1 @ pvec)
-        if abs(det) <= 1e-12:
-            continue
-        s = origin - v0
-        u = float(s @ pvec) / det
-        qvec = np.cross(s, e1)
-        w = float(direction @ qvec) / det
-        t = float(e2 @ qvec) / det
-        if u >= 0.0 and w >= 0.0 and u + w <= 1.0 and t > EPS_MIN:
-            hits.append((t, fi))
-    hits.sort()
+    v0, v1, v2 = (mesh.vertices[mesh.faces[:, k]] for k in range(3))
+    e1, e2 = v1 - v0, v2 - v0
+    pvec = np.cross(direction, e2)
+    det = np.einsum("ij,ij->i", e1, pvec)
+    nonparallel = np.abs(det) > 1e-12
+    det = np.where(nonparallel, det, 1.0)
+    s = origin - v0
+    u = np.einsum("ij,ij->i", s, pvec) / det
+    qvec = np.cross(s, e1)
+    w = qvec @ direction / det
+    t = np.einsum("ij,ij->i", e2, qvec) / det
+    accept = nonparallel & (u >= 0.0) & (w >= 0.0) & (u + w <= 1.0) & (t > EPS_MIN)
+    faces = np.nonzero(accept)[0]
+    order = np.lexsort((faces, t[faces]))
     merged = []
-    for t, fi in hits:
-        if merged and t - merged[-1][0] < EPS_DUP:
+    for t_hit, fi in zip(t[faces][order], faces[order]):
+        if merged and t_hit - merged[-1][0] < EPS_DUP:
             continue
-        merged.append((t, fi))
+        merged.append((float(t_hit), int(fi)))
     return merged[:MAX_HITS]
 
 
-def _z_ray():
-    return Ray(np.array([0.0, 0.0, 1.2]), np.array([0.0, 0.0, -1.0]))
+def _cast_one(mesh, origin, direction=(0.0, 0.0, -1.0)):
+    """All hits of one ray, nearest first."""
+    return cast_rays(build_bvh(mesh), np.array([origin]), np.array([direction]))
 
 
 def test_cube_central_ray_two_hits(cube_mesh):
-    accel = build_bvh(cube_mesh)
-    hits = cast_ray_all_hits(accel, cube_mesh, _z_ray())
-    assert len(hits) == 2
-    assert hits[0].depth == pytest.approx(0.7, abs=1e-12)
-    assert hits[1].depth == pytest.approx(1.7, abs=1e-12)
+    hits = _cast_one(cube_mesh, [0.0, 0.0, 1.2])
+    assert len(hits.depth) == 2
+    assert hits.depth[0] == pytest.approx(0.7, abs=1e-12)
+    assert hits.depth[1] == pytest.approx(1.7, abs=1e-12)
 
 
 def test_miss_returns_empty(cube_mesh):
-    accel = build_bvh(cube_mesh)
-    ray = Ray(np.array([5.0, 5.0, 5.0]), np.array([0.0, 0.0, -1.0]))
-    assert cast_ray_all_hits(accel, cube_mesh, ray) == []
+    assert _cast_one(cube_mesh, [5.0, 5.0, 5.0]).depth.size == 0
 
 
 def test_stacked_cubes_four_increasing_hits():
@@ -67,20 +53,16 @@ def test_stacked_cubes_four_increasing_hits():
         np.vstack([lower.vertices, upper.vertices]),
         np.vstack([lower.faces, upper.faces + lower.n_vertices]),
     )
-    accel = build_bvh(mesh)
-    hits = cast_ray_all_hits(accel, mesh, _z_ray())
-    depths = [h.depth for h in hits]
+    depths = _cast_one(mesh, [0.0, 0.0, 1.2]).depth
     np.testing.assert_allclose(depths, [0.7, 1.7, 2.2, 3.2], atol=1e-12)
     assert all(b > a for a, b in zip(depths, depths[1:]))
 
 
 def test_single_triangle_hit_and_miss():
     mesh = TriangleMesh([[-1, -1, 0], [1, -1, 0], [0, 1, 0]], [[0, 1, 2]])
-    accel = build_bvh(mesh)
-    hit = cast_ray_all_hits(accel, mesh, Ray(np.array([0, 0, 1.0]), np.array([0, 0, -1.0])))
-    assert len(hit) == 1 and hit[0].depth == pytest.approx(1.0)
-    miss = cast_ray_all_hits(accel, mesh, Ray(np.array([2, 2, 1.0]), np.array([0, 0, -1.0])))
-    assert miss == []
+    hit = _cast_one(mesh, [0, 0, 1.0])
+    assert len(hit.depth) == 1 and hit.depth[0] == pytest.approx(1.0)
+    assert _cast_one(mesh, [2, 2, 1.0]).depth.size == 0
 
 
 @pytest.mark.parametrize("mesh_name", ["cube", "sphere"])
@@ -158,35 +140,26 @@ def test_translation_equivariance(sphere_mesh, rng):
 
 def test_hit_record_invariants(sphere_mesh, rng):
     accel = build_bvh(sphere_mesh)
-    for _ in range(20):
-        origin = 2.0 * rng.normal(size=3)
-        origin /= np.linalg.norm(origin) / 2.0
-        direction = -origin / np.linalg.norm(origin)
-        ray = Ray(origin, direction)
-        for hit in cast_ray_all_hits(accel, sphere_mesh, ray):
-            np.testing.assert_allclose(
-                hit.position, origin + hit.depth * direction, atol=1e-6
-            )
-            w0, w1, w2 = hit.barycentric
-            assert w0 + w1 + w2 == pytest.approx(1.0, abs=1e-9)
-            i0, i1, i2 = sphere_mesh.faces[hit.face_index]
-            recon = (
-                w0 * sphere_mesh.vertices[i0]
-                + w1 * sphere_mesh.vertices[i1]
-                + w2 * sphere_mesh.vertices[i2]
-            )
-            np.testing.assert_allclose(recon, hit.position, atol=1e-6)
+    origins = 2.0 * rng.normal(size=(20, 3))
+    origins /= np.linalg.norm(origins, axis=1, keepdims=True) / 2.0
+    directions = -origins / np.linalg.norm(origins, axis=1, keepdims=True)
+    hits = cast_rays(accel, origins, directions)
+    assert hits.depth.size
+    position = origins[hits.ray] + hits.depth[:, None] * directions[hits.ray]
+    w0, w1, w2 = 1.0 - hits.bary_u - hits.bary_v, hits.bary_u, hits.bary_v
+    np.testing.assert_allclose(w0 + w1 + w2, 1.0, atol=1e-9)
+    corners = sphere_mesh.vertices[sphere_mesh.faces[hits.face]]
+    recon = w0[:, None] * corners[:, 0] + w1[:, None] * corners[:, 1] + w2[:, None] * corners[:, 2]
+    np.testing.assert_allclose(recon, position, atol=1e-6)
 
 
 def test_surface_attributes_axis_face(cube_mesh):
-    accel = build_bvh(cube_mesh)
-    hits = cast_ray_all_hits(accel, cube_mesh, _z_ray())
-    depth, normal, color = surface_attributes(cube_mesh, hits[0])
-    assert depth == pytest.approx(0.7)
-    np.testing.assert_allclose(normal, [0, 0, 1], atol=1e-12)
-    np.testing.assert_allclose(color, [1, 1, 1])  # colorless default
-    _, normal_back, _ = surface_attributes(cube_mesh, hits[1])
-    np.testing.assert_allclose(normal_back, [0, 0, -1], atol=1e-12)
+    hits = _cast_one(cube_mesh, [0.0, 0.0, 1.2])
+    normal, color = surface_attributes(cube_mesh, hits.face, hits.bary_u, hits.bary_v)
+    assert hits.depth[0] == pytest.approx(0.7)
+    np.testing.assert_allclose(normal[0], [0, 0, 1], atol=1e-12)
+    np.testing.assert_allclose(color[0], [1, 1, 1])  # colorless default
+    np.testing.assert_allclose(normal[1], [0, 0, -1], atol=1e-12)
 
 
 def test_surface_attributes_barycentric_color():
@@ -195,12 +168,11 @@ def test_surface_attributes_barycentric_color():
         [[0, 1, 2]],
         vertex_colors=[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
     )
-    accel = build_bvh(mesh)
     centroid = mesh.vertices.mean(axis=0)
-    ray = Ray(centroid + [0, 0, 1.0], np.array([0.0, 0.0, -1.0]))
-    (hit,) = cast_ray_all_hits(accel, mesh, ray)
-    _, _, color = surface_attributes(mesh, hit)
-    np.testing.assert_allclose(color, [1 / 3, 1 / 3, 1 / 3], atol=1e-9)
+    hits = _cast_one(mesh, centroid + [0, 0, 1.0])
+    assert len(hits.face) == 1
+    _, color = surface_attributes(mesh, hits.face, hits.bary_u, hits.bary_v)
+    np.testing.assert_allclose(color[0], [1 / 3, 1 / 3, 1 / 3], atol=1e-9)
 
 
 def test_hit_cap_at_64():
@@ -212,10 +184,7 @@ def test_hit_cap_at_64():
         verts += [[-1, -1, z], [1, -1, z], [1, 1, z], [-1, 1, z]]
         faces += [[base, base + 1, base + 2], [base, base + 2, base + 3]]
     mesh = TriangleMesh(np.array(verts, dtype=float), np.array(faces))
-    accel = build_bvh(mesh)
-    ray = Ray(np.array([0.1, 0.1, 1.0]), np.array([0.0, 0.0, -1.0]))
-    hits = cast_ray_all_hits(accel, mesh, ray)
-    assert len(hits) == MAX_HITS
+    assert len(_cast_one(mesh, [0.1, 0.1, 1.0]).depth) == MAX_HITS
 
 
 def test_duplicate_edge_hits_merged():
@@ -225,10 +194,7 @@ def test_duplicate_edge_hits_merged():
         [[-1, -1, 0], [1, -1, 0], [1, 1, 0], [-1, 1, 0]],
         [[0, 1, 2], [0, 2, 3]],
     )
-    accel = build_bvh(mesh)
-    ray = Ray(np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0]))
-    hits = cast_ray_all_hits(accel, mesh, ray)
-    assert len(hits) == 1
+    assert len(_cast_one(mesh, [0.0, 0.0, 1.0]).depth) == 1
 
 
 def test_concurrent_casting_over_shared_accel(sphere_mesh, rng):
