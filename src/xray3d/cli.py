@@ -28,6 +28,7 @@ from .mesh import normalize_mesh
 from .meshio import load_mesh, save_mesh, save_pointcloud_ply
 from .metrics import evaluate_pair
 from .poisson import MAX_RESOLUTION, reconstruct
+from .raycast import build_bvh
 from .sweep import plot_sweep_svg, rows_to_csv, run_sweep
 
 
@@ -238,9 +239,10 @@ def cmd_views(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.mesh_path).stem
+    accel = build_bvh(mesh)
     for az, el in zip(*sample_view_angles(args.seed, args.num)):
         camera = camera_from_spherical(az, el, width=args.width, height=args.height)
-        tensor = encode(mesh, camera, args.layers)
+        tensor = encode(mesh, camera, args.layers, accel=accel)
         name = f"{stem}_az{az:+08.3f}_el{el:07.3f}.xray"
         write_xray(tensor, out_dir / name)
         print(f"wrote {out_dir / name} ({tensor.total_hits()} hits)")

@@ -9,7 +9,6 @@ format stores tensors losslessly (float32, little-endian).
 
 from __future__ import annotations
 
-import dataclasses
 import struct
 from dataclasses import dataclass
 
@@ -159,8 +158,6 @@ def encode(
     mesh: TriangleMesh,
     camera: Camera,
     layers: int,
-    height: int | None = None,
-    width: int | None = None,
     accel: BvhAccel | None = None,
 ) -> XRayTensor:
     """Encode a mesh into a layered surface tensor for one camera view.
@@ -170,15 +167,6 @@ def encode(
     """
     if layers < 1:
         raise ValueError("need at least one layer")
-    if (height is not None and height != camera.height) or (
-        width is not None and width != camera.width
-    ):
-        camera = dataclasses.replace(
-            camera,
-            height=height or camera.height,
-            width=width or camera.width,
-            c2w=np.asarray(camera.c2w),
-        )
     h, w = camera.height, camera.width
     data = np.zeros((layers, 8, h, w), dtype=np.float32)
     if mesh.is_empty:

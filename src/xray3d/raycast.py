@@ -1,10 +1,14 @@
 """BVH-accelerated multi-hit ray casting over triangle meshes.
 
 All intersections along a ray are returned sorted by distance, not just
-the first, because the codec records every surface crossing. Traversal
+the first, because the codec records every surface crossing. The tree
+is a complete binary median-split BVH built one level per numpy pass
+(a sort of every node's triangles along its longest centroid extent),
+so building it never loops over nodes or triangles in Python. Traversal
 is wavefront-vectorized: a frontier of (ray, node) pairs advances one
 tree level per iteration, so casting a full pixel grid is a handful of
-numpy passes instead of a Python loop per ray.
+numpy passes instead of a Python loop per ray. Meshes of at most
+_BRUTE_THRESHOLD faces skip the tree and test every triangle directly.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ EPS_DUP = 1e-6  # merge coincident hits (shared edge/vertex double-counts)
 MAX_HITS = 64   # per-ray record cap, far above the codec's layer counts
 
 _LEAF_SIZE = 4
-_N_BINS = 16
 _RAY_CHUNK = 1 << 18
 _BRUTE_THRESHOLD = 64   # test every triangle directly below this face count
 _PAIR_BUDGET = 1 << 22  # max vectorized ray-triangle pairs per batch
@@ -42,7 +45,7 @@ class HitBatch:
 
 
 class BvhAccel:
-    """Flattened binned-SAH BVH. Immutable after build; share freely.
+    """Flattened median-split BVH in heap order. Immutable after build; share freely.
 
     Triangle data is stored as contiguous per-component rows (shape
     (3, n_faces)) so gathered kernels stay cache-friendly.
@@ -77,13 +80,20 @@ class BvhAccel:
         return len(self.node_left)
 
 
-def _surface_area(bmin: np.ndarray, bmax: np.ndarray) -> float:
-    d = bmax - bmin
-    return 2.0 * float(d[0] * d[1] + d[1] * d[2] + d[2] * d[0])
+def _segment_starts(m: int, level: int) -> np.ndarray:
+    """First tri_order slot of each of the 2^level nodes on a tree level."""
+    return (np.arange(1 << level, dtype=np.int64) * m) >> level
 
 
 def build_bvh(mesh: TriangleMesh) -> BvhAccel:
-    """Binned SAH build, leaf size at most 4.
+    """Median-split BVH: a complete binary tree in heap order.
+
+    Node i has children 2i+1 and 2i+2, and the 2^depth leaves hold 1-4
+    triangles each. Segment k of level l is tri_order[(k*m) >> l :
+    ((k+1)*m) >> l]; one sort per level orders every segment by centroid
+    along its longest centroid extent, so its two halves are the
+    children's segments. Leaf boxes bound their triangles, and each
+    parent box bounds its two children.
 
     Traversal answers exactly the same hit sets as brute-force testing
     of every triangle; the tree only prunes.
@@ -98,89 +108,38 @@ def build_bvh(mesh: TriangleMesh) -> BvhAccel:
     pad = 1e-9 * (scene_diag + 1.0)  # guards against edge-on-box culling
 
     m = mesh.n_faces
+    depth = ((m - 1) // _LEAF_SIZE).bit_length()  # least depth with m <= 4 * 2^depth
     tri_order = np.arange(m, dtype=np.int64)
+    for level in range(depth):
+        starts = _segment_starts(m, level)
+        cen = centroids[tri_order]
+        extent = np.maximum.reduceat(cen, starts) - np.minimum.reduceat(cen, starts)
+        segment = np.repeat(np.arange(1 << level), np.diff(starts, append=m))
+        key = cen[np.arange(m), np.argmax(extent, axis=1)[segment]]
+        tri_order = tri_order[np.lexsort((key, segment))]
 
-    node_min, node_max = [], []
-    node_left, node_right = [], []
-    leaf_start, leaf_count = [], []
+    starts = _segment_starts(m, depth)
+    box_min = np.minimum.reduceat(tri_min[tri_order], starts) - pad
+    box_max = np.maximum.reduceat(tri_max[tri_order], starts) + pad
+    level_min, level_max = [box_min], [box_max]
+    for _ in range(depth):
+        box_min = np.minimum(box_min[0::2], box_min[1::2])
+        box_max = np.maximum(box_max[0::2], box_max[1::2])
+        level_min.append(box_min)
+        level_max.append(box_max)
 
-    def new_node() -> int:
-        node_min.append(None)
-        node_max.append(None)
-        node_left.append(-1)
-        node_right.append(-1)
-        leaf_start.append(-1)
-        leaf_count.append(0)
-        return len(node_left) - 1
-
-    root = new_node()
-    stack = [(root, 0, m)]
-    while stack:
-        node_id, lo, hi = stack.pop()
-        idx = tri_order[lo:hi]
-        node_min[node_id] = tri_min[idx].min(axis=0) - pad
-        node_max[node_id] = tri_max[idx].max(axis=0) + pad
-        count = hi - lo
-        if count <= _LEAF_SIZE:
-            leaf_start[node_id] = lo
-            leaf_count[node_id] = count
-            continue
-
-        cen = centroids[idx]
-        cmin, cmax = cen.min(axis=0), cen.max(axis=0)
-        ext = cmax - cmin
-        best_cost, best_axis, best_mask = np.inf, -1, None
-        for axis in range(3):
-            if ext[axis] <= 1e-12:
-                continue
-            rel = (cen[:, axis] - cmin[axis]) * (_N_BINS / ext[axis])
-            bins = np.minimum(rel.astype(np.int64), _N_BINS - 1)
-            counts = np.bincount(bins, minlength=_N_BINS)
-            bin_lo = np.full((_N_BINS, 3), np.inf)
-            bin_hi = np.full((_N_BINS, 3), -np.inf)
-            for b in range(_N_BINS):
-                sel = bins == b
-                if counts[b]:
-                    bin_lo[b] = tri_min[idx[sel]].min(axis=0)
-                    bin_hi[b] = tri_max[idx[sel]].max(axis=0)
-            lo_sweep = np.minimum.accumulate(bin_lo, axis=0)
-            hi_sweep = np.maximum.accumulate(bin_hi, axis=0)
-            lo_rsweep = np.minimum.accumulate(bin_lo[::-1], axis=0)[::-1]
-            hi_rsweep = np.maximum.accumulate(bin_hi[::-1], axis=0)[::-1]
-            n_left = np.cumsum(counts)
-            for k in range(_N_BINS - 1):
-                nl, nr = n_left[k], count - n_left[k]
-                if nl == 0 or nr == 0:
-                    continue
-                cost = nl * _surface_area(lo_sweep[k], hi_sweep[k]) + \
-                    nr * _surface_area(lo_rsweep[k + 1], hi_rsweep[k + 1])
-                if cost < best_cost:
-                    best_cost, best_axis, best_mask = cost, axis, bins <= k
-
-        if best_mask is None:
-            # Centroids coincide (or single occupied bin): split by median.
-            order = np.argsort(cen[:, int(np.argmax(ext))], kind="stable")
-            half = count // 2
-            best_mask = np.zeros(count, dtype=bool)
-            best_mask[order[:half]] = True
-
-        left_idx = idx[best_mask]
-        right_idx = idx[~best_mask]
-        tri_order[lo:lo + len(left_idx)] = left_idx
-        tri_order[lo + len(left_idx):hi] = right_idx
-        left_id, right_id = new_node(), new_node()
-        node_left[node_id] = left_id
-        node_right[node_id] = right_id
-        stack.append((left_id, lo, lo + len(left_idx)))
-        stack.append((right_id, lo + len(left_idx), hi))
-
+    n_inner = (1 << depth) - 1
+    inner = np.arange(n_inner, dtype=np.int64)
+    no_child = np.full(len(starts), -1, dtype=np.int64)
     return BvhAccel(
-        node_min=np.asarray(node_min, dtype=np.float64),
-        node_max=np.asarray(node_max, dtype=np.float64),
-        node_left=np.asarray(node_left, dtype=np.int64),
-        node_right=np.asarray(node_right, dtype=np.int64),
-        leaf_start=np.asarray(leaf_start, dtype=np.int64),
-        leaf_count=np.asarray(leaf_count, dtype=np.int64),
+        node_min=np.concatenate(level_min[::-1]),
+        node_max=np.concatenate(level_max[::-1]),
+        node_left=np.concatenate([2 * inner + 1, no_child]),
+        node_right=np.concatenate([2 * inner + 2, no_child]),
+        leaf_start=np.concatenate([np.full(n_inner, -1, dtype=np.int64), starts]),
+        leaf_count=np.concatenate(
+            [np.zeros(n_inner, dtype=np.int64), np.diff(starts, append=m)]
+        ),
         tri_order=tri_order,
         tri_v0=np.ascontiguousarray(v0),
         tri_e1=np.ascontiguousarray(v1 - v0),

@@ -162,12 +162,8 @@ def run_sweep(
                 )
         return rows
 
-    workers = max_workers or worker_count()
-    if workers == 1:
-        results = [run_job(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_job, jobs))
+    with ThreadPoolExecutor(max_workers=max_workers or worker_count()) as pool:
+        results = list(pool.map(run_job, jobs))
 
     rows = [row for rows_ in results for row in rows_]
     rows.sort(key=lambda r: (r.mesh, r.view, r.layers, r.resolution))

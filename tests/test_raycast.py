@@ -65,9 +65,26 @@ def test_single_triangle_hit_and_miss():
     assert _cast_one(mesh, [2, 2, 1.0]).depth.size == 0
 
 
-@pytest.mark.parametrize("mesh_name", ["cube", "sphere"])
-def test_bvh_equals_brute_force(mesh_name, rng, sphere_mesh, cube_mesh):
-    mesh = cube_mesh if mesh_name == "cube" else sphere_mesh
+def _repeated_triangle(n):
+    """n copies of one triangle: every face's box centre coincides."""
+    return TriangleMesh([[-1, -1, 0.2], [1, -0.5, -0.3], [0, 1, 0.1]], np.tile([0, 1, 2], (n, 1)))
+
+
+def _scattered_triangles(n):
+    rng = np.random.default_rng(n)
+    centres = rng.uniform(-1.0, 1.0, size=(n, 1, 3))
+    corners = centres + 0.2 * rng.normal(size=(n, 3, 3))
+    return TriangleMesh(corners.reshape(-1, 3), np.arange(3 * n).reshape(n, 3))
+
+
+@pytest.mark.parametrize("mesh_name", ["cube", "sphere", "torus", "coincident"])
+def test_bvh_equals_brute_force(mesh_name, rng, sphere_mesh, cube_mesh, torus_mesh):
+    mesh = {
+        "cube": cube_mesh,
+        "sphere": sphere_mesh,
+        "torus": torus_mesh,
+        "coincident": _repeated_triangle(80),
+    }[mesh_name]
     accel = build_bvh(mesh)
     n = 1000
     origins = rng.uniform(-1.5, 1.5, size=(n, 3))
@@ -221,10 +238,23 @@ def test_empty_mesh_rejected():
         build_bvh(empty)
 
 
-def test_bvh_leaf_sizes(sphere_mesh):
-    accel = build_bvh(sphere_mesh)
-    leaves = accel.leaf_count[accel.leaf_count > 0]
+@pytest.mark.parametrize("n_faces", [1, 5, 65, "sphere"])
+def test_bvh_leaf_sizes(n_faces, sphere_mesh):
+    mesh = sphere_mesh if n_faces == "sphere" else _scattered_triangles(n_faces)
+    accel = build_bvh(mesh)
+    is_leaf = accel.leaf_count > 0
+    leaves = accel.leaf_count[is_leaf]
     assert leaves.max() <= 4
-    assert leaves.sum() == sphere_mesh.n_faces
+    assert leaves.sum() == mesh.n_faces
     order = np.sort(accel.tri_order)
-    np.testing.assert_array_equal(order, np.arange(sphere_mesh.n_faces))
+    np.testing.assert_array_equal(order, np.arange(mesh.n_faces))
+
+    lo, hi = accel.node_min.T, accel.node_max.T
+    for node in np.nonzero(~is_leaf)[0]:
+        for child in (accel.node_left[node], accel.node_right[node]):
+            assert np.all(lo[node] <= lo[child]) and np.all(hi[child] <= hi[node])
+    for node in np.nonzero(is_leaf)[0]:
+        start = accel.leaf_start[node]
+        faces = accel.tri_order[start:start + accel.leaf_count[node]]
+        corners = mesh.vertices[mesh.faces[faces]].reshape(-1, 3)
+        assert np.all(lo[node] <= corners) and np.all(corners <= hi[node])
