@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .codec import PointCloud
 from .mesh import MeshError, RigidTransform, TriangleMesh, face_areas, normalize_mesh, surface_attributes
@@ -25,6 +24,10 @@ class NearestNeighborIndex:
     """Exact nearest-neighbor queries over a fixed point set (kd-tree)."""
 
     def __init__(self, points: np.ndarray):
+        # Imported here: scipy.spatial is most of `import xray3d`, and
+        # encode/decode never build an index.
+        from scipy.spatial import cKDTree
+
         points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
         if len(points) == 0:
             raise ValueError("cannot index an empty point set")

@@ -3,8 +3,10 @@
 Pipeline: splat oriented point normals into a vector field on a regular
 grid, take its divergence as the source term f, solve the screened
 system (lap - screening * density) phi = f with zero-Dirichlet ghost
-boundaries by unpreconditioned conjugate residual, then extract the iso
-surface at the mean potential of the input samples.
+boundaries by conjugate gradient preconditioned with the exact inverse
+of -lap (a sine-basis fast Poisson solve), then extract the iso surface
+at the mean potential of the input samples. Unscreened systems converge
+in one iteration; screened ones take a few dozen to a few hundred.
 
 Grid layout is cell-centered: resolution R means R nodes per axis at
 lo + (i + 0.5) * h with h = (hi - lo) / R over the fixed cubic domain
@@ -34,7 +36,8 @@ class PoissonError(ValueError):
 
 
 class SolverConvergenceError(RuntimeError):
-    """The conjugate-residual solve failed to reach the residual tolerance."""
+    """The preconditioned conjugate-gradient solve failed to reach the
+    residual tolerance within its iteration budget."""
 
     def __init__(self, residual: float, iterations: int):
         super().__init__(
@@ -163,6 +166,35 @@ def _neg_laplacian(phi: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sine_transform(x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Apply the symmetric orthonormal matrix s along each axis of x."""
+    r = len(s)
+    y = (s @ x.reshape(r, r * r)).reshape(r, r, r)
+    y = s @ y
+    return y @ s
+
+
+def _inverse_neg_laplacian(x: np.ndarray) -> np.ndarray:
+    """Exact inverse of _neg_laplacian.
+
+    The 1-D second difference with zero ghost nodes has the orthonormal
+    eigenvectors S[j, k] = sqrt(2/(R+1)) sin(pi j k / (R+1)) (1-based)
+    with eigenvalues 2 - 2 cos(pi k / (R+1)), so -lap is diagonal in the
+    tensor sine basis (the DST-I fast Poisson solve, Numerical Recipes
+    20.4). S is symmetric and its own inverse; the transforms are dense
+    matmuls, O(R^4) BLAS work with no FFT length restriction.
+    """
+    r = x.shape[0]
+    k = np.arange(1, r + 1)
+    s = np.sqrt(2.0 / (r + 1)) * np.sin(np.pi * np.outer(k, k) / (r + 1))
+    lam = 2.0 - 2.0 * np.cos(np.pi * k / (r + 1))
+    y = _sine_transform(x, s)
+    plane = lam[:, None] + lam[None, :]
+    for i in range(r):
+        y[i] /= plane + lam[i]
+    return _sine_transform(y, s)
+
+
 def solve_poisson(
     f: Field,
     screening_weight: float = 0.0,
@@ -172,12 +204,14 @@ def solve_poisson(
 ) -> tuple[Field, SolveInfo]:
     """Solve (lap - screening * density) phi = f to a relative residual.
 
-    Krylov solve of the SPD form (-lap + screening * density) phi = -f,
-    using the conjugate-residual update (the conjugate-gradient variant
-    that minimizes the residual norm each step, so the reported residual
-    history is non-increasing by construction). Dirichlet zeros sit on
-    the ghost layer just outside the grid. Non-convergence is reported
-    in the returned SolveInfo, never raised here.
+    Conjugate gradient on the SPD form (-lap + screening * density) phi
+    = -f, preconditioned with the exact inverse of -lap. Without
+    screening the preconditioner is the inverse of the operator, so one
+    iteration reaches rounding error; with screening the same loop is a
+    Krylov solve whose residual 2-norm need not fall monotonically.
+    Dirichlet zeros sit on the ghost layer just outside the grid.
+    Non-convergence is reported in the returned SolveInfo, never raised
+    here.
     """
     if screening_weight < 0:
         raise ValueError("screening weight must be nonnegative")
@@ -189,10 +223,10 @@ def solve_poisson(
     if max_iter is None:
         max_iter = 10 * r
 
-    b = -f.data
-    b_norm = float(np.linalg.norm(b))
+    res = -f.data
+    b_norm = float(np.linalg.norm(res))
     if b_norm == 0.0:
-        zero = np.zeros_like(b)
+        zero = np.zeros_like(res)
         return Field(f.grid, zero), SolveInfo(True, 0, 0.0, np.zeros(1))
 
     screen = screening_weight * density.data if screening_weight > 0 else None
@@ -203,32 +237,29 @@ def solve_poisson(
             out += screen * x
         return out
 
-    x = np.zeros_like(b)
-    res = b.copy()
-    p = res.copy()
-    a_res = apply_op(res)
-    a_p = a_res.copy()
-    r_ar = float(np.sum(res * a_res))
+    x = np.zeros_like(res)
+    p = _inverse_neg_laplacian(res)
+    r_z = float(np.sum(res * p))
     history = [1.0]
     res_norm = b_norm
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        ap_sq = float(np.sum(a_p * a_p))
-        if ap_sq == 0.0 or r_ar == 0.0:
+        a_p = apply_op(p)
+        p_ap = float(np.sum(p * a_p))
+        if p_ap == 0.0 or r_z == 0.0:
             break
-        alpha = r_ar / ap_sq
+        alpha = r_z / p_ap
         x += alpha * p
         res -= alpha * a_p
         res_norm = float(np.linalg.norm(res))
         history.append(res_norm / b_norm)
         if res_norm <= tol * b_norm:
             break
-        a_res = apply_op(res)
-        r_ar_next = float(np.sum(res * a_res))
-        beta = r_ar_next / r_ar
-        p = res + beta * p
-        a_p = a_res + beta * a_p
-        r_ar = r_ar_next
+        z = _inverse_neg_laplacian(res)
+        r_z_next = float(np.sum(res * z))
+        p *= r_z_next / r_z
+        p += z
+        r_z = r_z_next
 
     relative = res_norm / b_norm
     info = SolveInfo(relative <= tol, iterations, relative, np.asarray(history))

@@ -9,6 +9,7 @@ from xray3d.poisson import (
     GridSpec,
     PoissonError,
     SolverConvergenceError,
+    _inverse_neg_laplacian,
     density_trim,
     divergence,
     extract_isosurface,
@@ -162,11 +163,43 @@ def test_solve_residual_history_non_increasing():
     assert info.relative_residual <= 1e-8
 
 
+@pytest.mark.parametrize("r", [2, 3, 17, 48])
+def test_preconditioner_inverts_discrete_laplacian(r):
+    b = np.random.default_rng(r).normal(size=(r, r, r))
+    recovered = _discrete_neg_lap(_inverse_neg_laplacian(b))
+    assert np.linalg.norm(recovered - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_unscreened_solve_takes_one_iteration():
+    grid = GridSpec(32)
+    f = np.random.default_rng(3).normal(size=(32, 32, 32))
+    phi, info = solve_poisson(Field(grid, f), tol=1e-12)
+    assert info.converged and info.iterations == 1
+    residual = np.linalg.norm(_discrete_neg_lap(phi.data) + f)
+    assert residual <= 1e-12 * np.linalg.norm(f)
+
+
+def test_screened_solve_true_residual_within_tol():
+    pc = sphere_cloud(2000)
+    vec, den = splat_normals(pc, 32)
+    f = divergence(vec)
+    tol = 1e-8
+    # 34 iterations with conjugate directions; without them (steepest
+    # descent on the same preconditioner) it takes over 140.
+    phi, info = solve_poisson(f, 4.0, den, tol=tol, max_iter=60)
+    assert info.converged and info.iterations > 1
+    residual = _discrete_neg_lap(phi.data) + 4.0 * den.data * phi.data + f.data
+    assert np.linalg.norm(residual) <= tol * np.linalg.norm(f.data)
+
+
 def test_solve_non_convergence_reported_not_raised():
+    # Screened, so the solve is iterative: the preconditioner alone
+    # inverts the unscreened operator in one step.
     grid = GridSpec(24)
     rng = np.random.default_rng(6)
     f = rng.normal(size=(24, 24, 24))
-    phi, info = solve_poisson(Field(grid, f), tol=1e-12, max_iter=3)
+    density = Field(grid, rng.uniform(size=(24, 24, 24)))
+    phi, info = solve_poisson(Field(grid, f), 1.0, density, tol=1e-12, max_iter=3)
     assert not info.converged
     assert info.iterations == 3
     assert info.relative_residual > 1e-12
@@ -321,7 +354,7 @@ def test_reconstruct_empty_cloud_errors():
 
 def test_reconstruct_raises_on_stalled_solver():
     with pytest.raises(SolverConvergenceError):
-        reconstruct(sphere_cloud(2000), 48, tol=1e-14, max_iter=2)
+        reconstruct(sphere_cloud(2000), 48, screening=4.0, tol=1e-14, max_iter=2)
 
 
 def test_reconstruct_rotation_equivariance():
