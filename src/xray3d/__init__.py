@@ -70,7 +70,6 @@ from .poisson import (
     density_trim,
     divergence,
     extract_isosurface,
-    normalize_field,
     reconstruct,
     solve_poisson,
     splat_normals,
@@ -100,7 +99,6 @@ __all__ = [
     "evaluate_pair", "icp_align", "sample_surface",
     "GridSpec", "Field", "SolveInfo",
     "PoissonError", "SolverConvergenceError", "splat_normals", "divergence",
-    "normalize_field", "solve_poisson", "extract_isosurface", "density_trim",
-    "reconstruct",
+    "solve_poisson", "extract_isosurface", "density_trim", "reconstruct",
     "BvhAccel", "HitBatch", "build_bvh", "cast_rays",
 ]

@@ -39,6 +39,16 @@ class XRayDataError(ValueError):
     """Tensor contents violate the codec contract."""
 
 
+def _check_finite(data: np.ndarray) -> None:
+    """Raise XRayDataError naming the first non-finite (L, 8, H, W) entry."""
+    finite = np.isfinite(data)
+    if not finite.all():
+        layer, channel, row, col = np.argwhere(~finite)[0]
+        raise XRayDataError(
+            f"non-finite {_CHANNEL_NAMES[channel]} at layer {layer}, pixel ({row}, {col})"
+        )
+
+
 @dataclass(frozen=True)
 class PointCloud:
     """Oriented, colored point set decoded from a tensor or sampled from a mesh."""
@@ -118,12 +128,7 @@ class XRayTensor:
 
     def validate(self) -> None:
         """Check every tensor invariant; raises XRayDataError on violation."""
-        non_finite = np.argwhere(~np.isfinite(self.data))
-        if len(non_finite):
-            layer, channel, row, col = non_finite[0]
-            raise XRayDataError(
-                f"non-finite {_CHANNEL_NAMES[channel]} at layer {layer}, pixel ({row}, {col})"
-            )
+        _check_finite(self.data)
         hit = self.data[:, CH_HIT]
         if not np.all((np.abs(hit) <= 1e-6) | (np.abs(hit - 1.0) <= 1e-6)):
             raise XRayDataError("hit channel contains values other than 0/1")
@@ -214,9 +219,12 @@ def decode_to_pointcloud(x: XRayTensor, frame: str = "camera") -> PointCloud:
 
     frame="camera" replays rays with an identity pose (points in camera
     coordinates); frame="world" uses the stored camera-to-world pose.
+    Non-finite tensor values raise XRayDataError naming the channel,
+    layer and pixel.
     """
     if frame not in ("camera", "world"):
         raise ValueError(f"unknown frame {frame!r}")
+    _check_finite(x.data)
     hit = x.data[:, CH_HIT]
     ok = (np.abs(hit) <= 1e-6) | (np.abs(hit - 1.0) <= 1e-6)
     if not np.all(ok):

@@ -133,7 +133,9 @@ def torus(
     major_segments: int = 48,
     minor_segments: int = 24,
 ) -> TriangleMesh:
-    """Ring torus in the xz-plane (tube axis along y)."""
+    """Ring torus in the xz-plane (tube axis along y), wound outward:
+    each quad steps around the tube (v), then around the ring (u), so its
+    normal dP/dv x dP/du points away from the core circle."""
     u = np.linspace(0, 2 * np.pi, major_segments, endpoint=False)
     v = np.linspace(0, 2 * np.pi, minor_segments, endpoint=False)
     uu, vv = np.meshgrid(u, v, indexing="ij")
@@ -151,24 +153,7 @@ def torus(
             d = ((i + 1) % major_segments) * minor_segments + j
             faces.append([a, b, c])
             faces.append([a, c, d])
-    mesh = TriangleMesh(verts, np.array(faces, dtype=np.int64))
-    return _orient_torus_outward(mesh, major_radius)
-
-
-def _orient_torus_outward(mesh: TriangleMesh, major_radius: float) -> TriangleMesh:
-    # Outward at a surface point p is away from the nearest core-circle
-    # point; flip the whole winding if it disagrees.
-    from .mesh import face_normals
-
-    a, b, c = mesh.triangle_corners()
-    centroids = (a + b + c) / 3.0
-    core = centroids * [1.0, 0.0, 1.0]
-    core *= major_radius / np.maximum(np.linalg.norm(core, axis=1, keepdims=True), 1e-12)
-    outward = centroids - core
-    score = float(np.mean(np.sum(face_normals(mesh) * outward, axis=1)))
-    if score < 0:
-        return TriangleMesh(mesh.vertices, _flip_faces(mesh.faces), vertex_colors=mesh.vertex_colors)
-    return mesh
+    return TriangleMesh(verts, np.array(faces, dtype=np.int64))
 
 
 def standard_suite() -> dict[str, TriangleMesh]:

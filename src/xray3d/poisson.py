@@ -1,18 +1,20 @@
 """Dense-grid Poisson surface reconstruction.
 
 Pipeline: splat oriented point normals into a vector field on a regular
-grid, take its divergence as the source term f, solve the screened
-system (lap - screening * density) phi = f with zero-Dirichlet ghost
-boundaries by conjugate gradient preconditioned with the exact inverse
-of -lap (a sine-basis fast Poisson solve), then extract the iso surface
-at the mean potential of the input samples. Unscreened systems converge
-in one iteration; screened ones take a few dozen to a few hundred.
+grid and divide it by the splatted density, take its divergence as the
+source term f, solve the screened system (lap - screening * density)
+phi = f with zero-Dirichlet ghost boundaries by conjugate gradient
+preconditioned with the exact inverse of -lap (a sine-basis fast Poisson
+solve), then run marching cubes at the mean potential of the input
+samples. Its faces are wound along grad(phi), outward for outward input
+normals, so no orientation pass follows. Unscreened systems converge in
+one iteration; screened ones take a few dozen to a few hundred.
 
 Grid layout is cell-centered: resolution R means R nodes per axis at
-lo + (i + 0.5) * h with h = (hi - lo) / R over the fixed cubic domain
-[-0.6, 0.6]^3 (normalized meshes plus a 10% margin). Derivatives are in
-grid units (spacing 1); the iso level is data-driven, so the solution's
-scale never matters downstream.
+DOMAIN_LO + (i + 0.5) * h with h = (DOMAIN_HI - DOMAIN_LO) / R over the
+cubic domain [-0.6, 0.6]^3 (normalized meshes plus a 10% margin).
+Derivatives are in grid units (spacing 1); the iso level is data-driven,
+so the solution's scale never matters downstream.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .codec import PointCloud
 from .mcubes import marching_cubes
-from .mesh import TriangleMesh, face_normals
+from .mesh import TriangleMesh
 
 DOMAIN_LO = -0.6
 DOMAIN_HI = 0.6
@@ -50,11 +52,9 @@ class SolverConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Cubic cell-centered grid over [lo, hi]^3."""
+    """Cubic cell-centered grid over [DOMAIN_LO, DOMAIN_HI]^3."""
 
     resolution: int
-    lo: float = DOMAIN_LO
-    hi: float = DOMAIN_HI
 
     def __post_init__(self):
         if not 2 <= self.resolution <= MAX_RESOLUTION:
@@ -62,12 +62,12 @@ class GridSpec:
 
     @property
     def spacing(self) -> float:
-        return (self.hi - self.lo) / self.resolution
+        return (DOMAIN_HI - DOMAIN_LO) / self.resolution
 
     @property
     def origin(self) -> np.ndarray:
         """Position of node (0, 0, 0)."""
-        return np.full(3, self.lo + 0.5 * self.spacing)
+        return np.full(3, DOMAIN_LO + 0.5 * self.spacing)
 
     def grid_coords(self, points: np.ndarray) -> np.ndarray:
         """Map world points to fractional node coordinates."""
@@ -109,9 +109,7 @@ class SolveInfo:
     residual_history: np.ndarray = field(repr=False)
 
 
-def splat_normals(
-    pc: PointCloud, resolution: int, grid: GridSpec | None = None
-) -> tuple[Field, Field]:
+def splat_normals(pc: PointCloud, resolution: int) -> tuple[Field, Field]:
     """Distribute each point's unit normal over its 8 surrounding nodes.
 
     Trilinear weights form a partition of unity, so the density field
@@ -119,7 +117,7 @@ def splat_normals(
     """
     if len(pc) == 0:
         raise PoissonError("cannot splat an empty point cloud")
-    grid = grid or GridSpec(resolution)
+    grid = GridSpec(resolution)
     r = grid.resolution
     g = grid.grid_coords(pc.positions)
     base = np.floor(g).astype(np.int64)
@@ -127,7 +125,7 @@ def splat_normals(
         worst = pc.positions[np.argmax(np.abs(pc.positions).max(axis=1))]
         raise PoissonError(
             f"point outside the splat domain (e.g. {worst}); "
-            f"grid covers [{grid.lo}, {grid.hi}]^3"
+            f"grid covers [{DOMAIN_LO}, {DOMAIN_HI}]^3"
         )
     frac = g - base
 
@@ -267,15 +265,14 @@ def solve_poisson(
 
 
 def extract_isosurface(
-    phi: Field,
-    pc: PointCloud,
-    density: Field | None = None,
+    phi: Field, pc: PointCloud, density: Field
 ) -> tuple[TriangleMesh, np.ndarray]:
     """Iso-surface at the mean potential of the sample points.
 
-    Returns the mesh (faces wound so normals align with the potential's
+    Returns the mesh (marching cubes winds faces along the potential's
     gradient, i.e. outward for outward-oriented input normals) and the
-    density interpolated at each output vertex.
+    given density, typically the splat density of pc, interpolated at
+    each output vertex.
     """
     iso = float(np.mean(phi.grid.trilinear(phi.data, pc.positions)))
     lo, hi = float(phi.data.min()), float(phi.data.max())
@@ -286,33 +283,8 @@ def extract_isosurface(
     mesh = marching_cubes(phi.data, iso, phi.grid.origin, phi.grid.spacing)
     if mesh.is_empty:
         raise PoissonError("iso-surface extraction produced no faces")
-    mesh = _orient_to_gradient(mesh, phi)
-    if density is None:
-        _, density = splat_normals(pc, phi.grid.resolution, phi.grid)
     vertex_density = phi.grid.trilinear(density.data, mesh.vertices)
     return mesh, vertex_density
-
-
-def _orient_to_gradient(mesh: TriangleMesh, phi: Field) -> TriangleMesh:
-    # Table winding is consistent across cells, so one global vote on
-    # grad(phi) alignment decides the flip.
-    a, b, c = mesh.triangle_corners()
-    centroids = (a + b + c) / 3.0
-    delta = 0.25 * phi.grid.spacing
-    grad = np.stack(
-        [
-            phi.grid.trilinear(phi.data, centroids + delta * np.eye(3)[k])
-            - phi.grid.trilinear(phi.data, centroids - delta * np.eye(3)[k])
-            for k in range(3)
-        ],
-        axis=1,
-    )
-    score = float(np.sum(np.sum(face_normals(mesh) * grad, axis=1)))
-    if score < 0:
-        faces = mesh.faces.copy()
-        faces[:, [1, 2]] = faces[:, [2, 1]]
-        return TriangleMesh(mesh.vertices, faces)
-    return mesh
 
 
 def density_trim(
@@ -334,19 +306,6 @@ def density_trim(
     )
 
 
-def normalize_field(vec: Field, den: Field) -> Field:
-    """Rescale splatted normals to the density-weighted mean per node.
-
-    Raw splats carry the local sample density, which for ray-cast clouds
-    varies with the grazing angle, giving the solved indicator a wildly
-    uneven amplitude and making a single iso level eat under-sampled
-    regions. Dividing by density caps every node at unit magnitude, so
-    the surface jump is uniform regardless of sampling density.
-    """
-    weight = np.maximum(den.data, 1e-12)[..., None]
-    return Field(vec.grid, vec.data / weight)
-
-
 def reconstruct(
     pc: PointCloud,
     resolution: int = DEFAULT_RESOLUTION,
@@ -363,7 +322,14 @@ def reconstruct(
     stalls. With return_info=True, returns (mesh, SolveInfo).
     """
     vec, den = splat_normals(pc, resolution)
-    f = divergence(normalize_field(vec, den))
+    # Raw splats carry the local sample density, which for ray-cast
+    # clouds varies with the grazing angle, giving the solved indicator a
+    # wildly uneven amplitude and making a single iso level eat
+    # under-sampled regions. Dividing by density (in place: at R = 256 a
+    # copy is another 400 MB) caps every node at unit magnitude, so the
+    # surface jump is uniform regardless of sampling density.
+    vec.data[...] /= np.maximum(den.data, 1e-12)[..., None]
+    f = divergence(vec)
     phi, info = solve_poisson(f, screening, den, tol=tol, max_iter=max_iter)
     if not info.converged:
         raise SolverConvergenceError(info.relative_residual, info.iterations)

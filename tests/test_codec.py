@@ -327,6 +327,16 @@ def test_validate_rejects_non_finite(channel, name):
         XRayTensor(bad, x.fov_x, x.c2w).validate()
 
 
+@pytest.mark.parametrize("name", ["depth", "normal", "color"])
+def test_decode_rejects_non_finite(name):
+    channel = {"depth": 1, "normal": 2, "color": 6}[name]
+    x = encode(cube(), front_camera(8), 2)
+    assert x.hit_mask()[0, 4, 4]
+    bad = XRayTensor(_tweak(x.data, 0, channel, 4, 4, np.nan), x.fov_x, x.c2w)
+    with pytest.raises(XRayDataError, match=f"non-finite {name} at layer 0, pixel \\(4, 4\\)"):
+        decode_to_pointcloud(bad, frame="world")
+
+
 @pytest.mark.parametrize("name", ["positions", "normals", "colors"])
 def test_pointcloud_rejects_non_finite(name):
     arrays = {"positions": np.zeros((2, 3)), "normals": np.eye(3)[:2], "colors": np.ones((2, 3))}

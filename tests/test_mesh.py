@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from xray3d.fixtures import cube, icosphere
+from xray3d.fixtures import cube, icosphere, standard_suite, torus
 from xray3d.mesh import (
     MeshError,
     RigidTransform,
@@ -140,3 +140,17 @@ def test_rigid_transform_inverse_round_trip(rng):
     t = RigidTransform(rot, [0.3, -0.2, 1.0], 2.5)
     pts = rng.normal(size=(50, 3))
     np.testing.assert_allclose(t.inverse().apply(t.apply(pts)), pts, atol=1e-12)
+
+
+def test_fixtures_wound_outward():
+    for name, mesh in standard_suite().items():
+        a, b, c = mesh.triangle_corners()
+        signed_volume = np.sum(a * np.cross(b, c)) / 6.0
+        assert signed_volume > 0, name
+    mesh = torus(major_radius=0.32)
+    a, b, c = mesh.triangle_corners()
+    centroids = (a + b + c) / 3
+    core = centroids * [1.0, 0.0, 1.0]  # nearest point of the core circle
+    core *= 0.32 / np.linalg.norm(core, axis=1, keepdims=True)
+    away = np.sum(face_normals(mesh) * (centroids - core), axis=1) > 0
+    assert away.mean() >= 0.99

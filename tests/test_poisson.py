@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.ndimage import map_coordinates
 
 from conftest import closed_two_manifold, euler_characteristic
 from xray3d.codec import PointCloud
+from xray3d.mcubes import marching_cubes
 from xray3d.mesh import face_normals
 from xray3d.poisson import (
     Field,
@@ -239,7 +241,8 @@ def test_extract_sphere_sdf():
     X, Y, Z = np.meshgrid(coords, coords, coords, indexing="ij")
     sdf = np.sqrt(X**2 + Y**2 + Z**2) - 0.4
     pc = sphere_cloud(4000)
-    mesh, dens = extract_isosurface(Field(grid, sdf), pc)
+    _, den = splat_normals(pc, 64)
+    mesh, dens = extract_isosurface(Field(grid, sdf), pc, den)
     radii = np.linalg.norm(mesh.vertices, axis=1)
     assert np.abs(radii - 0.4).max() <= 2 * (1.2 / 64)
     assert closed_two_manifold(mesh)
@@ -257,7 +260,30 @@ def test_extract_constant_field_degenerate():
     grid = GridSpec(16)
     pc = sphere_cloud(100)
     with pytest.raises(PoissonError, match="iso"):
-        extract_isosurface(Field(grid, np.ones((16, 16, 16))), pc)
+        flat = Field(grid, np.ones((16, 16, 16)))
+        extract_isosurface(flat, pc, flat)
+
+
+@pytest.mark.parametrize("kind", ["sdf", "neg_sdf", "smooth"])
+def test_marching_cubes_winds_along_gradient(kind):
+    # Grid units (origin 0, spacing 1), so face centroids are fractional
+    # node coordinates and np.gradient is the gradient in those units.
+    r = 33
+    X, Y, Z = np.meshgrid(*3 * [np.arange(r, dtype=np.float64)], indexing="ij")
+    radius = np.sqrt((X - 16) ** 2 + (Y - 16) ** 2 + (Z - 16) ** 2)
+    values = {
+        "sdf": radius - 10.0,
+        "neg_sdf": 10.0 - radius,
+        "smooth": np.sin(0.3 * X) * np.cos(0.2 * Y) + np.sin(0.25 * Z + 0.1 * X),
+    }[kind]
+    mesh = marching_cubes(values, 0.1, np.zeros(3), 1.0)
+    assert mesh.n_faces > 500
+    a, b, c = mesh.triangle_corners()
+    centroids = (a + b + c) / 3
+    grad = np.stack(
+        [map_coordinates(g, centroids.T, order=1) for g in np.gradient(values)], axis=1
+    )
+    assert np.mean(np.sum(face_normals(mesh) * grad, axis=1) > 0) >= 0.99
 
 
 def test_density_trim_noop_and_empty(cube_mesh):
