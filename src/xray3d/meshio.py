@@ -2,7 +2,7 @@
 
 OBJ is ASCII `v`/`vn`/`f` records with the common `v x y z r g b` color
 extension; polygons with more than three vertices are fan-triangulated.
-PLY supports ASCII and binary-little-endian, vertex properties
+PLY reads ASCII and binary-little-endian and writes binary, vertex properties
 x/y/z[/nx/ny/nz][/red/green/blue] and faces as index lists. Materials,
 textures, and other elements are ignored.
 """
@@ -300,11 +300,10 @@ def load_pointcloud_ply(path) -> PointCloud:
     return PointCloud(positions, normals, colors)
 
 
-def _ply_header(n_vertices: int, n_faces: int, with_normals: bool, with_colors: bool,
-                binary: bool) -> bytes:
+def _ply_header(n_vertices: int, n_faces: int, with_normals: bool, with_colors: bool) -> bytes:
     lines = [
         "ply",
-        "format binary_little_endian 1.0" if binary else "format ascii 1.0",
+        "format binary_little_endian 1.0",
         f"element vertex {n_vertices}",
         "property float x",
         "property float y",
@@ -323,7 +322,7 @@ def _ply_header(n_vertices: int, n_faces: int, with_normals: bool, with_colors: 
 def _save_ply(mesh: TriangleMesh, path: Path) -> None:
     with_normals = mesh.vertex_normals is not None
     with_colors = mesh.vertex_colors is not None
-    header = _ply_header(mesh.n_vertices, mesh.n_faces, with_normals, with_colors, binary=True)
+    header = _ply_header(mesh.n_vertices, mesh.n_faces, with_normals, with_colors)
 
     fields = [("x", "<f4"), ("y", "<f4"), ("z", "<f4")]
     if with_normals:
@@ -348,25 +347,18 @@ def _save_ply(mesh: TriangleMesh, path: Path) -> None:
         fh.write(fdata.tobytes())
 
 
-def save_pointcloud_ply(cloud: PointCloud, path, binary: bool = True) -> None:
-    """Write a decoded point cloud: x y z nx ny nz red green blue."""
+def save_pointcloud_ply(cloud: PointCloud, path) -> None:
+    """Write a decoded point cloud (binary PLY): x y z nx ny nz red green blue."""
     n = len(cloud)
-    header = _ply_header(n, -1, with_normals=True, with_colors=True, binary=binary)
+    header = _ply_header(n, -1, with_normals=True, with_colors=True)
     rgb = np.rint(np.clip(cloud.colors, 0, 1) * 255).astype(np.uint8)
-    if binary:
-        fields = [("x", "<f4"), ("y", "<f4"), ("z", "<f4"),
-                  ("nx", "<f4"), ("ny", "<f4"), ("nz", "<f4"),
-                  ("red", "u1"), ("green", "u1"), ("blue", "u1")]
-        vdata = np.zeros(n, dtype=np.dtype(fields))
-        vdata["x"], vdata["y"], vdata["z"] = cloud.positions.T.astype(np.float32)
-        vdata["nx"], vdata["ny"], vdata["nz"] = cloud.normals.T.astype(np.float32)
-        vdata["red"], vdata["green"], vdata["blue"] = rgb.T
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(vdata.tobytes())
-    else:
-        with open(path, "wb") as fh:
-            fh.write(header)
-            for p, nrm, c in zip(cloud.positions, cloud.normals, rgb):
-                line = f"{_fmt3(p)} {_fmt3(nrm)} {c[0]} {c[1]} {c[2]}\n"
-                fh.write(line.encode("ascii"))
+    fields = [("x", "<f4"), ("y", "<f4"), ("z", "<f4"),
+              ("nx", "<f4"), ("ny", "<f4"), ("nz", "<f4"),
+              ("red", "u1"), ("green", "u1"), ("blue", "u1")]
+    vdata = np.zeros(n, dtype=np.dtype(fields))
+    vdata["x"], vdata["y"], vdata["z"] = cloud.positions.T.astype(np.float32)
+    vdata["nx"], vdata["ny"], vdata["nz"] = cloud.normals.T.astype(np.float32)
+    vdata["red"], vdata["green"], vdata["blue"] = rgb.T
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(vdata.tobytes())

@@ -274,6 +274,8 @@ def extract_isosurface(
     given density, typically the splat density of pc, interpolated at
     each output vertex.
     """
+    if density.grid != phi.grid:
+        raise ValueError("density and potential grids do not match")
     iso = float(np.mean(phi.grid.trilinear(phi.data, pc.positions)))
     lo, hi = float(phi.data.min()), float(phi.data.max())
     if not lo < iso < hi:

@@ -7,8 +7,9 @@ is a complete binary median-split BVH built one level per numpy pass
 so building it never loops over nodes or triangles in Python. Traversal
 is wavefront-vectorized: a frontier of (ray, node) pairs advances one
 tree level per iteration, so casting a full pixel grid is a handful of
-numpy passes instead of a Python loop per ray. Meshes of at most
-_BRUTE_THRESHOLD faces skip the tree and test every triangle directly.
+numpy passes instead of a Python loop per ray. Every mesh, down to a
+single triangle (whose tree is one leaf at the root), is cast through
+the tree.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ MAX_HITS = 64   # per-ray record cap, far above the codec's layer counts
 
 _LEAF_SIZE = 4
 _RAY_CHUNK = 1 << 18
-_BRUTE_THRESHOLD = 64   # test every triangle directly below this face count
-_PAIR_BUDGET = 1 << 22  # max vectorized ray-triangle pairs per batch
 
 
 @dataclass(frozen=True)
@@ -74,10 +73,6 @@ class BvhAccel:
                     leaf_start, leaf_count, tri_order,
                     self.tri_v0, self.tri_e1, self.tri_e2):
             arr.setflags(write=False)
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.node_left)
 
 
 def _segment_starts(m: int, level: int) -> np.ndarray:
@@ -217,23 +212,6 @@ def _index_ranges(counts: np.ndarray) -> np.ndarray:
     return np.arange(counts.sum()) - np.repeat(starts, counts)
 
 
-def _brute_chunk(accel: BvhAccel, origins, dirs):
-    """All-pairs intersection; used when the tree would cost more than it saves.
-
-    Broadcasts rays against triangles as (n, m) component grids.
-    """
-    ox, oy, oz = (origins[:, k, None] for k in range(3))
-    dx, dy, dz = (dirs[:, k, None] for k in range(3))
-    accept, t, u, v = _moller_trumbore_components(
-        ox, oy, oz, dx, dy, dz,
-        accel.tri_v0[0][None, :], accel.tri_v0[1][None, :], accel.tri_v0[2][None, :],
-        accel.tri_e1[0][None, :], accel.tri_e1[1][None, :], accel.tri_e1[2][None, :],
-        accel.tri_e2[0][None, :], accel.tri_e2[1][None, :], accel.tri_e2[2][None, :],
-    )
-    rr, tris = np.nonzero(accept)
-    return rr.astype(np.int64), t[accept], tris.astype(np.int64), u[accept], v[accept]
-
-
 def _leaf_hits(accel, origins_t, dirs_t, lray, lnode, lcount):
     starts = accel.leaf_start[lnode]
     rr = np.repeat(lray, lcount)
@@ -328,13 +306,10 @@ def cast_rays(accel: BvhAccel, origins: np.ndarray, directions: np.ndarray) -> H
     if n == 0:
         e = np.empty(0)
         return HitBatch(e.astype(np.int64), e, e.astype(np.int64), e.copy(), e.copy())
-    brute = accel.n_faces <= _BRUTE_THRESHOLD
-    chunk = max(1, _PAIR_BUDGET // accel.n_faces) if brute else _RAY_CHUNK
-    worker = _brute_chunk if brute else _cast_chunk
     parts = []
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        ray, t, face, u, v = worker(accel, origins[lo:hi], directions[lo:hi])
+    for lo in range(0, n, _RAY_CHUNK):
+        hi = min(lo + _RAY_CHUNK, n)
+        ray, t, face, u, v = _cast_chunk(accel, origins[lo:hi], directions[lo:hi])
         parts.append((ray + lo, t, face, u, v))
     ray = np.concatenate([p[0] for p in parts])
     t = np.concatenate([p[1] for p in parts])

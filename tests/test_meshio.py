@@ -167,16 +167,37 @@ def _example_cloud(n=100, seed=3):
     return PointCloud(rng.uniform(-0.5, 0.5, (n, 3)), normals, rng.uniform(0, 1, (n, 3)))
 
 
-@pytest.mark.parametrize("binary", [True, False])
-def test_pointcloud_ply_round_trip(tmp_path, binary):
+def test_pointcloud_ply_round_trip(tmp_path):
     cloud = _example_cloud()
     path = tmp_path / "cloud.ply"
-    save_pointcloud_ply(cloud, path, binary=binary)
+    save_pointcloud_ply(cloud, path)
     again = load_pointcloud_ply(path)
     assert len(again) == len(cloud)
     np.testing.assert_allclose(again.positions, cloud.positions, atol=1e-6)
     np.testing.assert_allclose(again.normals, cloud.normals, atol=1e-3)
     np.testing.assert_allclose(again.colors, cloud.colors, atol=1.0 / 255)
+
+
+def test_pointcloud_ply_ascii_load(tmp_path):
+    path = tmp_path / "cloud.ply"
+    path.write_text(
+        "ply\n"
+        "format ascii 1.0\n"
+        "element vertex 3\n"
+        "property float x\nproperty float y\nproperty float z\n"
+        "property float nx\nproperty float ny\nproperty float nz\n"
+        "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+        "end_header\n"
+        "0.25 -0.5 0.125 0 0 2 255 0 51\n"
+        "-0.375 0 0.5 3 4 0 0 255 0\n"
+        "0 0.0625 -0.25 0 -1 0 0 0 255\n"
+    )
+    cloud = load_pointcloud_ply(path)
+    np.testing.assert_array_equal(
+        cloud.positions, [[0.25, -0.5, 0.125], [-0.375, 0, 0.5], [0, 0.0625, -0.25]]
+    )
+    np.testing.assert_allclose(cloud.normals, [[0, 0, 1], [0.6, 0.8, 0], [0, -1, 0]], atol=1e-12)
+    np.testing.assert_allclose(cloud.colors, [[1, 0, 0.2], [0, 1, 0], [0, 0, 1]], atol=1e-12)
 
 
 def test_pointcloud_ply_not_a_mesh(tmp_path):

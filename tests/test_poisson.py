@@ -264,6 +264,17 @@ def test_extract_constant_field_degenerate():
         extract_isosurface(flat, pc, flat)
 
 
+def test_extract_rejects_mismatched_density_grid():
+    grid = GridSpec(64)
+    coords = grid_node_positions(grid)
+    X, Y, Z = np.meshgrid(coords, coords, coords, indexing="ij")
+    sdf = np.sqrt(X**2 + Y**2 + Z**2) - 0.4
+    pc = sphere_cloud(4000)
+    _, den = splat_normals(pc, 32)
+    with pytest.raises(ValueError, match="density and potential grids do not match"):
+        extract_isosurface(Field(grid, sdf), pc, den)
+
+
 @pytest.mark.parametrize("kind", ["sdf", "neg_sdf", "smooth"])
 def test_marching_cubes_winds_along_gradient(kind):
     # Grid units (origin 0, spacing 1), so face centroids are fractional

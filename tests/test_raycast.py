@@ -77,13 +77,19 @@ def _scattered_triangles(n):
     return TriangleMesh(corners.reshape(-1, 3), np.arange(3 * n).reshape(n, 3))
 
 
-@pytest.mark.parametrize("mesh_name", ["cube", "sphere", "torus", "coincident"])
-def test_bvh_equals_brute_force(mesh_name, rng, sphere_mesh, cube_mesh, torus_mesh):
+@pytest.mark.parametrize(
+    "mesh_name", ["cube", "sphere", "torus", "coincident", "nested", "single"]
+)
+def test_bvh_equals_brute_force(
+    mesh_name, rng, sphere_mesh, cube_mesh, torus_mesh, nested_mesh
+):
     mesh = {
         "cube": cube_mesh,
         "sphere": sphere_mesh,
         "torus": torus_mesh,
         "coincident": _repeated_triangle(80),
+        "nested": nested_mesh,  # inner wall shell wound inward
+        "single": _repeated_triangle(1),  # the root node is a leaf
     }[mesh_name]
     accel = build_bvh(mesh)
     n = 1000
