@@ -64,6 +64,14 @@ def test_encode_missing_file_exit_1(tmp_path, capsys):
     assert "absent.obj" in capsys.readouterr().err
 
 
+def test_encode_malformed_ply_header_exit_1(tmp_path, capsys):
+    path = tmp_path / "bad.ply"
+    path.write_text("ply\nformat\nelement vertex 0\nend_header\n")
+    code = run_cli("encode", path, tmp_path / "o.xray")
+    assert code == 1
+    assert f"error: {path}:2: malformed PLY header line 'format'" in capsys.readouterr().err
+
+
 def test_encode_zero_layers_exit_2(tmp_path, cube_obj):
     code = run_cli("encode", cube_obj, tmp_path / "o.xray", "--layers", "0")
     assert code == 2

@@ -1,5 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from xray3d.codec import PointCloud
 from xray3d.fixtures import cube, icosphere
@@ -49,6 +54,29 @@ def test_obj_fan_triangulation(tmp_path):
     np.testing.assert_array_equal(mesh.faces, [[0, 1, 2], [0, 2, 3]])
 
 
+@pytest.mark.parametrize("suffix", ["obj", "ply"])
+def test_polygon_fans_match_loop(tmp_path, suffix):
+    rng = np.random.default_rng(5)
+    polygons = [rng.permutation(12)[:k].tolist() for k in rng.integers(3, 9, size=20)]
+    expected = [[p[0], p[k], p[k + 1]] for p in polygons for k in range(1, len(p) - 1)]
+    vertices = "".join(f"{x} {y} 0\n" for x, y in rng.uniform(size=(12, 2)))
+    path = tmp_path / f"polygons.{suffix}"
+    if suffix == "obj":
+        path.write_text(
+            "".join("v " + line + "\n" for line in vertices.splitlines())
+            + "".join("f " + " ".join(str(i + 1) for i in p) + "\n" for p in polygons)
+        )
+    else:
+        path.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 12\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            f"element face {len(polygons)}\nproperty list uchar int vertex_indices\nend_header\n"
+            + vertices
+            + "".join(f"{len(p)} " + " ".join(map(str, p)) + "\n" for p in polygons)
+        )
+    np.testing.assert_array_equal(load_mesh(path).faces, expected)
+
+
 def test_obj_negative_indices(tmp_path):
     path = tmp_path / "neg.obj"
     path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\n")
@@ -64,11 +92,34 @@ def test_obj_face_index_out_of_range(tmp_path):
         load_mesh(path)
 
 
+def test_obj_slash_tokens_and_running_negative_index(tmp_path):
+    path = tmp_path / "mixed.obj"
+    path.write_text(
+        "v 0 0 0\nv 1 0 0\nv 0 1 0\nvt 0 0\nvn 0 0 1\n"
+        "f 1/1/1 2/2/2 3/3/3\n"
+        "v 1 1 0\n"
+        "f -3 -2 -1\n"  # counts back from the 4 vertices defined so far
+        "v 2 2 0\n"
+    )
+    mesh = load_mesh(path)
+    np.testing.assert_array_equal(mesh.faces, [[0, 1, 2], [1, 2, 3]])
+
+
 def test_obj_malformed_vertex(tmp_path):
     path = tmp_path / "bad.obj"
     path.write_text("v 1 2\nf 1 1 1\n")
-    with pytest.raises(MeshIOError):
+    with pytest.raises(MeshIOError) as info:
         load_mesh(path)
+    assert str(info.value) == f"{path}:1: malformed vertex record"
+
+
+def test_obj_short_normal_record(tmp_path):
+    # as many vn records as vertices, so the normals would be kept
+    path = tmp_path / "bad.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0 1\nvn 0 1\nvn 1 0 0\nf 1 2 3\n")
+    with pytest.raises(MeshIOError) as info:
+        load_mesh(path)
+    assert str(info.value) == f"{path}:5: malformed normal record"
 
 
 def test_obj_empty_file(tmp_path):
@@ -76,6 +127,60 @@ def test_obj_empty_file(tmp_path):
     path.write_text("# nothing\n")
     with pytest.raises(MeshIOError, match="empty"):
         load_mesh(path)
+
+
+def test_obj_text_layout(tmp_path):
+    mesh = TriangleMesh(
+        [[0, 0, 0], [1, 0, 0], [0, 0.1, -2.5]],
+        [[0, 1, 2]],
+        vertex_normals=[[0, 0, 1], [0, 0, 1], [0.6, 0, 0.8]],
+        vertex_colors=[[1, 0.5, 0], [0, 1, 0], [0.2, 0.2, 0.3]],
+    )
+    path = tmp_path / "tri.obj"
+    save_mesh(mesh, path)
+    assert path.read_bytes() == (
+        b"v 0.0 0.0 0.0 1.0 0.5 0.0\n"
+        b"v 1.0 0.0 0.0 0.0 1.0 0.0\n"
+        b"v 0.0 0.1 -2.5 0.2 0.2 0.3\n"
+        b"vn 0.0 0.0 1.0\n"
+        b"vn 0.0 0.0 1.0\n"
+        b"vn 0.6 0.0 0.8\n"
+        b"f 1//1 2//2 3//3\n"
+    )
+
+
+@st.composite
+def obj_meshes(draw):
+    n = draw(st.integers(3, 12))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    vertices = draw(arrays(np.float64, (n, 3), elements=finite))
+    faces = draw(st.lists(st.permutations(range(n)).map(lambda p: p[:3]), min_size=1, max_size=8))
+    colors = normals = None
+    if draw(st.booleans()):
+        colors = draw(arrays(np.float64, (n, 3), elements=st.floats(0, 1)))
+    if draw(st.booleans()):
+        normals = draw(arrays(np.float64, (n, 3), elements=st.floats(-1, 1)))
+        normals[np.linalg.norm(normals, axis=1) < 0.1] = [0, 0, 1]
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    return TriangleMesh(vertices, faces, vertex_normals=normals, vertex_colors=colors)
+
+
+@given(obj_meshes())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_obj_round_trip_property(tmp_path_factory, mesh):
+    path = tmp_path_factory.getbasetemp() / "property.obj"
+    save_mesh(mesh, path)
+    again = load_mesh(path)
+    assert again.vertices.tobytes() == mesh.vertices.tobytes()  # bit-exact, -0.0 included
+    np.testing.assert_array_equal(again.faces, mesh.faces)
+    if mesh.vertex_colors is None:
+        assert again.vertex_colors is None
+    else:
+        assert again.vertex_colors.tobytes() == mesh.vertex_colors.tobytes()
+    if mesh.vertex_normals is None:
+        assert again.vertex_normals is None
+    else:
+        np.testing.assert_allclose(again.vertex_normals, mesh.vertex_normals, rtol=0, atol=1e-12)
 
 
 def test_save_empty_mesh_rejected(tmp_path):
@@ -135,6 +240,59 @@ def test_ply_quad_faces_triangulated(tmp_path):
     )
     mesh = load_mesh(path)
     assert mesh.n_faces == 2
+
+
+def test_ply_binary_polygons_with_extra_properties(tmp_path):
+    path = tmp_path / "mixed.ply"
+    header = (
+        "ply\nformat binary_little_endian 1.0\n"
+        "element vertex 5\nproperty float x\nproperty float y\nproperty float z\n"
+        "element face 2\nproperty uchar flags\nproperty list uchar int vertex_index\n"
+        "element edge 1\nproperty int a\nproperty list ushort short b\n"
+        "end_header\n"
+    )
+    vertices = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0], [2, 0, 0]]
+    body = struct.pack("<15f", *np.ravel(vertices))
+    body += struct.pack("<BB4i", 7, 4, 0, 1, 2, 3) + struct.pack("<BB3i", 9, 3, 1, 4, 2)
+    body += struct.pack("<iH2h", 5, 2, -1, 4)
+    path.write_bytes(header.encode("ascii") + body)
+    mesh = load_mesh(path)
+    np.testing.assert_array_equal(mesh.vertices, vertices)
+    np.testing.assert_array_equal(mesh.faces, [[0, 1, 2], [0, 2, 3], [1, 4, 2]])
+
+
+_ASCII_TRIANGLE_HEADER = (
+    "ply\nformat ascii 1.0\n"
+    "element vertex 3\nproperty float x\nproperty float y\nproperty float z\n"
+    "element face 1\nproperty list uchar int vertex_indices\n"
+    "end_header\n"
+)
+
+
+@pytest.mark.parametrize("body, message", [
+    ("0 0 0 9\n1 0 0\n0 1 0\n3 0 1 2\n", "element vertex row 0: 4 values, expected 3"),
+    # the same number of values as a valid body, so only row boundaries catch it
+    ("0 0 0 1\n0 0\n0 1 0\n3 0 1 2\n", "element vertex row 0: 4 values, expected 3"),
+    ("0 0 0\n1 0 0\n0 1 0\n3 0 1 2 7\n", "element face row 0: 5 values, expected 4"),
+], ids=["vertex", "shifted", "face"])
+def test_ply_ascii_surplus_value_rejected(tmp_path, body, message):
+    path = tmp_path / "surplus.ply"
+    path.write_text(_ASCII_TRIANGLE_HEADER + body)
+    with pytest.raises(MeshIOError, match=message):
+        load_mesh(path)
+
+
+@pytest.mark.parametrize("good, bad, lineno", [
+    ("format ascii 1.0", "format", 2),
+    ("property list uchar int vertex_indices", "property list uchar", 8),
+    ("element vertex 3", "element vertex many", 3),
+], ids=["format", "list", "count"])
+def test_ply_malformed_header_line(tmp_path, good, bad, lineno):
+    path = tmp_path / "bad.ply"
+    path.write_text(_ASCII_TRIANGLE_HEADER.replace(good, bad) + "0 0 0\n")
+    with pytest.raises(MeshIOError) as info:
+        load_mesh(path)
+    assert str(info.value) == f"{path}:{lineno}: malformed PLY header line {bad!r}"
 
 
 def test_ply_bad_magic(tmp_path):
