@@ -52,6 +52,11 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _ramp(sizes: np.ndarray) -> np.ndarray:
+    """0, 1, ..., size-1 for each run of `sizes`, concatenated."""
+    return np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+
+
 @dataclass
 class TriangleMesh:
     """Indexed triangle soup with optional per-vertex normals and colors.

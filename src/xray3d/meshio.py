@@ -2,26 +2,28 @@
 
 OBJ is ASCII `v`/`vn`/`f` records with the common `v x y z r g b` color
 extension; polygons with more than three vertices are fan-triangulated.
+The k-th `vn` is kept as the k-th vertex's normal only if there is one
+`vn` per `v` and every face corner that names a normal (`v//vn`,
+`v/vt/vn`) names its own vertex's; otherwise `vertex_normals` is None.
 PLY reads ASCII and binary-little-endian and writes binary, vertex properties
 x/y/z[/nx/ny/nz][/red/green/blue] and faces as index lists. Materials,
 textures, and other elements are ignored.
 
-Every reader and writer converts whole arrays: Python walks lines (OBJ) or
-rows of list-valued PLY elements only to check record sizes and find where
-values sit, and each kind of value is then parsed, gathered or formatted by
-one numpy call or one `%`-format.
+Every reader and writer converts whole arrays: Python walks lines and
+corners (OBJ) or rows of list-valued PLY elements only to check record sizes
+and find where values sit, and each kind of value is then parsed, gathered
+or formatted by one numpy call or one `%`-format.
 """
 
 from __future__ import annotations
 
-import re
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .codec import PointCloud
-from .mesh import MeshError, TriangleMesh
+from .mesh import MeshError, TriangleMesh, _ramp
 
 
 class MeshIOError(MeshError):
@@ -53,11 +55,6 @@ def save_mesh(mesh: TriangleMesh, path) -> None:
         raise MeshIOError(f"unsupported mesh format {fmt!r}")
 
 
-def _ramp(sizes: np.ndarray) -> np.ndarray:
-    """0, 1, ..., size-1 for each run of `sizes`, concatenated."""
-    return np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-
-
 def _fan(ids: np.ndarray, sizes) -> np.ndarray:
     """Fan-triangulate polygons stored back to back in `ids` with `sizes` corners."""
     sizes = np.asarray(sizes, dtype=np.int64)
@@ -71,7 +68,7 @@ def _fan(ids: np.ndarray, sizes) -> np.ndarray:
 
 def _load_obj(path: Path) -> TriangleMesh:
     xyz, rgb, normals, corners = [], [], [], []  # value tokens of each record kind
-    sizes, defined = [], []  # per face: its corners, the vertices defined before it
+    sizes, defined = [], []  # per face: its corners, the v and vn records defined before it
 
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -91,24 +88,33 @@ def _load_obj(path: Path) -> TriangleMesh:
                     raise MeshIOError(f"{path}:{lineno}: face with fewer than 3 vertices")
                 corners += parts[1:]
                 sizes.append(len(parts) - 1)
-                defined.append(len(xyz) // 3)
+                defined.append((len(xyz) // 3, len(normals) // 3))
 
     if not xyz or not corners:
         raise MeshIOError(f"{path}: empty mesh (no vertices or faces)")
     if rgb and len(rgb) != len(xyz):
         raise MeshIOError(f"{path}: only some vertices carry colors")
-    # keep the vertex index of `v/vt/vn` corners, one regex pass over all of them
-    text = re.sub(r"(\S)/\S*", r"\1", " ".join(corners))
     try:
         vertices = np.array(xyz, dtype=np.float64).reshape(-1, 3)
         colors = np.array(rgb, dtype=np.float64).reshape(-1, 3) if rgb else None
-        ids = np.array(text.split(), dtype=np.int64)
+        # the vertex index of each `v`, `v/vt`, `v//vn` or `v/vt/vn` corner
+        ids = np.array([c.partition("/")[0] for c in corners], dtype=np.int64)
         vertex_normals = None
         if len(normals) == len(xyz):
             vertex_normals = _renormalize(np.array(normals, dtype=np.float64).reshape(-1, 3))
+            # and its normal index, 0 (never an OBJ index) where it names none
+            normal_ids = np.array(
+                [c.partition("/")[2].partition("/")[2] or "0" for c in corners], dtype=np.int64
+            )
     except (ValueError, OverflowError) as exc:
         raise MeshIOError(f"failed to parse {path}: {exc}") from exc
-    ids = np.where(ids > 0, ids - 1, np.repeat(defined, sizes) + ids)
+    # a negative index counts back from the records defined before its face
+    defined = np.repeat(defined, sizes, axis=0)
+    ids = np.where(ids > 0, ids - 1, defined[:, 0] + ids)
+    if vertex_normals is not None:
+        own = np.where(normal_ids > 0, normal_ids - 1, defined[:, 1] + normal_ids)
+        if np.any((normal_ids != 0) & (own != ids)):
+            vertex_normals = None
     return TriangleMesh(vertices, _fan(ids, sizes), vertex_normals, colors)
 
 

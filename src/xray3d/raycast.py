@@ -2,14 +2,14 @@
 
 All intersections along a ray are returned sorted by distance, not just
 the first, because the codec records every surface crossing. The tree
-is a complete binary median-split BVH built one level per numpy pass
-(a sort of every node's triangles along its longest centroid extent),
-so building it never loops over nodes or triangles in Python. Traversal
-is wavefront-vectorized: a frontier of (ray, node) pairs advances one
-tree level per iteration, so casting a full pixel grid is a handful of
-numpy passes instead of a Python loop per ray. Every mesh, down to a
-single triangle (whose tree is one leaf at the root), is cast through
-the tree.
+is a complete binary median-split BVH in heap order: node i has children
+2i+1 and 2i+2, the 2^depth leaves are nodes 2^depth - 1 onward, and
+`leaf_bounds` holds each leaf's slice of the sorted triangles. Building
+it takes one numpy pass per level. Casting is wavefront-vectorized: a
+frontier of (ray, node) pairs descends one level per pass, then one pass
+tests the leaves' triangles, so a full pixel grid costs a handful of
+numpy passes. Every mesh, down to a single triangle (a tree of one leaf
+at the root), is cast through the tree.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import MeshError, TriangleMesh
+from .mesh import MeshError, TriangleMesh, _frozen, _ramp
 
 EPS_MIN = 1e-6  # reject hits this close to the ray origin (self-hits)
 EPS_DUP = 1e-6  # merge coincident hits (shared edge/vertex double-counts)
@@ -44,35 +44,27 @@ class HitBatch:
 
 
 class BvhAccel:
-    """Flattened median-split BVH in heap order. Immutable after build; share freely.
+    """Complete median-split BVH in heap order. Immutable; share freely.
 
-    Triangle data is stored as contiguous per-component rows (shape
-    (3, n_faces)) so gathered kernels stay cache-friendly.
+    Node i has children 2i+1 and 2i+2, so only the node boxes are stored.
+    Leaf k is node 2^depth - 1 + k and holds the triangles
+    tri_order[leaf_bounds[k]:leaf_bounds[k + 1]]. Triangle data is stored
+    as per-component rows (shape (3, n_faces)) so gathered kernels stay
+    cache-friendly.
     """
 
     __slots__ = (
-        "node_min", "node_max", "node_left", "node_right",
-        "leaf_start", "leaf_count", "tri_order", "tri_v0", "tri_e1", "tri_e2",
-        "n_faces",
+        "node_min", "node_max", "depth", "leaf_bounds",
+        "tri_order", "tri_v0", "tri_e1", "tri_e2", "n_faces",
     )
 
-    def __init__(self, node_min, node_max, node_left, node_right,
-                 leaf_start, leaf_count, tri_order, tri_v0, tri_e1, tri_e2):
-        self.node_min = np.ascontiguousarray(node_min.T)
-        self.node_max = np.ascontiguousarray(node_max.T)
-        self.node_left = node_left
-        self.node_right = node_right
-        self.leaf_start = leaf_start
-        self.leaf_count = leaf_count
-        self.tri_order = tri_order
-        self.tri_v0 = np.ascontiguousarray(tri_v0.T)
-        self.tri_e1 = np.ascontiguousarray(tri_e1.T)
-        self.tri_e2 = np.ascontiguousarray(tri_e2.T)
+    def __init__(self, node_min, node_max, depth, leaf_bounds,
+                 tri_order, tri_v0, tri_e1, tri_e2):
+        self.node_min, self.node_max = _frozen(node_min.T), _frozen(node_max.T)
+        self.depth = depth
+        self.leaf_bounds, self.tri_order = _frozen(leaf_bounds), _frozen(tri_order)
+        self.tri_v0, self.tri_e1, self.tri_e2 = (_frozen(a.T) for a in (tri_v0, tri_e1, tri_e2))
         self.n_faces = self.tri_v0.shape[1]
-        for arr in (self.node_min, self.node_max, node_left, node_right,
-                    leaf_start, leaf_count, tri_order,
-                    self.tri_v0, self.tri_e1, self.tri_e2):
-            arr.setflags(write=False)
 
 
 def _segment_starts(m: int, level: int) -> np.ndarray:
@@ -83,12 +75,11 @@ def _segment_starts(m: int, level: int) -> np.ndarray:
 def build_bvh(mesh: TriangleMesh) -> BvhAccel:
     """Median-split BVH: a complete binary tree in heap order.
 
-    Node i has children 2i+1 and 2i+2, and the 2^depth leaves hold 1-4
-    triangles each. Segment k of level l is tri_order[(k*m) >> l :
-    ((k+1)*m) >> l]; one sort per level orders every segment by centroid
-    along its longest centroid extent, so its two halves are the
-    children's segments. Leaf boxes bound their triangles, and each
-    parent box bounds its two children.
+    The 2^depth leaves hold 1-4 triangles each. Segment k of level l is
+    tri_order[(k*m) >> l : ((k+1)*m) >> l]; one sort per level orders
+    every segment by centroid along its longest centroid extent, so its
+    two halves are the children's segments. Leaf boxes bound their
+    triangles, and each parent box bounds its two children.
 
     Traversal answers exactly the same hit sets as brute-force testing
     of every triangle; the tree only prunes.
@@ -123,22 +114,15 @@ def build_bvh(mesh: TriangleMesh) -> BvhAccel:
         level_min.append(box_min)
         level_max.append(box_max)
 
-    n_inner = (1 << depth) - 1
-    inner = np.arange(n_inner, dtype=np.int64)
-    no_child = np.full(len(starts), -1, dtype=np.int64)
     return BvhAccel(
         node_min=np.concatenate(level_min[::-1]),
         node_max=np.concatenate(level_max[::-1]),
-        node_left=np.concatenate([2 * inner + 1, no_child]),
-        node_right=np.concatenate([2 * inner + 2, no_child]),
-        leaf_start=np.concatenate([np.full(n_inner, -1, dtype=np.int64), starts]),
-        leaf_count=np.concatenate(
-            [np.zeros(n_inner, dtype=np.int64), np.diff(starts, append=m)]
-        ),
+        depth=depth,
+        leaf_bounds=np.append(starts, m),
         tri_order=tri_order,
-        tri_v0=np.ascontiguousarray(v0),
-        tri_e1=np.ascontiguousarray(v1 - v0),
-        tri_e2=np.ascontiguousarray(v2 - v0),
+        tri_v0=v0,
+        tri_e1=v1 - v0,
+        tri_e2=v2 - v0,
     )
 
 
@@ -207,15 +191,32 @@ def _slab_pairs(accel, inv_t, oinv_t, rays, nodes):
     return (far >= near) & (far >= EPS_MIN)
 
 
-def _index_ranges(counts: np.ndarray) -> np.ndarray:
-    starts = np.cumsum(counts) - counts
-    return np.arange(counts.sum()) - np.repeat(starts, counts)
+def _cast_chunk(accel: BvhAccel, origins, dirs, first_ray: int):
+    """Unsorted hits (ray, t, face, u, v) of the rays numbered from first_ray.
 
+    A frontier of (ray, node) pairs descends one level per pass: each
+    pair whose box the ray crosses is replaced by the node's two
+    children. Every leaf is on the last level, so one pass then tests
+    the surviving pairs' triangles.
+    """
+    origins_t = np.ascontiguousarray(origins.T)
+    dirs_t = np.ascontiguousarray(dirs.T)
+    inv_t = _safe_inverse(dirs_t)
+    oinv_t = origins_t * inv_t
+    ray = np.arange(len(origins), dtype=np.int64)
+    node = np.zeros(len(origins), dtype=np.int64)
+    for level in range(accel.depth + 1):
+        if level:
+            ray = np.concatenate([ray, ray])
+            node = np.concatenate([2 * node + 1, 2 * node + 2])
+        keep = _slab_pairs(accel, inv_t, oinv_t, ray, node)
+        ray, node = ray[keep], node[keep]
 
-def _leaf_hits(accel, origins_t, dirs_t, lray, lnode, lcount):
-    starts = accel.leaf_start[lnode]
-    rr = np.repeat(lray, lcount)
-    tris = accel.tri_order[np.repeat(starts, lcount) + _index_ranges(lcount)]
+    leaf = node - ((1 << accel.depth) - 1)
+    first = accel.leaf_bounds[leaf]
+    count = accel.leaf_bounds[leaf + 1] - first
+    rr = np.repeat(ray, count)
+    tris = accel.tri_order[np.repeat(first, count) + _ramp(count)]
     accept, t, u, v = _moller_trumbore_components(
         origins_t[0][rr], origins_t[1][rr], origins_t[2][rr],
         dirs_t[0][rr], dirs_t[1][rr], dirs_t[2][rr],
@@ -223,97 +224,26 @@ def _leaf_hits(accel, origins_t, dirs_t, lray, lnode, lcount):
         accel.tri_e1[0][tris], accel.tri_e1[1][tris], accel.tri_e1[2][tris],
         accel.tri_e2[0][tris], accel.tri_e2[1][tris], accel.tri_e2[2][tris],
     )
-    return rr[accept], t[accept], tris[accept], u[accept], v[accept]
-
-
-def _cast_chunk(accel: BvhAccel, origins, dirs):
-    n = len(origins)
-    origins_t = np.ascontiguousarray(origins.T)
-    dirs_t = np.ascontiguousarray(dirs.T)
-    inv_t = _safe_inverse(dirs_t)
-    oinv_t = origins_t * inv_t
-    pair_ray = np.arange(n, dtype=np.int64)
-    pair_node = np.zeros(n, dtype=np.int64)
-    keep = _slab_pairs(accel, inv_t, oinv_t, pair_ray, pair_node)
-    pair_ray, pair_node = pair_ray[keep], pair_node[keep]
-
-    hits_ray, hits_t, hits_face, hits_u, hits_v = [], [], [], [], []
-    while pair_ray.size:
-        counts = accel.leaf_count[pair_node]
-        is_leaf = counts > 0
-        if is_leaf.any():
-            part = _leaf_hits(
-                accel, origins_t, dirs_t,
-                pair_ray[is_leaf], pair_node[is_leaf], counts[is_leaf],
-            )
-            if part[0].size:
-                hits_ray.append(part[0])
-                hits_t.append(part[1])
-                hits_face.append(part[2])
-                hits_u.append(part[3])
-                hits_v.append(part[4])
-        inner = ~is_leaf
-        if inner.any():
-            iray = pair_ray[inner]
-            inode = pair_node[inner]
-            child_ray = np.concatenate([iray, iray])
-            child_node = np.concatenate(
-                [accel.node_left[inode], accel.node_right[inode]]
-            )
-            keep = _slab_pairs(accel, inv_t, oinv_t, child_ray, child_node)
-            pair_ray, pair_node = child_ray[keep], child_node[keep]
-        else:
-            break
-
-    if not hits_ray:
-        empty_i = np.empty(0, dtype=np.int64)
-        empty_f = np.empty(0, dtype=np.float64)
-        return empty_i, empty_f, empty_i.copy(), empty_f.copy(), empty_f.copy()
-    return (
-        np.concatenate(hits_ray),
-        np.concatenate(hits_t),
-        np.concatenate(hits_face),
-        np.concatenate(hits_u),
-        np.concatenate(hits_v),
-    )
+    return rr[accept] + first_ray, t[accept], tris[accept], u[accept], v[accept]
 
 
 def _sort_merge_cap(ray, t, face, u, v) -> HitBatch:
     order = np.lexsort((face, t, ray))
     ray, t, face, u, v = ray[order], t[order], face[order], u[order], v[order]
-    if ray.size:
-        same_ray = np.empty(ray.size, dtype=bool)
-        same_ray[0] = False
-        same_ray[1:] = ray[1:] == ray[:-1]
-        close = np.empty(ray.size, dtype=bool)
-        close[0] = False
-        close[1:] = (t[1:] - t[:-1]) < EPS_DUP
-        keep = ~(same_ray & close)
-        ray, t, face, u, v = ray[keep], t[keep], face[keep], u[keep], v[keep]
-        # Cap records per ray.
-        group_start = np.searchsorted(ray, ray)
-        rank = np.arange(ray.size) - group_start
-        keep = rank < MAX_HITS
-        ray, t, face, u, v = ray[keep], t[keep], face[keep], u[keep], v[keep]
-    return HitBatch(ray, t, face, u, v)
+    # Merge a hit into the previous one on its ray when they are closer than EPS_DUP.
+    dup = (np.diff(ray, prepend=-1) == 0) & (np.diff(t, prepend=0.0) < EPS_DUP)
+    ray, t, face, u, v = ray[~dup], t[~dup], face[~dup], u[~dup], v[~dup]
+    # Cap records per ray.
+    keep = np.arange(ray.size) - np.searchsorted(ray, ray) < MAX_HITS
+    return HitBatch(ray[keep], t[keep], face[keep], u[keep], v[keep])
 
 
 def cast_rays(accel: BvhAccel, origins: np.ndarray, directions: np.ndarray) -> HitBatch:
     """All hits for a batch of rays. Directions must be unit length."""
     origins = np.ascontiguousarray(origins, dtype=np.float64).reshape(-1, 3)
     directions = np.ascontiguousarray(directions, dtype=np.float64).reshape(-1, 3)
-    n = len(origins)
-    if n == 0:
-        e = np.empty(0)
-        return HitBatch(e.astype(np.int64), e, e.astype(np.int64), e.copy(), e.copy())
-    parts = []
-    for lo in range(0, n, _RAY_CHUNK):
-        hi = min(lo + _RAY_CHUNK, n)
-        ray, t, face, u, v = _cast_chunk(accel, origins[lo:hi], directions[lo:hi])
-        parts.append((ray + lo, t, face, u, v))
-    ray = np.concatenate([p[0] for p in parts])
-    t = np.concatenate([p[1] for p in parts])
-    face = np.concatenate([p[2] for p in parts])
-    u = np.concatenate([p[3] for p in parts])
-    v = np.concatenate([p[4] for p in parts])
-    return _sort_merge_cap(ray, t, face, u, v)
+    parts = [
+        _cast_chunk(accel, origins[lo:lo + _RAY_CHUNK], directions[lo:lo + _RAY_CHUNK], lo)
+        for lo in range(0, max(len(origins), 1), _RAY_CHUNK)  # one chunk even for no rays
+    ]
+    return _sort_merge_cap(*(np.concatenate(column) for column in zip(*parts)))

@@ -105,6 +105,28 @@ def test_obj_slash_tokens_and_running_negative_index(tmp_path):
     np.testing.assert_array_equal(mesh.faces, [[0, 1, 2], [1, 2, 3]])
 
 
+@pytest.mark.parametrize(
+    "records, kept",
+    [
+        ("vn 1 0 0\nvn 0 1 0\nvn 0 0 1\nf 1//3 2//2 3//1\n", False),  # another vertex's
+        ("vn 1 0 0\nvn 0 1 0\nvn 0 0 1\nf 1//1 2//2 3//3\n", True),
+        # negative indices count back from the 2 vn records defined before the face
+        ("vn 1 0 0\nvn 0 1 0\nf 1//-2 2/1/-1 3\nvn 0 0 1\n", True),
+        ("vn 1 0 0\nvn 0 1 0\nvn 0 0 1\nf 1/1/1 2/1 3//\n", True),  # 2 corners name none
+    ],
+    ids=["swapped", "own", "negative", "partial"],
+)
+def test_obj_normals_follow_corner_indices(tmp_path, records, kept):
+    path = tmp_path / "normals.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nvt 0 0\n" + records)
+    mesh = load_mesh(path)
+    np.testing.assert_array_equal(mesh.faces, [[0, 1, 2]])
+    if kept:
+        np.testing.assert_array_equal(mesh.vertex_normals, np.eye(3))
+    else:
+        assert mesh.vertex_normals is None
+
+
 def test_obj_malformed_vertex(tmp_path):
     path = tmp_path / "bad.obj"
     path.write_text("v 1 2\nf 1 1 1\n")

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from xray3d import raycast
+from xray3d.camera import Camera, generate_rays, look_at, sample_views
 from xray3d.fixtures import cube
 from xray3d.mesh import MeshError, TriangleMesh, surface_attributes
 from xray3d.raycast import EPS_DUP, EPS_MIN, MAX_HITS, build_bvh, cast_rays
@@ -77,6 +79,17 @@ def _scattered_triangles(n):
     return TriangleMesh(corners.reshape(-1, 3), np.arange(3 * n).reshape(n, 3))
 
 
+def _pinhole_grids():
+    """Flattened ray grids of a sampled view, of a camera inside the cube,
+    sphere and torus (in the torus's tube), and of a non-square frame."""
+    cameras = [
+        sample_views(7, 1, width=24, height=24)[0],
+        Camera(20, 20, 2.6, look_at((0.3, 0.02, 0.01), target=(0.3, -0.4, 0.9))),
+        Camera(37, 11, 1.1, look_at((0.5, 1.3, 0.8))),
+    ]
+    return [generate_rays(camera).flat() for camera in cameras]
+
+
 @pytest.mark.parametrize(
     "mesh_name", ["cube", "sphere", "torus", "coincident", "nested", "single"]
 )
@@ -92,21 +105,22 @@ def test_bvh_equals_brute_force(
         "single": _repeated_triangle(1),  # the root node is a leaf
     }[mesh_name]
     accel = build_bvh(mesh)
-    n = 1000
-    origins = rng.uniform(-1.5, 1.5, size=(n, 3))
-    directions = rng.normal(size=(n, 3))
+    origins = rng.uniform(-1.5, 1.5, size=(1000, 3))
+    directions = rng.normal(size=(1000, 3))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    batch = cast_rays(accel, origins, directions)
-    offsets = batch.offsets(n)
-    for i in range(n):
-        got = [
-            (batch.depth[k], batch.face[k]) for k in range(offsets[i], offsets[i + 1])
-        ]
-        expected = brute_force_hits(mesh, origins[i], directions[i])
-        assert len(got) == len(expected)
-        for (gt, gf), (et, ef) in zip(got, expected):
-            assert gt == pytest.approx(et, abs=1e-9)
-            assert gf == ef
+    for origins, directions in [(origins, directions), *_pinhole_grids()]:
+        n = len(origins)
+        batch = cast_rays(accel, origins, directions)
+        offsets = batch.offsets(n)
+        for i in range(n):
+            got = [
+                (batch.depth[k], batch.face[k]) for k in range(offsets[i], offsets[i + 1])
+            ]
+            expected = brute_force_hits(mesh, origins[i], directions[i])
+            assert len(got) == len(expected)
+            for (gt, gf), (et, ef) in zip(got, expected):
+                assert gt == pytest.approx(et, abs=1e-9)
+                assert gf == ef
 
 
 def test_depths_strictly_increasing(sphere_mesh, rng):
@@ -248,19 +262,39 @@ def test_empty_mesh_rejected():
 def test_bvh_leaf_sizes(n_faces, sphere_mesh):
     mesh = sphere_mesh if n_faces == "sphere" else _scattered_triangles(n_faces)
     accel = build_bvh(mesh)
-    is_leaf = accel.leaf_count > 0
-    leaves = accel.leaf_count[is_leaf]
-    assert leaves.max() <= 4
+    n_inner = (1 << accel.depth) - 1
+    assert accel.leaf_bounds.shape == (n_inner + 2,)
+    leaves = np.diff(accel.leaf_bounds)
+    assert leaves.min() >= 1 and leaves.max() <= 4
     assert leaves.sum() == mesh.n_faces
     order = np.sort(accel.tri_order)
     np.testing.assert_array_equal(order, np.arange(mesh.n_faces))
 
     lo, hi = accel.node_min.T, accel.node_max.T
-    for node in np.nonzero(~is_leaf)[0]:
-        for child in (accel.node_left[node], accel.node_right[node]):
+    assert len(lo) == 2 * n_inner + 1
+    for node in range(n_inner):
+        for child in (2 * node + 1, 2 * node + 2):
             assert np.all(lo[node] <= lo[child]) and np.all(hi[child] <= hi[node])
-    for node in np.nonzero(is_leaf)[0]:
-        start = accel.leaf_start[node]
-        faces = accel.tri_order[start:start + accel.leaf_count[node]]
-        corners = mesh.vertices[mesh.faces[faces]].reshape(-1, 3)
+    for k, (start, stop) in enumerate(zip(accel.leaf_bounds[:-1], accel.leaf_bounds[1:])):
+        node = n_inner + k
+        corners = mesh.vertices[mesh.faces[accel.tri_order[start:stop]]].reshape(-1, 3)
         assert np.all(lo[node] <= corners) and np.all(corners <= hi[node])
+
+
+def test_cast_across_chunks_matches_one_chunk(torus_mesh, monkeypatch):
+    accel = build_bvh(torus_mesh)
+    camera = Camera(40, 30, 1.2, look_at((0.4, 0.9, 0.7)))
+    origins, directions = generate_rays(camera).flat()
+    whole = cast_rays(accel, origins, directions)
+    assert whole.depth.size and whole.ray.max() > 7
+    monkeypatch.setattr(raycast, "_RAY_CHUNK", 7)
+    chunked = cast_rays(accel, origins, directions)
+    for name in ("ray", "depth", "face", "bary_u", "bary_v"):
+        a, b = getattr(whole, name), getattr(chunked, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    empty = cast_rays(accel, np.empty((0, 3)), np.empty((0, 3)))
+    for name, dtype in (("ray", np.int64), ("depth", np.float64), ("face", np.int64),
+                        ("bary_u", np.float64), ("bary_v", np.float64)):
+        array = getattr(empty, name)
+        assert array.shape == (0,) and array.dtype == dtype, name
