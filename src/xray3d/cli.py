@@ -171,6 +171,8 @@ def cmd_eval(args) -> int:
     print(f"CD  = {report.chamfer:.6f}")
     print(f"FS@{report.threshold:g} = {report.f_score:.4f} "
           f"(precision {report.precision:.4f}, recall {report.recall:.4f})")
+    print(f"ICP {report.icp_iterations} iterations, "
+          f"{'converged' if report.icp_converged else 'stopped at the iteration cap'}")
     if args.csv:
         path = Path(args.csv)
         line = (

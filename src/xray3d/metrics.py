@@ -9,7 +9,7 @@ counts matches below a distance threshold (0.1 in normalized units).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -18,6 +18,8 @@ from .mesh import MeshError, RigidTransform, TriangleMesh, face_areas, normalize
 
 DEFAULT_SAMPLES = 16384
 DEFAULT_THRESHOLD = 0.1
+# icp_align's default stop: the RMSE improvement below which it has converged.
+_ICP_TOL = 1e-8
 
 
 class NearestNeighborIndex:
@@ -48,6 +50,10 @@ class MetricReport:
     precision: float
     recall: float
     threshold: float
+    # Filled in by evaluate_pair: correspondence passes of the alignment,
+    # and whether it stopped on its tolerance rather than at the cap.
+    icp_iterations: int | None = None
+    icp_converged: bool | None = None
 
     def __str__(self) -> str:
         return (
@@ -92,7 +98,17 @@ def sample_surface(mesh: TriangleMesh, n: int, seed: int = 0) -> PointCloud:
 def _positions(obj) -> np.ndarray:
     if isinstance(obj, PointCloud):
         return obj.positions
+    if isinstance(obj, NearestNeighborIndex):
+        return obj.points
     return np.asarray(obj, dtype=np.float64).reshape(-1, 3)
+
+
+def _index(obj) -> NearestNeighborIndex:
+    """A kd-tree over obj's points; an index passed in is used as is, so
+    that one caller can share one tree between ICP and scoring."""
+    if isinstance(obj, NearestNeighborIndex):
+        return obj
+    return NearestNeighborIndex(_positions(obj))
 
 
 def chamfer_f_score(p, q, threshold: float = DEFAULT_THRESHOLD) -> MetricReport:
@@ -101,14 +117,15 @@ def chamfer_f_score(p, q, threshold: float = DEFAULT_THRESHOLD) -> MetricReport:
     chamfer = mean over q of distance-to-p + mean over p of
     distance-to-q. Precision counts q-side matches below the threshold,
     recall counts p-side matches. Swapping p and q swaps precision and
-    recall but leaves chamfer and f_score unchanged.
+    recall but leaves chamfer and f_score unchanged. p may be a
+    NearestNeighborIndex, whose tree is then reused.
     """
-    p = _positions(p)
+    p_points = _positions(p)
     q = _positions(q)
-    if len(p) == 0 or len(q) == 0:
+    if len(p_points) == 0 or len(q) == 0:
         raise ValueError("chamfer distance needs two non-empty point sets")
-    dist_to_p, _ = NearestNeighborIndex(p).query(q)
-    dist_to_q, _ = NearestNeighborIndex(q).query(p)
+    dist_to_p, _ = _index(p).query(q)
+    dist_to_q, _ = NearestNeighborIndex(q).query(p_points)
     chamfer = float(dist_to_p.mean() + dist_to_q.mean())
     precision = float((dist_to_p < threshold).mean())
     recall = float((dist_to_q < threshold).mean())
@@ -130,40 +147,81 @@ def _kabsch(src: np.ndarray, dst: np.ndarray) -> RigidTransform:
     return RigidTransform(rot, c_dst - rot @ c_src, 1.0)
 
 
+def _nearest_two(tree, points: np.ndarray):
+    """Nearest index and the nearest and second-nearest distances per
+    point. Exact distance ties go to the lowest index, as a brute-force
+    argmin would, whatever order the tree visits the tied points in."""
+    d, i = tree.query(points, k=2)
+    idx = i[:, 0]
+    rows = np.flatnonzero(d[:, 0] == d[:, 1])
+    k, n = 2, tree.n
+    while rows.size:
+        # Widen the query until it holds every point tied for nearest.
+        k = min(2 * k, n)
+        dk, ik = tree.query(points[rows], k=k)
+        whole = (dk[:, -1] > dk[:, 0]) | (k == n)
+        tied = dk[whole] == dk[whole, :1]
+        idx[rows[whole]] = np.where(tied, ik[whole], n).min(axis=1)
+        rows = rows[~whole]
+    return idx, d[:, 0], d[:, 1]
+
+
 def icp_align(
     src,
     dst,
     max_iter: int = 50,
-    tol: float = 1e-8,
+    tol: float = _ICP_TOL,
 ) -> IcpResult:
     """Point-to-point ICP from the identity: returns src -> dst transform.
 
     Each iteration matches every source point to its nearest target and
     solves the optimal rigid transform by SVD; the RMSE sequence is
     non-increasing. Stops when the RMSE improvement drops below tol.
+
+    Only points whose nearest target may have changed are looked up in
+    the kd-tree again. A lookup keeps the nearest index, the nearest and
+    second-nearest distances and the position queried. A point that has
+    since moved by `drift` is at most `near + drift` from its old match
+    and at least `second - drift` from every other target, so while
+    `near + 2 * drift < second` its match cannot change; the test adds a
+    margin far above the rounding of the distances. Every distance is
+    then recomputed from the matches, with the arithmetic the tree uses,
+    so the matches, transforms and RMSE history are those of querying
+    every point on every iteration. `dst` may be a NearestNeighborIndex,
+    whose tree is then reused.
     """
     src = _positions(src)
-    dst = _positions(dst)
-    if len(src) < 3 or len(dst) < 3:
+    targets = _positions(dst)
+    if len(src) < 3 or len(targets) < 3:
         raise ValueError("ICP needs at least 3 points on each side")
     sv = np.linalg.svd(src - src.mean(axis=0), compute_uv=False)
     if sv[1] <= 1e-12 * max(sv[0], 1e-300):
         raise ValueError("degenerate source configuration (collinear points)")
 
-    tree = NearestNeighborIndex(dst)
+    tree = _index(dst)._tree
+    target_scale = np.abs(targets).max()
+    idx = np.zeros(len(src), dtype=np.int64)
+    near = np.zeros(len(src))
+    second = np.full(len(src), -np.inf)  # the first pass queries every point
+    anchor = np.zeros_like(src)
     transform = RigidTransform.identity()
     history = []
     rmse = np.inf
     for _ in range(max_iter):
         moved = transform.apply(src)
-        dists, idx = tree.query(moved)
+        drift = np.linalg.norm(moved - anchor, axis=1)
+        margin = 1e-9 * (target_scale + np.abs(moved).max())
+        stale = np.flatnonzero(near + 2.0 * drift + margin >= second)
+        idx[stale], near[stale], second[stale] = _nearest_two(tree, moved[stale])
+        anchor[stale] = moved[stale]
+        dists = np.linalg.norm(moved - targets[idx], axis=1)
         new_rmse = float(np.sqrt(np.mean(dists**2)))
         history.append(new_rmse)
         if abs(rmse - new_rmse) < tol:
             rmse = new_rmse
             break
         rmse = new_rmse
-        transform = _kabsch(src, dst[idx])
+        transform = _kabsch(src, targets[idx])
     return IcpResult(transform, rmse, np.asarray(history))
 
 
@@ -178,11 +236,15 @@ def evaluate_pair(
     """Full protocol: normalize both meshes, sample, ICP-align, score.
 
     Precision is the fraction of prediction-side samples within the
-    threshold of the reference surface samples.
+    threshold of the reference surface samples. One kd-tree over the
+    reference samples serves both the alignment and the score.
     """
     pred_norm, _ = normalize_mesh(pred_mesh)
     gt_norm, _ = normalize_mesh(gt_mesh)
     pred_pts = sample_surface(pred_norm, n_samples, seed).positions
-    gt_pts = sample_surface(gt_norm, n_samples, seed).positions
-    aligned = icp_align(pred_pts, gt_pts, max_iter=icp_max_iter).transform.apply(pred_pts)
-    return chamfer_f_score(gt_pts, aligned, threshold)
+    reference = NearestNeighborIndex(sample_surface(gt_norm, n_samples, seed).positions)
+    icp = icp_align(pred_pts, reference, max_iter=icp_max_iter)
+    report = chamfer_f_score(reference, icp.transform.apply(pred_pts), threshold)
+    history = icp.rmse_history
+    converged = len(history) > 1 and abs(history[-2] - history[-1]) < _ICP_TOL
+    return replace(report, icp_iterations=len(history), icp_converged=bool(converged))

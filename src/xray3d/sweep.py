@@ -6,6 +6,14 @@ pipeline, and compared with the original. Ray casting runs once per
 (mesh, view, resolution) at the deepest requested layer count; shallower
 cells reuse the cast through prefix truncation, which is exact.
 
+A layer count above the deepest layer the cast filled only pads the
+tensor with empty layers, so all such cells of one (mesh, view,
+resolution) decode the same cloud. They share one decode, reconstruction
+and evaluation, run at that deepest filled layer count: their rows carry
+the same chamfer and f_score, and repeat the decode and reconstruction
+timings of the computation they report. On a convex mesh, which no ray
+crosses more than twice, every cell from 2 layers up is one computation.
+
 Cells execute on a bounded thread pool (XRAY_THREADS env var); rows are
 emitted in deterministic (mesh, view, layers, resolution) order no
 matter how the pool schedules them.
@@ -17,7 +25,7 @@ import io
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -124,13 +132,30 @@ def run_sweep(
         for res in res_list
     ]
 
-    def run_job(job) -> list[SweepRow]:
-        name, view, res = job
-        mesh = normalized[name]
-        rows = []
+    def run_cell(name, view, res, full, encode_ms, layers) -> SweepRow:
         try:
             t0 = time.perf_counter()
-            full = encode(mesh, cameras[res][view], max_layers, accel=accels[name])
+            cloud = decode_to_pointcloud(pad_or_truncate(full, layers), frame="world")
+            decode_ms = (time.perf_counter() - t0) * 1000.0
+            if len(cloud) == 0:
+                raise ValueError("empty point cloud")
+            t0 = time.perf_counter()
+            recon = reconstruct(cloud, poisson_res, screening, trim)
+            recon_ms = (time.perf_counter() - t0) * 1000.0
+            report = evaluate_pair(
+                recon, normalized[name], n_samples=n_samples, threshold=threshold, seed=seed
+            )
+            return SweepRow(name, view, layers, res, report.chamfer, report.f_score,
+                            encode_ms, decode_ms, recon_ms)
+        except Exception as exc:
+            return SweepRow(name, view, layers, res, np.nan, np.nan,
+                            encode_ms, 0, 0, str(exc))
+
+    def run_job(job) -> list[SweepRow]:
+        name, view, res = job
+        try:
+            t0 = time.perf_counter()
+            full = encode(normalized[name], cameras[res][view], max_layers, accel=accels[name])
             encode_ms = (time.perf_counter() - t0) * 1000.0
         except Exception as exc:  # per-cell failures recorded, run continues
             return [
@@ -138,28 +163,15 @@ def run_sweep(
                          f"encode: {exc}")
                 for layers in layers_list
             ]
+        # Layers past the deepest hit are empty, so every cell at or above
+        # it decodes the same cloud: compute once per distinct depth.
+        used = max(1, int(full.hit_mask().any(axis=(1, 2)).sum()))
+        cells, rows = {}, []
         for layers in layers_list:
-            try:
-                t0 = time.perf_counter()
-                cloud = decode_to_pointcloud(pad_or_truncate(full, layers), frame="world")
-                decode_ms = (time.perf_counter() - t0) * 1000.0
-                if len(cloud) == 0:
-                    raise ValueError("empty point cloud")
-                t0 = time.perf_counter()
-                recon = reconstruct(cloud, poisson_res, screening, trim)
-                recon_ms = (time.perf_counter() - t0) * 1000.0
-                report = evaluate_pair(
-                    recon, mesh, n_samples=n_samples, threshold=threshold, seed=seed
-                )
-                rows.append(
-                    SweepRow(name, view, layers, res, report.chamfer, report.f_score,
-                             encode_ms, decode_ms, recon_ms)
-                )
-            except Exception as exc:
-                rows.append(
-                    SweepRow(name, view, layers, res, np.nan, np.nan,
-                             encode_ms, 0, 0, str(exc))
-                )
+            depth = min(layers, used)
+            if depth not in cells:
+                cells[depth] = run_cell(name, view, res, full, encode_ms, depth)
+            rows.append(replace(cells[depth], layers=layers))
         return rows
 
     with ThreadPoolExecutor(max_workers=max_workers or worker_count()) as pool:

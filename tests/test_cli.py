@@ -130,6 +130,12 @@ def test_eval_identical_files(tmp_path, sphere_obj, capsys):
     assert "FS@0.1" in printed
 
 
+def test_eval_reports_icp(sphere_obj, capsys):
+    assert run_cli("eval", sphere_obj, sphere_obj, "--samples", "1024") == 0
+    line = capsys.readouterr().out.splitlines()[2]
+    assert line.startswith("ICP ") and line.endswith(" iterations, converged")
+
+
 def test_eval_csv_append(tmp_path, sphere_obj):
     csv = tmp_path / "scores.csv"
     run_cli("eval", sphere_obj, sphere_obj, "--samples", "1024", "--csv", csv)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from xray3d import metrics as metrics_module
 from xray3d.codec import PointCloud
 from xray3d.fixtures import cube, icosphere
-from xray3d.mesh import MeshError, RigidTransform, TriangleMesh
+from xray3d.mesh import MeshError, RigidTransform, TriangleMesh, normalize_mesh
 from xray3d.metrics import (
     NearestNeighborIndex,
     chamfer_f_score,
@@ -160,6 +161,111 @@ def test_icp_collinear_degenerate():
     line = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0], [3.0, 0, 0]])
     with pytest.raises(ValueError, match="degenerate|collinear"):
         icp_align(line, line + 0.1)
+
+
+def brute_force_icp(src, dst, max_iter=50, tol=1e-8):
+    """Point-to-point ICP matching by a full distance matrix; exact ties
+    go to the lowest target index (argmin). Returns the transform, the
+    RMSE history and the matched targets handed to each Kabsch step."""
+    transform = RigidTransform.identity()
+    history, matched = [], []
+    rmse = np.inf
+    for _ in range(max_iter):
+        moved = transform.apply(src)
+        full = np.sqrt(((moved[:, None, :] - dst[None, :, :]) ** 2).sum(-1))
+        idx = full.argmin(axis=1)
+        new_rmse = float(np.sqrt(np.mean(full[np.arange(len(src)), idx] ** 2)))
+        history.append(new_rmse)
+        if abs(rmse - new_rmse) < tol:
+            break
+        rmse = new_rmse
+        matched.append(dst[idx])
+        transform = metrics_module._kabsch(src, dst[idx])
+    return transform, np.asarray(history), matched
+
+
+def grid_case():
+    # Sources half a cell off an integer grid sit at exactly equal
+    # distance from two or four targets; the targets are shuffled so that
+    # the lowest index is not the first one a tree would meet.
+    rng = np.random.default_rng(7)
+    ijk = np.stack(np.meshgrid(np.arange(10), np.arange(10), np.arange(6), indexing="ij"), -1)
+    dst = ijk.reshape(-1, 3).astype(float)[rng.permutation(600)]
+    src = dst[rng.permutation(600)[:300]] + [0.5, 0.5, 0.0]
+    return src, dst
+
+
+def rotated_case():
+    # Two independent samplings of an ellipsoid, 30 degrees apart: most
+    # matches change on the first iterations, and ICP slides between
+    # samples until it stops, so many points sit near the re-query bound.
+    rng = np.random.default_rng(0)
+    a, b = rng.normal(size=(2, 600, 3))
+    axes = np.array([1.0, 0.7, 0.4])
+    a *= axes / np.linalg.norm(a, axis=1, keepdims=True)
+    b *= axes / np.linalg.norm(b, axis=1, keepdims=True)
+    return a @ rotation_about([1, 2, 0], np.radians(30.0)).T, b
+
+
+def synthetic_case(seed, n, axis, degrees, shift):
+    src = np.random.default_rng(seed).uniform(-0.5, 0.5, size=(n, 3))
+    return src, src @ rotation_about(axis, np.radians(degrees)).T + shift
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        grid_case,
+        rotated_case,
+        lambda: synthetic_case(2, 1000, [0, 0, 1], 10.0, np.array([0.05, 0.0, 0.0])),
+        lambda: synthetic_case(3, 400, [1, 1, 0], 12.0, 0.03),
+    ],
+    ids=["grid_ties", "rotated_30deg", "synthetic_10deg", "synthetic_12deg"],
+)
+def test_icp_matches_brute_force_oracle(case, monkeypatch):
+    src, dst = case()
+    want_transform, want_history, want_matched = brute_force_icp(src, dst)
+
+    matched = []
+    kabsch = metrics_module._kabsch
+
+    def recording_kabsch(a, b):
+        matched.append(b.copy())
+        return kabsch(a, b)
+
+    monkeypatch.setattr(metrics_module, "_kabsch", recording_kabsch)
+    result = icp_align(src, dst)
+
+    assert len(result.rmse_history) == len(want_history)
+    np.testing.assert_array_equal(result.rmse_history, want_history)
+    assert len(matched) == len(want_matched)
+    for step, (got, want) in enumerate(zip(matched, want_matched)):
+        assert np.array_equal(got, want), f"correspondences differ at iteration {step}"
+    np.testing.assert_allclose(result.transform.rotation, want_transform.rotation,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(result.transform.translation, want_transform.translation,
+                               rtol=0, atol=1e-12)
+
+
+def test_evaluate_pair_shares_tree_and_reports_icp(torus_mesh):
+    # The protocol spelled out with plain arrays, so each call builds its
+    # own tree: the shared tree must give bitwise the same scores.
+    pred = TriangleMesh(torus_mesh.vertices @ rotation_about([1, 0, 0], 0.1).T, torus_mesh.faces)
+    pred_pts = sample_surface(normalize_mesh(pred)[0], 4096, 5).positions
+    gt_pts = sample_surface(normalize_mesh(torus_mesh)[0], 4096, 5).positions
+    icp = icp_align(pred_pts, gt_pts)
+    want = chamfer_f_score(gt_pts, icp.transform.apply(pred_pts), 0.05)
+
+    report = evaluate_pair(pred, torus_mesh, n_samples=4096, threshold=0.05, seed=5)
+    assert (report.chamfer, report.f_score, report.precision, report.recall) == (
+        want.chamfer, want.f_score, want.precision, want.recall
+    )
+    assert report.icp_iterations == len(icp.rmse_history) < 50
+    assert report.icp_converged is True
+
+    capped = evaluate_pair(pred, torus_mesh, n_samples=4096, seed=5, icp_max_iter=2)
+    assert capped.icp_iterations == 2
+    assert capped.icp_converged is False
 
 
 def test_evaluate_pair_self_comparison(sphere_mesh):

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
+import xray3d.sweep as sweep_mod
+from xray3d.camera import DEFAULT_FOV_X, sample_views
+from xray3d.codec import decode_to_pointcloud, encode
 from xray3d.fixtures import cube, icosphere
+from xray3d.mesh import TriangleMesh, normalize_mesh
+from xray3d.poisson import reconstruct
 from xray3d.sweep import (
     CSV_HEADER,
     SweepRow,
@@ -65,8 +70,6 @@ def test_sweep_deterministic_without_timings():
 
 
 def test_failed_cells_recorded_not_raised(monkeypatch):
-    import xray3d.sweep as sweep_mod
-
     real_reconstruct = sweep_mod.reconstruct
 
     def flaky(cloud, resolution, *args, **kwargs):
@@ -84,6 +87,46 @@ def test_failed_cells_recorded_not_raised(monkeypatch):
     assert np.isnan(by_res[4].chamfer)
     assert by_res[32].error == ""
     assert by_res[32].chamfer > 0
+
+
+def test_cells_past_the_deepest_hit_share_one_reconstruction(monkeypatch):
+    # No ray crosses a cube more than twice, so its 12-layer cell decodes
+    # the 2-layer cloud: one evaluation serves both rows.
+    kwargs = dict(res_list=[32], views=1, seed=0, poisson_res=32, n_samples=1024,
+                  max_workers=1)
+    calls = []
+    real_evaluate = sweep_mod.evaluate_pair
+
+    def counting_evaluate(*args, **kw):
+        calls.append(1)
+        return real_evaluate(*args, **kw)
+
+    monkeypatch.setattr(sweep_mod, "evaluate_pair", counting_evaluate)
+    two, twelve = run_sweep({"cube": cube()}, layers_list=[2, 12], **kwargs)
+    assert len(calls) == 1
+    assert (two.layers, twelve.layers) == (2, 12)
+    assert not two.error and not twelve.error
+    assert (twelve.chamfer, twelve.f_score) == (two.chamfer, two.f_score)
+    assert (twelve.decode_ms, twelve.recon_ms) == (two.decode_ms, two.recon_ms)
+
+    # Against fresh computation: a sweep with no 2-layer cell, and the
+    # 12-layer pipeline run by hand.
+    (alone,) = run_sweep({"cube": cube()}, layers_list=[12], **kwargs)
+    assert (alone.chamfer, alone.f_score) == (twelve.chamfer, twelve.f_score)
+    mesh = normalize_mesh(cube())[0]
+    camera = sample_views(0, 1, width=32, height=32, fov_x=DEFAULT_FOV_X)[0]
+    cloud = decode_to_pointcloud(encode(mesh, camera, 12), frame="world")
+    report = real_evaluate(reconstruct(cloud, 32, 0.0, 0.0), mesh, n_samples=1024, seed=0)
+    assert (report.chamfer, report.f_score) == (twelve.chamfer, twelve.f_score)
+
+
+def test_mesh_without_hits_records_every_cell():
+    # A zero-area triangle is never hit: every cell has an empty cloud.
+    line = TriangleMesh([[0, 0, 0], [1, 0, 0], [2, 0, 0]], [[0, 1, 2]])
+    rows = run_sweep({"line": line}, layers_list=[1, 3, 12], res_list=[16], views=2,
+                     poisson_res=16, n_samples=256, max_workers=1)
+    assert [(r.view, r.layers) for r in rows] == [(v, n) for v in (0, 1) for n in (1, 3, 12)]
+    assert all(r.error == "empty point cloud" and np.isnan(r.chamfer) for r in rows)
 
 
 def test_worker_count_env(monkeypatch):
