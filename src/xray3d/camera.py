@@ -18,9 +18,10 @@ import numpy as np
 
 from .mesh import _frozen
 
-# Horizontal field of view (radians) paired with a view distance of 1.2
-# so that a normalized mesh (unit bounding box, bounding sphere radius
-# 0.866) stays inside a square frame from every direction, with a margin.
+# Field of view (radians) of the shorter image axis paired with a view
+# distance of 1.2 so that a normalized mesh (unit bounding box, bounding
+# sphere radius 0.866) stays inside the frame from every direction, with
+# a margin. It is the horizontal field of view of a square frame.
 DEFAULT_FOV_X = 2.0 * math.asin(0.875 / 1.2)
 DEFAULT_DISTANCE = 1.2
 
@@ -126,13 +127,19 @@ def camera_from_spherical(
     distance: float = DEFAULT_DISTANCE,
     width: int = 256,
     height: int = 256,
-    fov_x: float = DEFAULT_FOV_X,
+    fov_x: float | None = None,
 ) -> Camera:
     """Camera on a sphere around the origin, looking inward.
 
     Azimuth 0 / elevation 0 places the camera at (0, 0, distance) facing
-    -z; azimuth rotates about +y, elevation lifts toward +y.
+    -z; azimuth rotates about +y, elevation lifts toward +y. Without
+    `fov_x`, the shorter image axis spans DEFAULT_FOV_X, so a normalized
+    mesh at the default distance is not clipped in any frame shape.
     """
+    if fov_x is None:
+        fov_x = DEFAULT_FOV_X
+        if width > height:  # widen so that the vertical axis spans DEFAULT_FOV_X
+            fov_x = 2.0 * math.atan(math.tan(0.5 * DEFAULT_FOV_X) * width / height)
     az = math.radians(azimuth_deg)
     el = math.radians(elevation_deg)
     position = distance * np.array(
@@ -157,11 +164,12 @@ def sample_views(
     n: int,
     width: int = 256,
     height: int = 256,
-    fov_x: float = DEFAULT_FOV_X,
+    fov_x: float | None = None,
     distance: float = DEFAULT_DISTANCE,
 ) -> list[Camera]:
     """Draw n deterministic random views around the origin, fixed
-    distance, looking at the origin with up = +y."""
+    distance, looking at the origin with up = +y (default field of view
+    as in camera_from_spherical)."""
     azimuths, elevations = sample_view_angles(seed, n)
     return [
         camera_from_spherical(az, el, distance, width, height, fov_x)

@@ -48,7 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--azimuth", type=float, default=0.0, help="degrees about +y")
     p.add_argument("--elevation", type=float, default=0.0, help="degrees above horizon")
     p.add_argument("--distance", type=float, default=DEFAULT_DISTANCE)
-    p.add_argument("--fov", type=float, default=DEFAULT_FOV_X, help="horizontal fov, radians")
+    p.add_argument("--fov", type=float,
+                   help="horizontal fov, radians (default: the shorter axis spans DEFAULT_FOV_X)")
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("decode", help="decode a .xray tensor to points or a mesh")

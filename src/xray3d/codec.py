@@ -9,6 +9,7 @@ format stores tensors losslessly (float32, little-endian).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -29,6 +30,9 @@ CH_DEPTH = 1
 CH_NORMAL = slice(2, 5)
 CH_COLOR = slice(5, 8)
 _CHANNEL_NAMES = ("hit", "depth", "normal", "normal", "normal", "color", "color", "color")
+# Largest |R R^T - I| entry accepted for a stored pose: float32 rounding of
+# an orthonormal matrix reaches about 2e-7, anything else is corruption.
+_POSE_TOL = 1e-6
 
 
 class XRayFormatError(ValueError):
@@ -118,16 +122,37 @@ class XRayTensor:
             return Camera(self.width, self.height, self.fov_x, np.eye(4))
         c2w = self.c2w.astype(np.float64)
         # The stored pose is float32-quantized; project the rotation back
-        # onto the nearest orthonormal matrix before ray generation.
+        # onto the nearest orthonormal matrix before ray generation. Only
+        # rounding is repaired here: _check_camera rejects anything larger.
         u, _, vt = np.linalg.svd(c2w[:3, :3])
         c2w[:3, :3] = u @ vt
         return Camera(self.width, self.height, self.fov_x, c2w)
+
+    def _check_camera(self) -> None:
+        """Raise XRayDataError naming a header camera field outside the contract."""
+        if not 0.0 < self.fov_x < math.pi:
+            raise XRayDataError(f"fov_x {self.fov_x!r} outside (0, pi)")
+        c2w = self.c2w.astype(np.float64)
+        bad = np.argwhere(~np.isfinite(c2w))
+        if len(bad):
+            row, col = bad[0]
+            raise XRayDataError(f"non-finite c2w[{row}, {col}] = {float(c2w[row, col])!r}")
+        if not np.array_equal(c2w[3], [0.0, 0.0, 0.0, 1.0]):
+            raise XRayDataError(f"c2w last row {c2w[3].tolist()} is not (0, 0, 0, 1)")
+        rot = c2w[:3, :3]
+        error = np.abs(rot @ rot.T - np.eye(3)).max()
+        if error > _POSE_TOL:
+            raise XRayDataError(
+                f"c2w rotation {np.round(rot, 6).tolist()} is not orthonormal "
+                f"(|R R^T - I| reaches {error:.3g})"
+            )
 
     def hit_mask(self) -> np.ndarray:
         return self.data[:, CH_HIT] > 0.5
 
     def validate(self) -> None:
         """Check every tensor invariant; raises XRayDataError on violation."""
+        self._check_camera()
         _check_finite(self.data)
         hit = self.data[:, CH_HIT]
         if not np.all((np.abs(hit) <= 1e-6) | (np.abs(hit - 1.0) <= 1e-6)):
@@ -220,10 +245,12 @@ def decode_to_pointcloud(x: XRayTensor, frame: str = "camera") -> PointCloud:
     frame="camera" replays rays with an identity pose (points in camera
     coordinates); frame="world" uses the stored camera-to-world pose.
     Non-finite tensor values raise XRayDataError naming the channel,
-    layer and pixel.
+    layer and pixel; a header camera that is not a valid pinhole pose
+    raises XRayDataError naming the field and its value.
     """
     if frame not in ("camera", "world"):
         raise ValueError(f"unknown frame {frame!r}")
+    x._check_camera()
     _check_finite(x.data)
     hit = x.data[:, CH_HIT]
     ok = (np.abs(hit) <= 1e-6) | (np.abs(hit - 1.0) <= 1e-6)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from xray3d.camera import (
+    DEFAULT_FOV_X,
     Camera,
     camera_from_spherical,
     generate_rays,
@@ -114,3 +115,14 @@ def test_look_at_degenerate_cases():
         look_at([0, 0, 0], [0, 0, 0])
     with pytest.raises(ValueError, match="up"):
         look_at([0, 1, 0], [0, 0, 0], up=[0, 1, 0])
+
+
+@pytest.mark.parametrize("width,height", [(256, 256), (200, 320), (320, 200), (1000, 7)])
+def test_default_fov_spans_the_shorter_axis(width, height):
+    camera = camera_from_spherical(10.0, 5.0, width=width, height=height)
+    if width <= height:
+        assert camera.fov_x == DEFAULT_FOV_X
+    # Half-extent of the shorter axis over the focal length, in pixels.
+    half_tan = 0.5 * min(width, height) / camera.fx
+    assert half_tan == pytest.approx(math.tan(0.5 * DEFAULT_FOV_X), rel=1e-12)
+    assert all(v.fov_x == camera.fov_x for v in sample_views(0, 2, width, height))

@@ -345,9 +345,60 @@ def test_pointcloud_rejects_non_finite(name):
         PointCloud(**arrays)
 
 
-def test_default_camera_does_not_clip_normalized_cube():
+@pytest.mark.parametrize("width,height", [(256, 256), (320, 200), (200, 320)])
+def test_default_camera_does_not_clip_normalized_cube(width, height):
     mesh, _ = normalize_mesh(cube())
-    hit = encode(mesh, camera_from_spherical(30.0, 20.0), 2).hit_mask()[0]
-    assert hit.shape == (256, 256) and hit.any()
+    camera = camera_from_spherical(30.0, 20.0, width=width, height=height)
+    hit = encode(mesh, camera, 2).hit_mask()[0]
+    assert hit.shape == (height, width) and hit.any()
     border = np.concatenate([hit[0], hit[-1], hit[:, 0], hit[:, -1]])
     assert not border.any()
+
+
+def _corrupt_header(c2w_entry=None, value=None, fov_x=None):
+    x = encode(cube(), camera_from_spherical(30.0, 20.0, width=8, height=8), 2)
+    c2w = np.array(x.c2w)
+    if c2w_entry is not None:
+        c2w[c2w_entry] = value
+    return XRayTensor(x.data, x.fov_x if fov_x is None else fov_x, c2w)
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        (dict(fov_x=np.nan), r"fov_x nan outside \(0, pi\)"),
+        (dict(fov_x=4.0), r"fov_x 4\.0 outside \(0, pi\)"),
+        (dict(fov_x=-0.5), r"fov_x -0\.5 outside \(0, pi\)"),
+        (dict(c2w_entry=(1, 2), value=np.nan), r"non-finite c2w\[1, 2\] = nan"),
+        (dict(c2w_entry=(0, 3), value=np.inf), r"non-finite c2w\[0, 3\] = inf"),
+        (dict(c2w_entry=(3, 1), value=0.5), r"c2w last row \[0\.0, 0\.5, 0\.0, 1\.0\]"),
+        (dict(c2w_entry=(3, 3), value=2.0), r"c2w last row \[0\.0, 0\.0, 0\.0, 2\.0\]"),
+        (dict(c2w_entry=(0, 0), value=3.0), r"c2w rotation \[\[3\.0, .* is not orthonormal"),
+        (dict(c2w_entry=(2, 1), value=1e-3), r"c2w rotation .* is not orthonormal"),
+    ],
+    ids=["fov_nan", "fov_wide", "fov_negative", "c2w_nan", "c2w_inf",
+         "last_row", "last_row_scale", "scaled_rotation", "sheared_rotation"],
+)
+def test_corrupt_header_camera_rejected(corrupt, message, tmp_path):
+    path = tmp_path / "bad.xray"
+    write_xray(_corrupt_header(**corrupt), path)
+    x = read_xray(path)
+    with pytest.raises(XRayDataError, match=message):
+        x.validate()
+    for frame in ("camera", "world"):
+        with pytest.raises(XRayDataError, match=message):
+            decode_to_pointcloud(x, frame=frame)
+
+
+def test_float32_rounded_poses_accepted(tmp_path):
+    rng = np.random.default_rng(3)
+    x = encode(cube(), camera_from_spherical(0.0, 0.0, width=8, height=8), 2)
+    for _ in range(200):
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        c2w = np.eye(4)
+        c2w[:3, :3] = q
+        c2w[:3, 3] = rng.uniform(-5, 5, size=3)
+        write_xray(XRayTensor(x.data, x.fov_x, c2w), tmp_path / "pose.xray")
+        y = read_xray(tmp_path / "pose.xray")
+        y.validate()
+        assert len(decode_to_pointcloud(y, frame="world")) == x.total_hits()

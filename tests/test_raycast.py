@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from xray3d import raycast
-from xray3d.camera import Camera, generate_rays, look_at, sample_views
+from xray3d.camera import Camera, camera_from_spherical, generate_rays, look_at, sample_views
 from xray3d.fixtures import cube
-from xray3d.mesh import MeshError, TriangleMesh, surface_attributes
+from xray3d.mesh import MeshError, TriangleMesh, normalize_mesh, surface_attributes
 from xray3d.raycast import EPS_DUP, EPS_MIN, MAX_HITS, build_bvh, cast_rays
 
 
@@ -281,20 +283,78 @@ def test_bvh_leaf_sizes(n_faces, sphere_mesh):
         assert np.all(lo[node] <= corners) and np.all(corners <= hi[node])
 
 
-def test_cast_across_chunks_matches_one_chunk(torus_mesh, monkeypatch):
-    accel = build_bvh(torus_mesh)
-    camera = Camera(40, 30, 1.2, look_at((0.4, 0.9, 0.7)))
-    origins, directions = generate_rays(camera).flat()
+def _with_square_stack(mesh):
+    """The mesh plus 70 parallel squares at x in [2, 4], y in [-1, 1]
+    (beside every fixture), each split along its (2, -1)-(4, 1) diagonal."""
+    verts, faces = [], []
+    for k in range(70):
+        z = -0.05 * k
+        base = mesh.n_vertices + 4 * k
+        verts += [[2, -1, z], [4, -1, z], [4, 1, z], [2, 1, z]]
+        faces += [[base, base + 1, base + 2], [base, base + 2, base + 3]]
+    return TriangleMesh(np.vstack([mesh.vertices, verts]), np.vstack([mesh.faces, faces]))
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["exact_multiple", "one_more"])
+@pytest.mark.parametrize("block", [1, 7, 64, raycast._RAY_CHUNK, "over"])
+@pytest.mark.parametrize("mesh_name", ["torus", "nested", "sphere"])
+def test_cast_across_chunks_matches_one_chunk(
+    mesh_name, block, extra, torus_mesh, nested_mesh, sphere_mesh, monkeypatch
+):
+    mesh = {"torus": torus_mesh, "nested": nested_mesh, "sphere": sphere_mesh}[mesh_name]
+    accel = build_bvh(_with_square_stack(mesh))
+    block_rays = 600 if block == "over" else block * max(1, 512 // block)
+    n = block_rays + extra
+    side = max(64, int(np.ceil(np.sqrt(n))))
+    camera = Camera(side, side, 1.2, look_at((0.4, 0.9, 0.7)))
+    spread = np.linspace(0, side * side - 1, n).astype(np.int64)
+    origins, directions = (a[spread] for a in generate_rays(camera).flat())
+    # Rays next to block edges cross the stack: 70 squares, one merged
+    # record each, capped at 64. Even ones run along the shared diagonals.
+    size = n + 1 if block == "over" else block
+    edges = list(range(size, n, size))
+    stack_rays = sorted({0, n - 1} | {i for e in edges[:2] + edges[-2:] for i in (e - 1, e)})
+    for k, i in enumerate(stack_rays):
+        origins[i] = (3.0, 0.0, 1.0) if k % 2 == 0 else (3.1, 0.3, 1.0)
+        directions[i] = (0.0, 0.0, -1.0)
+
+    monkeypatch.setattr(raycast, "_RAY_CHUNK", n + 1)
     whole = cast_rays(accel, origins, directions)
-    assert whole.depth.size and whole.ray.max() > 7
-    monkeypatch.setattr(raycast, "_RAY_CHUNK", 7)
+    offsets = whole.offsets(n)
+    assert np.setdiff1d(whole.ray, stack_rays).size > n // 10
+    for i in stack_rays:
+        depth = whole.depth[offsets[i]:offsets[i + 1]]
+        assert depth.size == MAX_HITS and np.all(np.diff(depth) > EPS_DUP)
+    monkeypatch.setattr(raycast, "_RAY_CHUNK", size)
     chunked = cast_rays(accel, origins, directions)
     for name in ("ray", "depth", "face", "bary_u", "bary_v"):
         a, b = getattr(whole, name), getattr(chunked, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
-    empty = cast_rays(accel, np.empty((0, 3)), np.empty((0, 3)))
+
+def test_cast_of_no_rays(torus_mesh):
+    empty = cast_rays(build_bvh(torus_mesh), np.empty((0, 3)), np.empty((0, 3)))
     for name, dtype in (("ray", np.int64), ("depth", np.float64), ("face", np.int64),
                         ("bary_u", np.float64), ("bary_v", np.float64)):
         array = getattr(empty, name)
         assert array.shape == (0,) and array.dtype == dtype, name
+
+
+def test_cast_memory_bounded_by_block(nested_mesh):
+    """A cast holds its result twice (the blocks' columns, then their
+    concatenation) plus the working set of one block. That set is about 4
+    (ray, triangle) candidates per ray for this view, each with about 34
+    float64 kernel temporaries, so 1 KiB per block ray bounds it. Casting
+    all 262,144 rays as one block peaks at 327 MB for 13 MB of hits."""
+    mesh, _ = normalize_mesh(nested_mesh)
+    accel = build_bvh(mesh)
+    origins, directions = generate_rays(camera_from_spherical(30.0, 20.0, width=512, height=512)).flat()
+    tracemalloc.start()
+    try:
+        batch = cast_rays(accel, origins, directions)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out_bytes = sum(getattr(batch, name).nbytes for name in ("ray", "depth", "face", "bary_u", "bary_v"))
+    assert out_bytes > 10e6
+    assert peak <= 2 * out_bytes + 1024 * raycast._RAY_CHUNK
