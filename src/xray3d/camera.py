@@ -39,6 +39,10 @@ class Camera:
         if not 0.0 < self.fov_x < math.pi:
             raise ValueError("fov_x must lie in (0, pi)")
         mat = np.asarray(self.c2w, dtype=np.float64).reshape(4, 4)
+        bad = np.argwhere(~np.isfinite(mat))
+        if len(bad):
+            i, j = bad[0]
+            raise ValueError(f"non-finite c2w[{i}, {j}] = {float(mat[i, j])!r}")
         rot = mat[:3, :3]
         if not np.allclose(rot @ rot.T, np.eye(3), atol=1e-9):
             raise ValueError("camera rotation block is not orthonormal")

@@ -9,10 +9,16 @@ PLY reads ASCII and binary-little-endian and writes binary, vertex properties
 x/y/z[/nx/ny/nz][/red/green/blue] and faces as index lists. Materials,
 textures, and other elements are ignored.
 
-Every reader and writer converts whole arrays: Python walks lines and
-corners (OBJ) or rows of list-valued PLY elements only to check record sizes
-and find where values sit, and each kind of value is then parsed, gathered
-or formatted by one numpy call or one `%`-format.
+The OBJ reader takes the file as one buffer. It reads lines as text mode
+would (CRLF and a lone CR end a line too, bad UTF-8 is replaced) and gets
+each line's kind from its first bytes, decoding a line on its own only
+when it starts with whitespace or a non-ASCII byte. The lines of each
+kind are joined and split once; where the tags fall among those tokens
+gives each record's size, which is checked with the record's `path:line`
+(the earliest bad record is named). Every other reader and writer also
+converts whole arrays: Python walks rows of list-valued PLY elements only
+to check record sizes and find where values sit. Each kind of value is
+parsed, gathered or formatted by one numpy call or one `%`-format.
 """
 
 from __future__ import annotations
@@ -66,42 +72,97 @@ def _fan(ids: np.ndarray, sizes) -> np.ndarray:
 
 # --- OBJ ---------------------------------------------------------------
 
+def _obj_line(data: bytes, at: np.ndarray, i: int) -> str:
+    return data[at[i]:at[i + 1]].decode("utf-8", errors="replace")
+
+
+def _obj_kinds(data: bytes, at: np.ndarray) -> np.ndarray:
+    """Each line's record kind, read from the first bytes of the line: 1, 2
+    or 3 for `v`, `vn` or `f`, 0 for any other line."""
+    tags = ("v", "vn", "f")
+    # the bytes that end a token: ASCII whitespace, a line's own newline included
+    end = np.array([chr(b).isspace() for b in range(128)] + [False] * 128)
+    buf = np.frombuffer(data + b"\n\n\n", dtype=np.uint8)
+    b0, b1, b2 = (buf[at[:-1] + k] for k in range(3))
+    v, f = b0 == ord("v"), b0 == ord("f")
+    vn = v & (b1 == ord("n"))
+    kind = np.select([v & end[b1], vn & end[b2], f & end[b1]], [1, 2, 3])
+    # Bytes cannot tell where the first token starts after leading
+    # whitespace, or whether a non-ASCII byte is (Unicode) whitespace.
+    unsure = (end[b0] & (b0 != ord("\n"))) | (b0 > 127)
+    unsure |= ((v | f) & (b1 > 127)) | (vn & (b2 > 127))
+    for i in np.flatnonzero(unsure):
+        head = _obj_line(data, at, i).split(None, 1)[:1]
+        kind[i] = tags.index(head[0]) + 1 if head and head[0] in tags else 0
+    return kind
+
+
+def _obj_records(data: bytes, at: np.ndarray, chosen: np.ndarray, tag: str):
+    """The value tokens of the chosen lines in file order, their tags
+    dropped, and how many values each line has."""
+    runs = np.flatnonzero(np.diff(chosen, prepend=False, append=False)).reshape(-1, 2)
+    text = b"\n".join(data[at[a]:at[b]] for a, b in runs.tolist())
+    tokens = text.decode("utf-8", errors="replace").split()
+    n = int(chosen.sum())
+    k = len(tokens) // n if n else 1
+    if len(tokens) == k * n and tokens.count(tag) == n == tokens[::k].count(tag):
+        del tokens[::k]  # every line has k tokens, its tag first
+        return tokens, np.full(n, k - 1)
+    tokens = np.array(tokens, dtype=object)
+    starts = np.flatnonzero(tokens == tag)
+    if len(starts) != n:  # the tag is also a value somewhere: count line by line
+        counts = [len(_obj_line(data, at, i).split()) for i in np.flatnonzero(chosen)]
+        starts = np.cumsum(counts) - counts
+    values = np.ones(len(tokens), dtype=bool)
+    values[starts] = False
+    return tokens[values].tolist(), np.diff(starts, append=len(tokens)) - 1
+
+
+def _obj_columns(values: list, counts: np.ndarray, lo: int, hi: int) -> list:
+    """Values lo..hi-1 of every line (each has at least hi), in order."""
+    if lo == 0 and np.all(counts == hi):
+        return values
+    starts = np.cumsum(counts) - counts
+    return np.array(values, dtype=object)[(starts[:, None] + np.arange(lo, hi)).ravel()].tolist()
+
+
 def _load_obj(path: Path) -> TriangleMesh:
-    xyz, rgb, normals, corners = [], [], [], []  # value tokens of each record kind
-    sizes, defined = [], []  # per face: its corners, the v and vn records defined before it
+    data = path.read_bytes()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    # line i is data[at[i]:at[i + 1]], its newline included
+    at = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n")) + 1
+    at = np.concatenate([[0], at, [len(data) + 1]])
+    kind = _obj_kinds(data, at)
+    (v_values, v_len), (vn_values, vn_len), (corners, sizes) = (
+        _obj_records(data, at, kind == code, tag) for code, tag in enumerate(("v", "vn", "f"), 1))
 
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.split()
-            tag = parts[0] if parts else ""
-            if tag == "v":
-                if len(parts) not in (4, 7):
-                    raise MeshIOError(f"{path}:{lineno}: malformed vertex record")
-                xyz += parts[1:4]
-                rgb += parts[4:]
-            elif tag == "vn":
-                if len(parts) < 4:
-                    raise MeshIOError(f"{path}:{lineno}: malformed normal record")
-                normals += parts[1:4]
-            elif tag == "f":
-                if len(parts) < 4:
-                    raise MeshIOError(f"{path}:{lineno}: face with fewer than 3 vertices")
-                corners += parts[1:]
-                sizes.append(len(parts) - 1)
-                defined.append((len(xyz) // 3, len(normals) // 3))
-
-    if not xyz or not corners:
+    bad = [(np.flatnonzero(kind == code)[np.argmax(wrong)] + 1, what)
+           for code, wrong, what in ((1, (v_len != 3) & (v_len != 6), "malformed vertex record"),
+                                     (2, vn_len < 3, "malformed normal record"),
+                                     (3, sizes < 3, "face with fewer than 3 vertices"))
+           if wrong.any()]
+    if bad:
+        lineno, what = min(bad)
+        raise MeshIOError(f"{path}:{lineno}: {what}")
+    if not len(v_len) or not len(sizes):
         raise MeshIOError(f"{path}: empty mesh (no vertices or faces)")
-    if rgb and len(rgb) != len(xyz):
+    colored = v_len == 6
+    if colored.any() and not colored.all():
         raise MeshIOError(f"{path}: only some vertices carry colors")
+    slashed = b"/" in data  # else every corner is a bare vertex index
     try:
-        vertices = np.array(xyz, dtype=np.float64).reshape(-1, 3)
-        colors = np.array(rgb, dtype=np.float64).reshape(-1, 3) if rgb else None
+        vertices = np.array(_obj_columns(v_values, v_len, 0, 3), dtype=np.float64).reshape(-1, 3)
+        colors = None
+        if colored.any():
+            colors = np.array(_obj_columns(v_values, v_len, 3, 6), dtype=np.float64).reshape(-1, 3)
         # the vertex index of each `v`, `v/vt`, `v//vn` or `v/vt/vn` corner
-        ids = np.array([c.partition("/")[0] for c in corners], dtype=np.int64)
+        ids = np.array([c.partition("/")[0] for c in corners] if slashed else corners,
+                       dtype=np.int64)
         vertex_normals = None
-        if len(normals) == len(xyz):
-            vertex_normals = _renormalize(np.array(normals, dtype=np.float64).reshape(-1, 3))
+        if len(vn_len) == len(v_len):
+            vertex_normals = _renormalize(
+                np.array(_obj_columns(vn_values, vn_len, 0, 3), dtype=np.float64).reshape(-1, 3))
             # and its normal index, 0 (never an OBJ index) where it names none
             normal_ids = np.array(
                 [c.partition("/")[2].partition("/")[2] or "0" for c in corners], dtype=np.int64
@@ -109,10 +170,10 @@ def _load_obj(path: Path) -> TriangleMesh:
     except (ValueError, OverflowError) as exc:
         raise MeshIOError(f"failed to parse {path}: {exc}") from exc
     # a negative index counts back from the records defined before its face
-    defined = np.repeat(defined, sizes, axis=0)
-    ids = np.where(ids > 0, ids - 1, defined[:, 0] + ids)
+    defined = np.repeat(np.cumsum([kind == 1, kind == 2], axis=1)[:, kind == 3], sizes, axis=1)
+    ids = np.where(ids > 0, ids - 1, defined[0] + ids)
     if vertex_normals is not None:
-        own = np.where(normal_ids > 0, normal_ids - 1, defined[:, 1] + normal_ids)
+        own = np.where(normal_ids > 0, normal_ids - 1, defined[1] + normal_ids)
         if np.any((normal_ids != 0) & (own != ids)):
             vertex_normals = None
     return TriangleMesh(vertices, _fan(ids, sizes), vertex_normals, colors)

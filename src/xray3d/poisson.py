@@ -128,27 +128,34 @@ def splat_normals(pc: PointCloud, resolution: int) -> tuple[Field, Field]:
             f"grid covers [{DOMAIN_LO}, {DOMAIN_HI}]^3"
         )
     frac = g - base
+    # One (node, weight) pair for each point and each of its 8 nodes, as
+    # (8, N) arrays whose row is the node's offset [dx, dy, dz] flattened;
+    # one bincount per channel then scatters all of them.
+    bit = np.arange(2)
+    corner = (bit[:, None, None] * r + bit[:, None]) * r + bit
+    nodes = (corner.reshape(8, 1) + (base[:, 0] * r + base[:, 1]) * r + base[:, 2]).ravel()
+    wx, wy, wz = (np.array([1.0 - frac[:, a], frac[:, a]]) for a in range(3))
+    weights = ((wx[:, None, None] * wy[:, None]) * wz).reshape(8, -1)
 
-    vec = np.zeros((r, r, r, 3))
-    den = np.zeros(r * r * r)
-    vec_flat = vec.reshape(-1, 3)
-    for corner in range(8):
-        off = np.array([(corner >> a) & 1 for a in range(3)])
-        w = np.prod(np.where(off, frac, 1.0 - frac), axis=1)
-        idx = base + off
-        flat = (idx[:, 0] * r + idx[:, 1]) * r + idx[:, 2]
-        den += np.bincount(flat, weights=w, minlength=r * r * r)
-        for a in range(3):
-            vec_flat[:, a] += np.bincount(
-                flat, weights=w * pc.normals[:, a], minlength=r * r * r
-            )
-    return Field(grid, vec), Field(grid, den.reshape(r, r, r))
+    n = r * r * r
+    den = np.bincount(nodes, weights=weights.ravel(), minlength=n)
+    vec = np.empty((n, 3))
+    for a in range(3):
+        vec[:, a] = np.bincount(nodes, weights=(weights * pc.normals[:, a]).ravel(), minlength=n)
+    return Field(grid, vec.reshape(r, r, r, 3)), Field(grid, den.reshape(r, r, r))
 
 
 def divergence(v: Field) -> Field:
     """Divergence in grid units: central differences inside, one-sided at
-    the boundary (what np.gradient computes)."""
-    f = sum(np.gradient(v.data[..., a], axis=a) for a in range(3))
+    the boundary (what np.gradient computes), added axis by axis into one
+    array so no per-axis gradient is held."""
+    f = np.zeros(v.data.shape[:3])
+    for a in range(3):
+        c = np.moveaxis(v.data[..., a], a, 0)
+        out = np.moveaxis(f, a, 0)
+        out[1:-1] += (c[2:] - c[:-2]) / 2.0
+        out[0] += c[1] - c[0]
+        out[-1] += c[-1] - c[-2]
     return Field(v.grid, f)
 
 
@@ -332,6 +339,7 @@ def reconstruct(
     # surface jump is uniform regardless of sampling density.
     vec.data[...] /= np.maximum(den.data, 1e-12)[..., None]
     f = divergence(vec)
+    del vec  # three R^3 arrays the solve and extraction do not need
     phi, info = solve_poisson(f, screening, den, tol=tol, max_iter=max_iter)
     if not info.converged:
         raise SolverConvergenceError(info.relative_residual, info.iterations)

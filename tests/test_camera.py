@@ -110,6 +110,16 @@ def test_camera_validation():
         Camera(4, 4, 0.8, bad)
 
 
+
+@pytest.mark.parametrize("row", [0, 1, 2])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_camera_rejects_non_finite_translation(row, value):
+    c2w = np.eye(4)
+    c2w[row, 3] = value
+    with pytest.raises(ValueError) as info:
+        Camera(8, 8, 1.0, c2w)
+    assert str(info.value) == f"non-finite c2w[{row}, 3] = {value!r}"
+
 def test_look_at_degenerate_cases():
     with pytest.raises(ValueError):
         look_at([0, 0, 0], [0, 0, 0])

@@ -127,6 +127,165 @@ def test_obj_normals_follow_corner_indices(tmp_path, records, kept):
         assert mesh.vertex_normals is None
 
 
+
+def _reference_load_obj(path):
+    """Oracle: split the file line by line in text mode and sort each
+    record's tokens into lists, checking counts as it goes."""
+    xyz, rgb, normals, corners, sizes, defined = [], [], [], [], [], []
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        for lineno, line in enumerate(fh, 1):
+            parts = line.split()
+            tag = parts[0] if parts else ""
+            if tag == "v":
+                if len(parts) not in (4, 7):
+                    raise MeshIOError(f"{path}:{lineno}: malformed vertex record")
+                xyz += parts[1:4]
+                rgb += parts[4:]
+            elif tag == "vn":
+                if len(parts) < 4:
+                    raise MeshIOError(f"{path}:{lineno}: malformed normal record")
+                normals += parts[1:4]
+            elif tag == "f":
+                if len(parts) < 4:
+                    raise MeshIOError(f"{path}:{lineno}: face with fewer than 3 vertices")
+                corners += parts[1:]
+                sizes.append(len(parts) - 1)
+                defined.append((len(xyz) // 3, len(normals) // 3))
+    if not xyz or not corners:
+        raise MeshIOError(f"{path}: empty mesh (no vertices or faces)")
+    if rgb and len(rgb) != len(xyz):
+        raise MeshIOError(f"{path}: only some vertices carry colors")
+    try:
+        vertices = np.array(xyz, dtype=np.float64).reshape(-1, 3)
+        colors = np.array(rgb, dtype=np.float64).reshape(-1, 3) if rgb else None
+        ids = np.array([c.partition("/")[0] for c in corners], dtype=np.int64)
+        vertex_normals = None
+        if len(normals) == len(xyz):
+            vertex_normals = np.array(normals, dtype=np.float64).reshape(-1, 3)
+            lengths = np.linalg.norm(vertex_normals, axis=1, keepdims=True)
+            vertex_normals = np.where(
+                lengths > 1e-12, vertex_normals / np.maximum(lengths, 1e-12), 0.0)
+            normal_ids = np.array(
+                [c.partition("/")[2].partition("/")[2] or "0" for c in corners], dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
+        raise MeshIOError(f"failed to parse {path}: {exc}") from exc
+    defined = np.repeat(np.array(defined, dtype=np.int64), sizes, axis=0)
+    ids = np.where(ids > 0, ids - 1, defined[:, 0] + ids)
+    if vertex_normals is not None:
+        own = np.where(normal_ids > 0, normal_ids - 1, defined[:, 1] + normal_ids)
+        if np.any((normal_ids != 0) & (own != ids)):
+            vertex_normals = None
+    faces, at = [], 0
+    for n in sizes:
+        faces += [[ids[at], ids[at + k], ids[at + k + 1]] for k in range(1, n - 1)]
+        at += n
+    return TriangleMesh(vertices, faces, vertex_normals, colors)
+
+
+_OBJ_CORPUS = {
+    "comments_and_other_records": (
+        b"# a comment\nmtllib a.mtl\no thing\ng group\ns 1\nusemtl red\n"
+        b"v 0 0 0\nv 1 0 0\nvt 0 0\nv 0 1 0\n# v 9 9\nf 1 2 3\nl 1 2\n"
+    ),
+    "leading_whitespace": b"  v 0 0 0\n\tv 1 0 0\n \t v 0 1 0\n\t f 1 2 3\n   \n\t\n",
+    "crlf": b"v 0 0 0\r\nv 1 0 0\r\nv 0 1 0\r\nf 1 2 3\r\n",
+    "lone_cr": b"v 0 0 0\rv 1 0 0\rv 0 1 0\rf 1 2 3",
+    "mixed_endings": b"v 0 0 0\r\nv 1 0 0\rv 0 1 0\nv 1 1 0\r\rf 1 2 3 4\r\n",
+    "tabs_and_runs": b"v\t0\t0   0\nv 1\t\t0 0 \nv 0 1 0\t\nf\t1  2\t3\n",
+    "no_break_space": (
+        "v\u00a00 0 0\nv 1\u00a00 0\n\u00a0v 0 1 0\nv 1 1\u20030\nf 1 2 3\u00a04\n"
+    ).encode("utf-8"),
+    "not_utf8": b"# caf\xe9\xff\n\xfe\nv 0 0 0\nv 1 0 0\nv 0 1 0\ng \x80\nf 1 2 3\n",
+    "byte_order_mark": b"\xef\xbb\xbfv 9 9 9\nv 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",
+    "double_slash_corners": (
+        b"v 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0 1\nvn 0 0 2\nvn 0 0 3\nf 1//1 2//2 3//3\n"
+    ),
+    "full_corners": (
+        b"v 0 0 0\nv 1 0 0\nv 0 1 0\nvt 0 0\nvt 1 0\nvn 1 0 0\nvn 0 1 0\nvn 0 0 1\n"
+        b"f 1/1/1 2/2/2 3/1/3\nf 3/2 2/1 1/2\n"
+    ),
+    "negative_after_later_v": (
+        b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\nv 1 1 0\nf -3 -2 -1\nv 2 2 0\n"
+        b"f -1 -2 -3\nf 1 -1 3\n"
+    ),
+    "negative_normals": (
+        b"v 0 0 0\nvn 0 0 1\nv 1 0 0\nvn 0 1 0\nv 0 1 0\nvn 1 0 0\n"
+        b"f -3//-3 -2//-2 -1//-1\nf 1//1 2//2 3//3\n"
+    ),
+    "polygons": (
+        b"v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nv 0.5 2 0\nv -1 0.5 0\n"
+        b"f 1 2 3 4\nf 4 3 5\nf 1 2 3 5 4 6\n"
+    ),
+    "colors": (
+        b"v 0 0 0 1 0 0\nv 1 0 0 0 1 0\nv 0 1 0 0 0 1\nv 1 1 0 0.5 0.25 0.125\n"
+        b"f 1 2 3\nf 2 4 3\n"
+    ),
+    "colors_and_normals": (
+        b"v 0 0 0 1 0 0\nv 1 0 0 0 1 0\nv 0 1 0 0 0 1\n"
+        b"vn 0 0 3\nvn 0 4 0\nvn 1e-13 0 0\nf 1//1 2//2 3//3\n"
+    ),
+    "normal_ids_differ": (
+        b"v 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0 1\nvn 0 1 0\nvn 1 0 0\nf 1//3 2//2 3//1\n"
+    ),
+    "normal_tag_among_values": (
+        b"v 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0 1 vn\nvn 0 1 0\nvn 1 0 0 x vn\nf 1//1 2//2 3//3\n"
+    ),
+    # fewer vn than v records: the normals are dropped unparsed
+    "unused_normal_value": b"v 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0 1\nvn 0 0 z\nf 1 2 3\n",
+    "interleaved_records": (
+        b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nv 1 1 0\nf 2 4 3\n# mid\nv 2 0 0\n"
+        b"f 2 5 4\nv 2 2 0\nf 4 5 6 3\n"
+    ),
+    "odd_numbers": (
+        b"v 1_0 +2 -0.0\nv 1e-3 .5 5.\nv -0 1E2 00\nf 1 2 3\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OBJ_CORPUS))
+def test_obj_reader_matches_line_by_line_oracle(tmp_path, name):
+    path = tmp_path / f"{name}.obj"
+    path.write_bytes(_OBJ_CORPUS[name])
+    got, want = load_mesh(path), _reference_load_obj(path)
+    for field in ("vertices", "faces", "vertex_normals", "vertex_colors"):
+        a, b = getattr(got, field), getattr(want, field)
+        if b is None:
+            assert a is None, field
+        else:
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field
+
+
+@pytest.mark.parametrize("text", [
+    "v 0 0 0\nv 1 0 0\nf 1 2\nv 0 1\nf 1 2 3\n",  # a short face, then a short vertex
+    "v 0 0 0\nv 1 0\nf 1 2\nf 1 2 3\n",  # a short vertex, then a short face
+    "v 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 1\nf 1 2\nv 0 0\nf 1 2 3\n",
+    "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nv 0 0 0 1\nvn 0\n",
+    "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 x 3\nv 0 0 y\n",  # two parse errors: vertices go first
+    "v 0 0 0 1 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",
+    "v 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0 1\nvn 0 0 1\nvn 0 0 z\nf 1 2 3\n",
+    "v 1 v 2\nv 0 0 0\nf 1 2 3\n",
+    "f 1 2 f\nv 0 0 0\nv 1 0 0\nv 0 1 0\n",
+    "# nothing but\nvt 0 0\n",
+], ids=["face_then_vertex", "vertex_then_face", "normal_first", "vertex_then_normal",
+        "parse_order", "some_colors", "bad_normal_value",
+        "tag_as_vertex_value", "tag_as_corner", "empty"])
+def test_obj_errors_match_line_by_line_oracle(tmp_path, text):
+    path = tmp_path / "bad.obj"
+    path.write_text(text)
+    with pytest.raises(MeshError) as want:
+        _reference_load_obj(path)
+    with pytest.raises(MeshError) as got:
+        load_mesh(path)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+def test_obj_earliest_bad_record_is_named(tmp_path):
+    path = tmp_path / "bad.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2\nv 0 0\n")
+    with pytest.raises(MeshIOError) as info:
+        load_mesh(path)
+    assert str(info.value) == f"{path}:4: face with fewer than 3 vertices"
+
 def test_obj_malformed_vertex(tmp_path):
     path = tmp_path / "bad.obj"
     path.write_text("v 1 2\nf 1 1 1\n")

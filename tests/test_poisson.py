@@ -72,6 +72,52 @@ def test_splat_partition_of_unity(rng):
     assert den.data.sum() == pytest.approx(n, abs=1e-6)
 
 
+
+def _splat_by_scatter(pc: PointCloud, r: int):
+    """Oracle: scatter each point's trilinear weights into its 8 nodes one
+    corner at a time with np.add.at."""
+    g = GridSpec(r).grid_coords(pc.positions)
+    base = np.floor(g).astype(np.int64)
+    frac = g - base
+    vec, den = np.zeros((r, r, r, 3)), np.zeros((r, r, r))
+    for dx in (0, 1):
+        for dy in (0, 1):
+            for dz in (0, 1):
+                w = np.ones(len(g))
+                for a, d in enumerate((dx, dy, dz)):
+                    w *= frac[:, a] if d else 1.0 - frac[:, a]
+                node = (base[:, 0] + dx, base[:, 1] + dy, base[:, 2] + dz)
+                np.add.at(den, node, w)
+                np.add.at(vec, node, w[:, None] * pc.normals)
+    return vec, den
+
+
+@pytest.mark.parametrize("r", [2, 16, 64])
+def test_splat_matches_scatter_oracle(r):
+    rng = np.random.default_rng(r)
+    grid = GridSpec(r)
+    # the largest coordinate the splat accepts: just below the last node
+    top = grid.origin[0] + (r - 1) * grid.spacing
+    while np.floor(grid.grid_coords(np.full(3, top))).max() > r - 2:
+        top = np.nextafter(top, -np.inf)
+    node = grid.origin[0] + rng.integers(0, r - 1, size=(60, 3)) * grid.spacing
+    positions = np.concatenate([
+        grid.origin + rng.uniform(0.0, r - 1, size=(500, 3)) * grid.spacing,
+        node,  # on node planes
+        np.where(rng.random((60, 3)) < 0.5, top, node),  # on the upper boundary
+    ])
+    positions = positions[(np.floor(grid.grid_coords(positions)) <= r - 2).all(axis=1)]
+    normals = rng.normal(size=positions.shape)
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    pc = PointCloud(positions, normals, np.ones_like(positions))
+    assert len(pc) >= 600 and (positions == top).any()
+    vec, den = splat_normals(pc, r)
+    want_vec, want_den = _splat_by_scatter(pc, r)
+    for got, want in ((vec.data, want_vec), (den.data, want_den)):
+        scale = np.abs(want).max()
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+    assert den.data.sum() == pytest.approx(len(pc), rel=1e-12)
+
 def test_splat_rejects_outside_domain():
     pc = PointCloud([[0.9, 0.0, 0.0]], [[1.0, 0, 0]], [[1, 1, 1]])
     with pytest.raises(PoissonError, match="outside"):
@@ -121,6 +167,15 @@ def test_divergence_solenoidal_zero():
     f = divergence(Field(grid, vec))
     np.testing.assert_allclose(f.data[1:-1, 1:-1, 1:-1], 0.0, atol=1e-12)
 
+
+
+@pytest.mark.parametrize("r", [2, 3, 17, 64])
+def test_divergence_equals_gradient_sum(r):
+    vec = np.random.default_rng(r).normal(size=(r, r, r, 3))
+    vec[0, 0, 0] = -0.0
+    want = sum(np.gradient(vec[..., a], axis=a) for a in range(3))
+    got = divergence(Field(GridSpec(r), vec)).data
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 def test_solve_zero_source_gives_zero():
     grid = GridSpec(16)
