@@ -11,7 +11,6 @@ from .camera import (
     DEFAULT_DISTANCE,
     DEFAULT_FOV_X,
     Camera,
-    RayGrid,
     camera_from_spherical,
     generate_rays,
     look_at,
@@ -84,7 +83,7 @@ from .raycast import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Camera", "RayGrid", "camera_from_spherical", "generate_rays",
+    "Camera", "camera_from_spherical", "generate_rays",
     "look_at", "sample_view_angles", "sample_views", "DEFAULT_FOV_X",
     "DEFAULT_DISTANCE",
     "PointCloud", "XRayTensor", "XRayDataError", "XRayFormatError",

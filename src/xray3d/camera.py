@@ -63,27 +63,11 @@ class Camera:
         return 0.5 * self.width / math.tan(0.5 * self.fov_x)
 
 
-@dataclass(frozen=True)
-class RayGrid:
-    """One ray per pixel: origins and unit directions, shape (H, W, 3)."""
+def generate_rays(camera: Camera) -> np.ndarray:
+    """Unit world-frame direction of each pixel's ray, shape (H, W, 3).
 
-    origins: np.ndarray
-    directions: np.ndarray
-
-    @property
-    def height(self) -> int:
-        return self.origins.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.origins.shape[1]
-
-    def flat(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.origins.reshape(-1, 3), self.directions.reshape(-1, 3)
-
-
-def generate_rays(camera: Camera) -> RayGrid:
-    """Build the per-pixel ray grid for a camera."""
+    Every ray starts at camera.position, so no per-pixel origin is stored.
+    """
     w, h = camera.width, camera.height
     fx = camera.fx
     cx, cy = w / 2.0, h / 2.0
@@ -93,8 +77,7 @@ def generate_rays(camera: Camera) -> RayGrid:
     dirs = np.stack([(ii - cx) / fx, -(jj - cy) / fx, -np.ones_like(ii)], axis=-1)
     dirs = dirs @ camera.rotation.T
     dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-    origins = np.broadcast_to(camera.position, dirs.shape).copy()
-    return RayGrid(_frozen(origins), _frozen(dirs))
+    return _frozen(dirs)
 
 
 def look_at(

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 runtime or data error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from pathlib import Path
 
@@ -176,15 +177,15 @@ def cmd_eval(args) -> int:
           f"{'converged' if report.icp_converged else 'stopped at the iteration cap'}")
     if args.csv:
         path = Path(args.csv)
-        line = (
-            f"{args.pred_path},{args.gt_path},{report.chamfer!r},{report.f_score!r},"
-            f"{report.precision!r},{report.recall!r},{report.threshold!r}\n"
-        )
-        if not path.exists():
-            path.write_text("pred,gt,chamfer,f_score,precision,recall,threshold\n" + line)
-        else:
-            with open(path, "a", encoding="utf-8") as fh:
-                fh.write(line)
+        new_file = not path.exists()
+        with open(path, "a", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            if new_file:
+                writer.writerow("pred,gt,chamfer,f_score,precision,recall,threshold".split(","))
+            writer.writerow([
+                args.pred_path, args.gt_path, repr(report.chamfer), repr(report.f_score),
+                repr(report.precision), repr(report.recall), repr(report.threshold),
+            ])
         print(f"appended to {args.csv}")
     return 0
 
@@ -204,6 +205,9 @@ def cmd_sweep(args) -> int:
     _require(min(layers_list) >= 1, "--layers-list entries must be at least 1")
     _require(min(res_list) >= 2, "--res-list entries must be at least 2")
     _require(args.views >= 1, "--views must be at least 1")
+    _require(2 <= args.poisson_res <= MAX_RESOLUTION,
+             f"--poisson-res must be in [2, {MAX_RESOLUTION}]")
+    _require(args.samples >= 1, "--samples must be at least 1")
     mesh_dir = Path(args.mesh_dir)
     if not mesh_dir.is_dir():
         raise FileNotFoundError(f"mesh directory not found: {mesh_dir}")
@@ -237,6 +241,7 @@ def cmd_sweep(args) -> int:
 def cmd_views(args) -> int:
     _require(args.num >= 1, "--num must be at least 1")
     _require(args.layers >= 1, "--layers must be at least 1")
+    _require(args.width >= 1 and args.height >= 1, "--width/--height must be at least 1")
     mesh = load_mesh(args.mesh_path)
     mesh, _ = normalize_mesh(mesh)
     out_dir = Path(args.out_dir)

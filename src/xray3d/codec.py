@@ -53,6 +53,14 @@ def _check_finite(data: np.ndarray) -> None:
         )
 
 
+def _check_hit(hit: np.ndarray) -> None:
+    """Raise XRayDataError naming a hit-channel value that is neither 0 nor 1."""
+    ok = (np.abs(hit) <= 1e-6) | (np.abs(hit - 1.0) <= 1e-6)
+    if not np.all(ok):
+        bad = hit[~ok].flat[0]
+        raise XRayDataError(f"corrupt hit channel (value {bad!s} is neither 0 nor 1)")
+
+
 @dataclass(frozen=True)
 class PointCloud:
     """Oriented, colored point set decoded from a tensor or sampled from a mesh."""
@@ -155,8 +163,7 @@ class XRayTensor:
         self._check_camera()
         _check_finite(self.data)
         hit = self.data[:, CH_HIT]
-        if not np.all((np.abs(hit) <= 1e-6) | (np.abs(hit - 1.0) <= 1e-6)):
-            raise XRayDataError("hit channel contains values other than 0/1")
+        _check_hit(hit)
         mask = hit > 0.5
         if self.layers > 1 and np.any(~mask[:-1] & mask[1:]):
             raise XRayDataError("hit flags are not prefix-dense along layers")
@@ -204,8 +211,8 @@ def encode(
 
     if accel is None:
         accel = build_bvh(mesh)
-    origins, dirs = generate_rays(camera).flat()
-    batch = cast_rays(accel, origins, dirs)
+    dirs = generate_rays(camera).reshape(-1, 3)
+    batch = cast_rays(accel, np.broadcast_to(camera.position, dirs.shape), dirs)
     if batch.ray.size:
         group_start = np.searchsorted(batch.ray, batch.ray)
         layer = np.arange(batch.ray.size) - group_start
@@ -240,38 +247,42 @@ def pad_or_truncate(x: XRayTensor, target_layers: int) -> XRayTensor:
 
 
 def decode_to_pointcloud(x: XRayTensor, frame: str = "camera") -> PointCloud:
-    """Lift every hit back to a 3D point: position = origin + depth * direction.
+    """Lift every hit back to a 3D point: position = camera position +
+    depth * the pixel's unit ray direction (generate_rays).
 
     frame="camera" replays rays with an identity pose (points in camera
-    coordinates); frame="world" uses the stored camera-to-world pose.
+    coordinates, rays from the origin); frame="world" uses the stored
+    camera-to-world pose. Normals are renormalised to unit length.
     Non-finite tensor values raise XRayDataError naming the channel,
-    layer and pixel; a header camera that is not a valid pinhole pose
-    raises XRayDataError naming the field and its value.
+    layer and pixel, as does a hit whose normal is zero; a hit value
+    other than 0/1 raises XRayDataError naming the value; a header
+    camera that is not a valid pinhole pose raises XRayDataError naming
+    the field and its value.
     """
     if frame not in ("camera", "world"):
         raise ValueError(f"unknown frame {frame!r}")
     x._check_camera()
     _check_finite(x.data)
     hit = x.data[:, CH_HIT]
-    ok = (np.abs(hit) <= 1e-6) | (np.abs(hit - 1.0) <= 1e-6)
-    if not np.all(ok):
-        bad = hit[~ok].flat[0]
-        raise XRayDataError(f"corrupt hit channel (value {bad!r} is neither 0 nor 1)")
+    _check_hit(hit)
     mask = hit > 0.5
     if not mask.any():
         empty = np.empty((0, 3))
         return PointCloud(empty, empty.copy(), empty.copy())
 
-    grid = generate_rays(x.camera(identity_pose=(frame == "camera")))
+    camera = x.camera(identity_pose=(frame == "camera"))
     layer_idx, row_idx, col_idx = np.nonzero(mask)
     depth = x.data[:, CH_DEPTH][mask].astype(np.float64)
-    dirs = grid.directions[row_idx, col_idx]
-    origins = grid.origins[row_idx, col_idx]
-    positions = origins + depth[:, None] * dirs
+    positions = camera.position + depth[:, None] * generate_rays(camera)[row_idx, col_idx]
 
     normals = x.data[:, CH_NORMAL].transpose(0, 2, 3, 1)[mask].astype(np.float64)
     lengths = np.linalg.norm(normals, axis=1, keepdims=True)
-    normals = np.where(lengths > 0, normals / lengths, normals)
+    if not lengths.all():
+        i = np.argmin(lengths)
+        raise XRayDataError(
+            f"zero-length normal at layer {layer_idx[i]}, pixel ({row_idx[i]}, {col_idx[i]})"
+        )
+    normals /= lengths
     colors = x.data[:, CH_COLOR].transpose(0, 2, 3, 1)[mask].astype(np.float64)
     return PointCloud(positions, normals, colors)
 

@@ -6,9 +6,12 @@ source term f, solve the screened system (lap - screening * density)
 phi = f with zero-Dirichlet ghost boundaries by conjugate gradient
 preconditioned with the exact inverse of -lap (a sine-basis fast Poisson
 solve), then run marching cubes at the mean potential of the input
-samples. Its faces are wound along grad(phi), outward for outward input
-normals, so no orientation pass follows. Unscreened systems converge in
-one iteration; screened ones take a few dozen to a few hundred.
+samples. Each sample's trilinear weights are exactly what its splat
+added to the density, so that mean is the density-weighted mean of phi
+over the nodes and needs no second pass over the samples. Faces are
+wound along grad(phi), outward for outward input normals, so no
+orientation pass follows. Unscreened systems converge in one iteration;
+screened ones take a few dozen to a few hundred.
 
 Grid layout is cell-centered: resolution R means R nodes per axis at
 DOMAIN_LO + (i + 0.5) * h with h = (DOMAIN_HI - DOMAIN_LO) / R over the
@@ -75,17 +78,21 @@ class GridSpec:
 
     def trilinear(self, data: np.ndarray, points: np.ndarray) -> np.ndarray:
         """Sample a (R, R, R) array at world points, clamped to the node hull."""
-        g = self.grid_coords(points)
-        g = np.clip(g, 0.0, self.resolution - 1 - 1e-9)
-        base = g.astype(np.int64)
-        frac = g - base
-        out = np.zeros(len(g))
-        for corner in range(8):
-            off = np.array([(corner >> a) & 1 for a in range(3)])
-            w = np.prod(np.where(off, frac, 1.0 - frac), axis=1)
-            idx = base + off
-            out += w * data[idx[:, 0], idx[:, 1], idx[:, 2]]
-        return out
+        g = np.clip(self.grid_coords(points), 0.0, self.resolution - 1)
+        nodes, weights = _stencil(self.resolution, g)
+        return (data.reshape(-1)[nodes] * weights).sum(axis=0)
+
+
+def _stencil(r: int, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(8, N) flat node indices and trilinear weights of node coordinates g
+    in [0, r - 1]^3; row k is the corner offset by the bits of k, x highest."""
+    base = np.minimum(np.floor(g), r - 2).astype(np.int64)
+    frac = g - base
+    bit = np.arange(2)
+    corner = (bit[:, None, None] * r + bit[:, None]) * r + bit
+    nodes = corner.reshape(8, 1) + (base[:, 0] * r + base[:, 1]) * r + base[:, 2]
+    wx, wy, wz = (np.array([1.0 - frac[:, a], frac[:, a]]) for a in range(3))
+    return nodes, ((wx[:, None, None] * wy[:, None]) * wz).reshape(8, -1)
 
 
 @dataclass(frozen=True)
@@ -120,23 +127,14 @@ def splat_normals(pc: PointCloud, resolution: int) -> tuple[Field, Field]:
     grid = GridSpec(resolution)
     r = grid.resolution
     g = grid.grid_coords(pc.positions)
-    base = np.floor(g).astype(np.int64)
-    if base.min() < 0 or (base + 1).max() > r - 1:
+    if g.min() < 0 or g.max() >= r - 1:
         worst = pc.positions[np.argmax(np.abs(pc.positions).max(axis=1))]
         raise PoissonError(
             f"point outside the splat domain (e.g. {worst}); "
             f"grid covers [{DOMAIN_LO}, {DOMAIN_HI}]^3"
         )
-    frac = g - base
-    # One (node, weight) pair for each point and each of its 8 nodes, as
-    # (8, N) arrays whose row is the node's offset [dx, dy, dz] flattened;
-    # one bincount per channel then scatters all of them.
-    bit = np.arange(2)
-    corner = (bit[:, None, None] * r + bit[:, None]) * r + bit
-    nodes = (corner.reshape(8, 1) + (base[:, 0] * r + base[:, 1]) * r + base[:, 2]).ravel()
-    wx, wy, wz = (np.array([1.0 - frac[:, a], frac[:, a]]) for a in range(3))
-    weights = ((wx[:, None, None] * wy[:, None]) * wz).reshape(8, -1)
-
+    nodes, weights = _stencil(r, g)
+    nodes = nodes.ravel()
     n = r * r * r
     den = np.bincount(nodes, weights=weights.ravel(), minlength=n)
     vec = np.empty((n, 3))
@@ -271,19 +269,16 @@ def solve_poisson(
     return Field(f.grid, x), info
 
 
-def extract_isosurface(
-    phi: Field, pc: PointCloud, density: Field
-) -> tuple[TriangleMesh, np.ndarray]:
-    """Iso-surface at the mean potential of the sample points.
+def extract_isosurface(phi: Field, density: Field) -> TriangleMesh:
+    """Iso-surface at the mean potential of the samples splatted into density.
 
-    Returns the mesh (marching cubes winds faces along the potential's
-    gradient, i.e. outward for outward-oriented input normals) and the
-    given density, typically the splat density of pc, interpolated at
-    each output vertex.
+    Interpolating phi at a sample weights its nodes as its splat did, so
+    the sample mean is sum(phi * density) / sum(density). Faces are wound
+    along grad(phi), i.e. outward for outward-oriented input normals.
     """
     if density.grid != phi.grid:
         raise ValueError("density and potential grids do not match")
-    iso = float(np.mean(phi.grid.trilinear(phi.data, pc.positions)))
+    iso = float(np.vdot(phi.data, density.data) / density.data.sum())
     lo, hi = float(phi.data.min()), float(phi.data.max())
     if not lo < iso < hi:
         raise PoissonError(
@@ -292,8 +287,7 @@ def extract_isosurface(
     mesh = marching_cubes(phi.data, iso, phi.grid.origin, phi.grid.spacing)
     if mesh.is_empty:
         raise PoissonError("iso-surface extraction produced no faces")
-    vertex_density = phi.grid.trilinear(density.data, mesh.vertices)
-    return mesh, vertex_density
+    return mesh
 
 
 def density_trim(
@@ -343,9 +337,9 @@ def reconstruct(
     phi, info = solve_poisson(f, screening, den, tol=tol, max_iter=max_iter)
     if not info.converged:
         raise SolverConvergenceError(info.relative_residual, info.iterations)
-    mesh, vertex_density = extract_isosurface(phi, pc, den)
+    mesh = extract_isosurface(phi, den)
     if trim > 0.0:
-        mesh = density_trim(mesh, vertex_density, trim)
+        mesh = density_trim(mesh, den.grid.trilinear(den.data, mesh.vertices), trim)
     if return_info:
         return mesh, info
     return mesh

@@ -269,7 +269,8 @@ def _sort_merge_cap(ray, t, face, u, v):
 
 def cast_rays(accel: BvhAccel, origins: np.ndarray, directions: np.ndarray) -> HitBatch:
     """All hits for a batch of rays. Directions must be unit length."""
-    origins = np.ascontiguousarray(origins, dtype=np.float64).reshape(-1, 3)
+    # Not copied: each block transposes its slice, and a camera's rays share one origin.
+    origins = np.asarray(origins, dtype=np.float64).reshape(-1, 3)
     directions = np.ascontiguousarray(directions, dtype=np.float64).reshape(-1, 3)
     # Blocks are disjoint, increasing ray ranges, so sorting each block on
     # its own and concatenating equals one global sort, merge and cap.

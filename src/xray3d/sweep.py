@@ -21,6 +21,7 @@ matter how the pool schedules them.
 
 from __future__ import annotations
 
+import csv
 import io
 import os
 import time
@@ -54,27 +55,25 @@ class SweepRow:
     recon_ms: float
     error: str = ""
 
-    def to_csv(self, timings: bool = True) -> str:
+    def csv_fields(self, timings: bool = True) -> list[str]:
         def num(x: float) -> str:
             return "" if np.isnan(x) else repr(float(x))
 
         def ms(x: float) -> str:
             return f"{x:.3f}" if timings else "0.000"
 
-        return ",".join(
-            [
-                self.mesh,
-                str(self.view),
-                str(self.layers),
-                str(self.resolution),
-                num(self.chamfer),
-                num(self.f_score),
-                ms(self.encode_ms),
-                ms(self.decode_ms),
-                ms(self.recon_ms),
-                self.error,
-            ]
-        )
+        return [
+            self.mesh,
+            str(self.view),
+            str(self.layers),
+            str(self.resolution),
+            num(self.chamfer),
+            num(self.f_score),
+            ms(self.encode_ms),
+            ms(self.decode_ms),
+            ms(self.recon_ms),
+            self.error,
+        ]
 
 
 def worker_count() -> int:
@@ -183,10 +182,11 @@ def run_sweep(
 
 
 def rows_to_csv(rows: list[SweepRow], timings: bool = True) -> str:
+    """CSV text with minimal quoting: only fields holding a comma, quote
+    or newline (error messages) are quoted, so other rows are plain."""
     out = io.StringIO()
     out.write(CSV_HEADER + "\n")
-    for row in rows:
-        out.write(row.to_csv(timings) + "\n")
+    csv.writer(out, lineterminator="\n").writerows(row.csv_fields(timings) for row in rows)
     return out.getvalue()
 
 

@@ -176,6 +176,25 @@ def test_views_zero_count_exit_2(tmp_path, cube_obj):
     assert run_cli("views", cube_obj, "--num", "0") == 2
 
 
+_SWEEP = ("sweep", "{dir}", "--out", "{out}", "--layers-list", "1", "--res-list", "8",
+          "--views", "1")
+
+
+@pytest.mark.parametrize("argv", [
+    ("views", "{mesh}", "--out-dir", "{out}", "--width", "0"),
+    ("views", "{mesh}", "--out-dir", "{out}", "--height", "0"),
+    (*_SWEEP, "--poisson-res", "1"),
+    (*_SWEEP, "--poisson-res", "257"),
+    (*_SWEEP, "--samples", "0"),
+], ids=["views-width", "views-height", "sweep-poisson-res-1", "sweep-poisson-res-257",
+        "sweep-samples"])
+def test_usage_errors_exit_2(tmp_path, cube_obj, argv):
+    out = tmp_path / "out"
+    argv = [a.format(mesh=cube_obj, dir=cube_obj.parent, out=out) for a in argv]
+    assert run_cli(*argv) == 2
+    assert not out.exists()
+
+
 def test_views_seeds_differ(tmp_path, cube_obj):
     a = tmp_path / "a"
     b = tmp_path / "b"

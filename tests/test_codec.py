@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -154,7 +156,7 @@ def test_decode_single_synthetic_hit():
     x = XRayTensor(data, 0.9, np.eye(4))
     cloud = decode_to_pointcloud(x, frame="camera")
     assert len(cloud) == 1
-    direction = generate_rays(x.camera(identity_pose=True)).directions[2, 2]
+    direction = generate_rays(x.camera(identity_pose=True))[2, 2]
     np.testing.assert_allclose(cloud.positions[0], 0.7 * direction, atol=1e-6)
     np.testing.assert_allclose(cloud.colors[0], [1, 0, 0], atol=1e-6)
 
@@ -198,6 +200,31 @@ def test_decode_corrupt_hit_channel():
     x = XRayTensor(data, 0.8, np.eye(4))
     with pytest.raises(XRayDataError, match="corrupt hit"):
         decode_to_pointcloud(x)
+
+
+def test_validate_and_decode_name_the_bad_hit_value():
+    data = np.zeros((1, 8, 2, 2), dtype=np.float32)
+    data[0, 0, 1, 0] = 0.7
+    x = XRayTensor(data, 0.8, np.eye(4))
+    for check in (x.validate, lambda: decode_to_pointcloud(x)):
+        with pytest.raises(XRayDataError) as info:
+            check()
+        assert str(info.value) == "corrupt hit channel (value 0.7 is neither 0 nor 1)"
+
+
+def test_decode_zero_normal_names_its_pixel():
+    data = np.zeros((2, 8, 3, 4), dtype=np.float32)
+    data[:, 0] = 1.0
+    data[0, 1], data[1, 1] = 0.5, 0.9
+    data[:, 4] = 2.0  # normal (0, 0, 2): decode renormalises it
+    normals = decode_to_pointcloud(XRayTensor(data.copy(), 0.8, np.eye(4))).normals
+    np.testing.assert_array_equal(normals, np.tile([0.0, 0.0, 1.0], (24, 1)))
+    data[1, 2:5, 2, 3] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(XRayDataError) as info:
+            decode_to_pointcloud(XRayTensor(data, 0.8, np.eye(4)))
+    assert str(info.value) == "zero-length normal at layer 1, pixel (2, 3)"
 
 
 def test_decode_point_count_equals_truncated_hits(nested_mesh):

@@ -118,6 +118,51 @@ def test_splat_matches_scatter_oracle(r):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
     assert den.data.sum() == pytest.approx(len(pc), rel=1e-12)
 
+def _map_world(data: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Oracle: scipy's order-1 spline at world points, each clamped to the
+    node hull; node i sits at -0.6 + (i + 0.5) * 1.2 / R on every axis."""
+    r = data.shape[0]
+    g = np.clip((np.asarray(points) + 0.6) / (1.2 / r) - 0.5, 0.0, r - 1)
+    return map_coordinates(data, g.T, order=1, mode="nearest")
+
+
+@pytest.mark.parametrize("r", [2, 17, 64])
+def test_trilinear_matches_map_coordinates(r):
+    rng = np.random.default_rng(r)
+    grid = GridSpec(r)
+    data = rng.normal(size=(r, r, r))
+    nodes = grid_node_positions(grid)
+    points = np.concatenate([
+        rng.uniform(nodes[0], nodes[-1], size=(500, 3)),  # inside the node hull
+        rng.uniform(-1.0, 1.0, size=(500, 3)),  # mostly outside it
+        nodes[rng.integers(0, r, size=(50, 3))],  # on nodes, hull faces included
+    ])
+    assert ((points < nodes[0]) | (points > nodes[-1])).any(axis=1).sum() > 100
+    got = grid.trilinear(data, points)
+    np.testing.assert_allclose(got, _map_world(data, points), rtol=0, atol=1e-12)
+
+
+def test_extract_iso_level_is_sample_mean():
+    # Samples off the zero set, so the iso level is far from 0 and set by
+    # where the samples are, not by the field.
+    rng = np.random.default_rng(8)
+    directions = rng.normal(size=(3000, 3))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    pc = PointCloud(rng.uniform(0.2, 0.45, size=(3000, 1)) * directions, directions,
+                    np.ones((3000, 3)))
+    grid = GridSpec(48)
+    coords = grid_node_positions(grid)
+    X, Y, Z = np.meshgrid(coords, coords, coords, indexing="ij")
+    sdf = np.sqrt(X**2 + Y**2 + Z**2) - 0.4
+    _, den = splat_normals(pc, 48)
+    iso = _map_world(sdf, pc.positions).mean()
+    assert iso < -0.05
+    want = marching_cubes(sdf, iso, grid.origin, grid.spacing)
+    got = extract_isosurface(Field(grid, sdf), den)
+    np.testing.assert_array_equal(got.faces, want.faces)
+    np.testing.assert_allclose(got.vertices, want.vertices, rtol=0, atol=1e-12)
+
+
 def test_splat_rejects_outside_domain():
     pc = PointCloud([[0.9, 0.0, 0.0]], [[1.0, 0, 0]], [[1, 1, 1]])
     with pytest.raises(PoissonError, match="outside"):
@@ -297,12 +342,11 @@ def test_extract_sphere_sdf():
     sdf = np.sqrt(X**2 + Y**2 + Z**2) - 0.4
     pc = sphere_cloud(4000)
     _, den = splat_normals(pc, 64)
-    mesh, dens = extract_isosurface(Field(grid, sdf), pc, den)
+    mesh = extract_isosurface(Field(grid, sdf), den)
     radii = np.linalg.norm(mesh.vertices, axis=1)
     assert np.abs(radii - 0.4).max() <= 2 * (1.2 / 64)
     assert closed_two_manifold(mesh)
     assert euler_characteristic(mesh) == 2
-    assert len(dens) == mesh.n_vertices
     # outward orientation along the gradient of the SDF
     outward = mesh.vertices / np.linalg.norm(mesh.vertices, axis=1, keepdims=True)
     a, b, c = mesh.triangle_corners()
@@ -313,10 +357,9 @@ def test_extract_sphere_sdf():
 
 def test_extract_constant_field_degenerate():
     grid = GridSpec(16)
-    pc = sphere_cloud(100)
     with pytest.raises(PoissonError, match="iso"):
         flat = Field(grid, np.ones((16, 16, 16)))
-        extract_isosurface(flat, pc, flat)
+        extract_isosurface(flat, flat)
 
 
 def test_extract_rejects_mismatched_density_grid():
@@ -327,7 +370,7 @@ def test_extract_rejects_mismatched_density_grid():
     pc = sphere_cloud(4000)
     _, den = splat_normals(pc, 32)
     with pytest.raises(ValueError, match="density and potential grids do not match"):
-        extract_isosurface(Field(grid, sdf), pc, den)
+        extract_isosurface(Field(grid, sdf), den)
 
 
 @pytest.mark.parametrize("kind", ["sdf", "neg_sdf", "smooth"])
@@ -409,12 +452,29 @@ def test_density_trim_removes_closure_over_missing_data():
     f = divergence(vec)
     phi, info = solve_poisson(f, 0.0, den)
     assert info.converged
-    mesh, dens = extract_isosurface(phi, hemi, den)
+    mesh = extract_isosurface(phi, den)
+    dens = phi.grid.trilinear(den.data, mesh.vertices)
     assert closed_two_manifold(mesh)
     assert mesh.vertices[:, 1].min() < -0.1  # closure lid below the equator
     trimmed = density_trim(mesh, dens, 0.01 * dens.max())
     assert 0 < trimmed.n_faces < mesh.n_faces
     assert trimmed.vertices[:, 1].min() > -0.05  # closure removed
+
+
+@pytest.mark.parametrize("fraction", [0.01, 0.1])
+def test_reconstruct_trim_equals_trim_of_untrimmed(fraction):
+    pc = sphere_cloud(8000)
+    keep = pc.positions[:, 1] > 0
+    hemi = PointCloud(pc.positions[keep], pc.normals[keep], pc.colors[keep])
+    full = reconstruct(hemi, 48)
+    _, den = _splat_by_scatter(hemi, 48)
+    dens = _map_world(den, full.vertices)
+    trim = fraction * dens.max()
+    want = density_trim(full, dens, trim)
+    assert 0 < want.n_faces < full.n_faces
+    got = reconstruct(hemi, 48, trim=trim)
+    np.testing.assert_array_equal(got.faces, want.faces)
+    np.testing.assert_array_equal(got.vertices, want.vertices)
 
 
 def test_reconstruct_sphere_radial_accuracy():

@@ -81,6 +81,12 @@ def _scattered_triangles(n):
     return TriangleMesh(corners.reshape(-1, 3), np.arange(3 * n).reshape(n, 3))
 
 
+def _flat_rays(camera):
+    """A camera's rays as (N, 3) origins and unit directions."""
+    directions = generate_rays(camera).reshape(-1, 3)
+    return np.broadcast_to(camera.position, directions.shape), directions
+
+
 def _pinhole_grids():
     """Flattened ray grids of a sampled view, of a camera inside the cube,
     sphere and torus (in the torus's tube), and of a non-square frame."""
@@ -89,7 +95,7 @@ def _pinhole_grids():
         Camera(20, 20, 2.6, look_at((0.3, 0.02, 0.01), target=(0.3, -0.4, 0.9))),
         Camera(37, 11, 1.1, look_at((0.5, 1.3, 0.8))),
     ]
-    return [generate_rays(camera).flat() for camera in cameras]
+    return [_flat_rays(camera) for camera in cameras]
 
 
 @pytest.mark.parametrize(
@@ -308,7 +314,7 @@ def test_cast_across_chunks_matches_one_chunk(
     side = max(64, int(np.ceil(np.sqrt(n))))
     camera = Camera(side, side, 1.2, look_at((0.4, 0.9, 0.7)))
     spread = np.linspace(0, side * side - 1, n).astype(np.int64)
-    origins, directions = (a[spread] for a in generate_rays(camera).flat())
+    origins, directions = (a[spread] for a in _flat_rays(camera))
     # Rays next to block edges cross the stack: 70 squares, one merged
     # record each, capped at 64. Even ones run along the shared diagonals.
     size = n + 1 if block == "over" else block
@@ -348,7 +354,7 @@ def test_cast_memory_bounded_by_block(nested_mesh):
     all 262,144 rays as one block peaks at 327 MB for 13 MB of hits."""
     mesh, _ = normalize_mesh(nested_mesh)
     accel = build_bvh(mesh)
-    origins, directions = generate_rays(camera_from_spherical(30.0, 20.0, width=512, height=512)).flat()
+    origins, directions = _flat_rays(camera_from_spherical(30.0, 20.0, width=512, height=512))
     tracemalloc.start()
     try:
         batch = cast_rays(accel, origins, directions)

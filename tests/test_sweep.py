@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -54,6 +57,17 @@ def test_csv_shape_and_header(small_sweep_rows):
     assert lines[0] == CSV_HEADER
     assert len(lines) == len(small_sweep_rows) + 1
     assert all(line.count(",") == CSV_HEADER.count(",") for line in lines)
+
+
+def test_failed_cell_row_parses_into_ten_fields():
+    # At 2^3 Poisson nodes the cell fails with a message holding commas.
+    rows = run_sweep({"cube": cube()}, [1], [8], views=1, poisson_res=2,
+                     n_samples=256, max_workers=1)
+    assert len(rows) == 1 and "," in rows[0].error
+    header, row = csv.reader(io.StringIO(rows_to_csv(rows, timings=False)))
+    assert header == CSV_HEADER.split(",")
+    assert len(row) == 10
+    assert row[-1] == rows[0].error
 
 
 def test_sweep_deterministic_without_timings():
