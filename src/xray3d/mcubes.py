@@ -4,6 +4,13 @@ Vertices are interpolated on cell edges, welded through global edge ids
 so the output is a closed surface wound along the gradient wherever the
 iso level does not touch the grid boundary. Lookup tables are the classic
 256-case set (Lorensen-Cline / Bourke numbering).
+
+The vertices are the crossing edges (those whose two nodes lie on
+different sides of the iso level) in edge-id order, listed by one scan
+of a per-edge mask; each triangle corner finds its vertex by binary
+search. Besides the grid, the extraction holds a few bytes per node (the
+inside mask, the corner bits, the crossing mask) and per-cell arrays only
+for the cells the surface passes through.
 """
 
 from __future__ import annotations
@@ -293,12 +300,41 @@ _TRI_TABLE_ROWS = (
     (-1,),
 )
 
-_TRI_TABLE = np.full((256, 16), -1, dtype=np.int64)
+_TRI_TABLE = np.full((256, 16), -1, dtype=np.int8)
 for _c, _row in enumerate(_TRI_TABLE_ROWS):
     for _i, _e in enumerate(_row):
         if _e >= 0:
             _TRI_TABLE[_c, _i] = _e
 _TRI_COUNT = np.count_nonzero(_TRI_TABLE >= 0, axis=1)
+
+
+def _crossing_edges(inside: np.ndarray) -> np.ndarray:
+    """Ids 3 * node + axis, ascending, of the grid edges whose two nodes
+    differ in `inside` (node is the flat index of the edge's lower end)."""
+    crossing = np.zeros(inside.shape + (3,), dtype=bool)
+    np.not_equal(inside[1:], inside[:-1], out=crossing[:-1, :, :, 0])
+    np.not_equal(inside[:, 1:], inside[:, :-1], out=crossing[:, :-1, :, 1])
+    np.not_equal(inside[:, :, 1:], inside[:, :, :-1], out=crossing[:, :, :-1, 2])
+    return np.flatnonzero(crossing)
+
+
+def _corner_edges(inside: np.ndarray) -> np.ndarray:
+    """Edge id of every table-triangle corner, cell by cell in C order."""
+    nx, ny, nz = inside.shape
+    # Cell (i, j, k)'s corner bits, stored at its lowest node so that a
+    # cell's flat index is its node's; the last node of each axis has no
+    # cell and keeps 0.
+    config = np.zeros(inside.shape, dtype=np.uint8)
+    bits = inside.view(np.uint8)
+    for bit, (dx, dy, dz) in enumerate(_CORNER_OFFSETS):
+        config[:-1, :-1, :-1] |= bits[dx:dx + nx - 1, dy:dy + ny - 1, dz:dz + nz - 1] << bit
+    cell = np.flatnonzero((config > 0) & (config < 255))
+    cfg = config.ravel()[cell]
+    # local edge e of the cell at node c is edge 3 * c + offset[e]
+    di, dj, dk, axis = _EDGE_BASE.T
+    offset = 3 * ((di * ny + dj) * nz + dk) + axis
+    rows = _TRI_TABLE[cfg]                   # (n_cells, 16) local edges, -1 padded
+    return np.repeat(3 * cell, _TRI_COUNT[cfg]) + offset[rows[rows >= 0]]
 
 
 def marching_cubes(
@@ -314,36 +350,24 @@ def marching_cubes(
     edges reuse one welded vertex, so closed level sets give closed
     two-manifold meshes. Every face's right-hand normal points from the
     values below iso toward the values above it (along the gradient).
+    Vertices come in crossing-edge order: by the flat index of the
+    edge's lower node, then by the edge's axis.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 3 or min(values.shape) < 2:
         raise ValueError("need a 3D grid with at least 2 nodes per axis")
     inside = values < iso
 
-    nx, ny, nz = values.shape
-    config = np.zeros((nx - 1, ny - 1, nz - 1), dtype=np.int64)
-    for bit, (dx, dy, dz) in enumerate(_CORNER_OFFSETS):
-        config |= inside[dx:dx + nx - 1, dy:dy + ny - 1, dz:dz + nz - 1].astype(np.int64) << bit
-
-    ci, cj, ck = np.nonzero((config > 0) & (config < 255))
-    if ci.size == 0:
+    # A table triangle uses exactly the crossing edges of its cell, so the
+    # crossing edges, in id order, are the welded vertices, and each
+    # triangle corner finds its vertex by binary search.
+    unique_ids = _crossing_edges(inside)
+    if unique_ids.size == 0:
         return TriangleMesh(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64))
-    cfg = config[ci, cj, ck]
+    face_vertex = np.searchsorted(unique_ids, _corner_edges(inside))
+    del inside
 
-    rows = _TRI_TABLE[cfg]                   # (n_cells, 16) edge ids, -1 padded
-    counts = _TRI_COUNT[cfg]                 # multiple of 3
-    valid = rows >= 0
-    cell_of_entry = np.repeat(np.arange(ci.size), counts)
-    local_edge = rows[valid]
-
-    base = _EDGE_BASE[local_edge]            # (n_entries, 4): di, dj, dk, axis
-    gi = ci[cell_of_entry] + base[:, 0]
-    gj = cj[cell_of_entry] + base[:, 1]
-    gk = ck[cell_of_entry] + base[:, 2]
-    axis = base[:, 3]
-    edge_id = ((gi * ny + gj) * nz + gk) * 3 + axis
-
-    unique_ids, face_vertex = np.unique(edge_id, return_inverse=True)
+    nx, ny, nz = values.shape
     ugi = unique_ids // 3 // nz // ny
     ugj = (unique_ids // 3 // nz) % ny
     ugk = (unique_ids // 3) % nz

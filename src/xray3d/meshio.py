@@ -15,10 +15,16 @@ each line's kind from its first bytes, decoding a line on its own only
 when it starts with whitespace or a non-ASCII byte. The lines of each
 kind are joined and split once; where the tags fall among those tokens
 gives each record's size, which is checked with the record's `path:line`
-(the earliest bad record is named). Every other reader and writer also
-converts whole arrays: Python walks rows of list-valued PLY elements only
-to check record sizes and find where values sit. Each kind of value is
-parsed, gathered or formatted by one numpy call or one `%`-format.
+(the earliest bad record is named). It reads one record kind at a time:
+the `v` tokens become arrays and are dropped before the `f` lines are
+split, and those before the `vn` lines, so only one kind's Python strings
+are alive at once. The OBJ writer formats blocks of _OBJ_BLOCK rows
+into one open file, so its Python numbers and text are bounded by the
+block, not by the mesh. The PLY reader and writer convert whole arrays:
+Python walks rows of list-valued PLY elements only to check record sizes
+and find where values sit. Each kind of value is parsed, gathered or
+formatted by one numpy call or one `%`-format (one per block in the OBJ
+writer).
 """
 
 from __future__ import annotations
@@ -71,6 +77,12 @@ def _fan(ids: np.ndarray, sizes) -> np.ndarray:
 
 
 # --- OBJ ---------------------------------------------------------------
+
+# Rows formatted per write: a block of six numbers a row holds about 25 MB
+# of Python numbers and text, where formatting a whole 131,562-vertex
+# mesh of three a row at once held 52 MB (tracemalloc).
+_OBJ_BLOCK = 1 << 16
+
 
 def _obj_line(data: bytes, at: np.ndarray, i: int) -> str:
     return data[at[i]:at[i + 1]].decode("utf-8", errors="replace")
@@ -134,45 +146,66 @@ def _load_obj(path: Path) -> TriangleMesh:
     at = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n")) + 1
     at = np.concatenate([[0], at, [len(data) + 1]])
     kind = _obj_kinds(data, at)
-    (v_values, v_len), (vn_values, vn_len), (corners, sizes) = (
-        _obj_records(data, at, kind == code, tag) for code, tag in enumerate(("v", "vn", "f"), 1))
+    with_normals = np.count_nonzero(kind == 2) == np.count_nonzero(kind == 1)
+    slashed = b"/" in data  # else every corner is a bare vertex index
 
-    bad = [(np.flatnonzero(kind == code)[np.argmax(wrong)] + 1, what)
-           for code, wrong, what in ((1, (v_len != 3) & (v_len != 6), "malformed vertex record"),
-                                     (2, vn_len < 3, "malformed normal record"),
-                                     (3, sizes < 3, "face with fewer than 3 vertices"))
-           if wrong.any()]
+    # Each record kind is tokenised, checked and converted, and its tokens
+    # dropped, before the next kind is tokenised. What is wrong is raised
+    # after all three: the earliest malformed record, then an empty mesh,
+    # then partial colours, then the first failed parse by rank (positions,
+    # colours, vertex ids, normals, normal ids).
+    bad, failed = [], {}
+
+    def well_formed(code: int, wrong: np.ndarray, what: str) -> bool:
+        if wrong.any():
+            bad.append((np.flatnonzero(kind == code)[np.argmax(wrong)] + 1, what))
+        return not wrong.any()
+
+    def parse(rank: int, tokens: list, dtype=np.float64, shape=(-1, 3)) -> np.ndarray | None:
+        try:
+            return np.array(tokens, dtype=dtype).reshape(shape)
+        except (ValueError, OverflowError) as exc:
+            failed[rank] = exc
+
+    vertices = colors = vertex_normals = ids = normal_ids = None
+    values, v_len = _obj_records(data, at, kind == 1, "v")
+    colored = v_len == 6
+    if well_formed(1, (v_len != 3) & (v_len != 6), "malformed vertex record"):
+        vertices = parse(0, _obj_columns(values, v_len, 0, 3))
+        if len(v_len) and colored.all():
+            colors = parse(1, _obj_columns(values, v_len, 3, 6))
+    del values
+    corners, sizes = _obj_records(data, at, kind == 3, "f")
+    if well_formed(3, sizes < 3, "face with fewer than 3 vertices"):
+        # the vertex index of each `v`, `v/vt`, `v//vn` or `v/vt/vn` corner
+        ids = parse(2, [c.partition("/")[0] for c in corners] if slashed else corners,
+                    np.int64, -1)
+        if with_normals:
+            # and its normal index, 0 (never an OBJ index) where it names none
+            normal_ids = parse(
+                4, [c.partition("/")[2].partition("/")[2] or "0" for c in corners], np.int64, -1)
+    del corners
+    values, vn_len = _obj_records(data, at, kind == 2, "vn")
+    if well_formed(2, vn_len < 3, "malformed normal record") and with_normals:
+        vertex_normals = parse(3, _obj_columns(values, vn_len, 0, 3))
+    del values
+
     if bad:
         lineno, what = min(bad)
         raise MeshIOError(f"{path}:{lineno}: {what}")
     if not len(v_len) or not len(sizes):
         raise MeshIOError(f"{path}: empty mesh (no vertices or faces)")
-    colored = v_len == 6
     if colored.any() and not colored.all():
         raise MeshIOError(f"{path}: only some vertices carry colors")
-    slashed = b"/" in data  # else every corner is a bare vertex index
-    try:
-        vertices = np.array(_obj_columns(v_values, v_len, 0, 3), dtype=np.float64).reshape(-1, 3)
-        colors = None
-        if colored.any():
-            colors = np.array(_obj_columns(v_values, v_len, 3, 6), dtype=np.float64).reshape(-1, 3)
-        # the vertex index of each `v`, `v/vt`, `v//vn` or `v/vt/vn` corner
-        ids = np.array([c.partition("/")[0] for c in corners] if slashed else corners,
-                       dtype=np.int64)
-        vertex_normals = None
-        if len(vn_len) == len(v_len):
-            vertex_normals = _renormalize(
-                np.array(_obj_columns(vn_values, vn_len, 0, 3), dtype=np.float64).reshape(-1, 3))
-            # and its normal index, 0 (never an OBJ index) where it names none
-            normal_ids = np.array(
-                [c.partition("/")[2].partition("/")[2] or "0" for c in corners], dtype=np.int64
-            )
-    except (ValueError, OverflowError) as exc:
+    if failed:
+        exc = failed[min(failed)]
         raise MeshIOError(f"failed to parse {path}: {exc}") from exc
+
     # a negative index counts back from the records defined before its face
     defined = np.repeat(np.cumsum([kind == 1, kind == 2], axis=1)[:, kind == 3], sizes, axis=1)
     ids = np.where(ids > 0, ids - 1, defined[0] + ids)
     if vertex_normals is not None:
+        vertex_normals = _renormalize(vertex_normals)
         own = np.where(normal_ids > 0, normal_ids - 1, defined[1] + normal_ids)
         if np.any((normal_ids != 0) & (own != ids)):
             vertex_normals = None
@@ -184,20 +217,27 @@ def _renormalize(normals: np.ndarray) -> np.ndarray:
     return np.where(lengths > 1e-12, normals / np.maximum(lengths, 1e-12), 0.0)
 
 
+def _write_obj_rows(fh, fmt: str, *columns: np.ndarray) -> None:
+    """Write `fmt` once per row of the columns set side by side, formatting
+    _OBJ_BLOCK rows at a time."""
+    for start in range(0, len(columns[0]), _OBJ_BLOCK):
+        block = np.hstack([c[start:start + _OBJ_BLOCK] for c in columns])
+        fh.write(fmt * len(block) % tuple(block.ravel().tolist()))
+
+
 def _save_obj(mesh: TriangleMesh, path: Path) -> None:
     # %r of a Python float is its shortest exact round-trip repr
-    v = mesh.vertices
-    if mesh.vertex_colors is not None:
-        v = np.hstack([v, mesh.vertex_colors])
+    v = [mesh.vertices] + ([] if mesh.vertex_colors is None else [mesh.vertex_colors])
     f = mesh.faces + 1
-    text = [("v" + " %r" * v.shape[1] + "\n") * len(v) % tuple(v.ravel().tolist())]
-    if mesh.vertex_normals is not None:
-        text.append("vn %r %r %r\n" * len(v) % tuple(mesh.vertex_normals.ravel().tolist()))
-        f = np.repeat(f, 2, axis=1)
-        text.append("f %d//%d %d//%d %d//%d\n" * len(f) % tuple(f.ravel().tolist()))
-    else:
-        text.append("f %d %d %d\n" * len(f) % tuple(f.ravel().tolist()))
-    Path(path).write_text("".join(text), encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        _write_obj_rows(fh, "v" + " %r" * 3 * len(v) + "\n", *v)
+        if mesh.vertex_normals is None:
+            _write_obj_rows(fh, "f %d %d %d\n", f)
+        else:
+            _write_obj_rows(fh, "vn %r %r %r\n", mesh.vertex_normals)
+            # every corner names its own vertex's normal: f a//a b//b c//c
+            _write_obj_rows(fh, "f %d//%d %d//%d %d//%d\n",
+                            *(f[:, k:k + 1] for k in (0, 0, 1, 1, 2, 2)))
 
 
 # --- PLY ---------------------------------------------------------------

@@ -127,11 +127,12 @@ def splat_normals(pc: PointCloud, resolution: int) -> tuple[Field, Field]:
     grid = GridSpec(resolution)
     r = grid.resolution
     g = grid.grid_coords(pc.positions)
-    if g.min() < 0 or g.max() >= r - 1:
-        worst = pc.positions[np.argmax(np.abs(pc.positions).max(axis=1))]
+    outside = ((g < 0) | (g >= r - 1)).any(axis=1)
+    if outside.any():
+        lo, hi = grid.origin[0], grid.origin[0] + (r - 1) * grid.spacing
         raise PoissonError(
-            f"point outside the splat domain (e.g. {worst}); "
-            f"grid covers [{DOMAIN_LO}, {DOMAIN_HI}]^3"
+            f"point outside the splat domain (e.g. {pc.positions[np.argmax(outside)]}); "
+            f"at resolution {r} the nodes cover [{lo:.6g}, {hi:.6g})^3"
         )
     nodes, weights = _stencil(r, g)
     nodes = nodes.ravel()

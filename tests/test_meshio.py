@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from xray3d.codec import PointCloud
 from xray3d.fixtures import cube, icosphere
 from xray3d.mesh import MeshError, TriangleMesh
+from xray3d import meshio
 from xray3d.meshio import (
     MeshIOError,
     load_mesh,
@@ -328,6 +330,94 @@ def test_obj_text_layout(tmp_path):
         b"vn 0.6 0.0 0.8\n"
         b"f 1//1 2//2 3//3\n"
     )
+
+
+def _reference_obj_bytes(mesh):
+    """Oracle: one formatted line per record, as a line-by-line writer
+    would write them."""
+    colors, normals = mesh.vertex_colors, mesh.vertex_normals
+    lines = []
+    for i, (x, y, z) in enumerate(mesh.vertices.tolist()):
+        rgb = "" if colors is None else " {!r} {!r} {!r}".format(*colors[i].tolist())
+        lines.append(f"v {x!r} {y!r} {z!r}{rgb}\n")
+    if normals is not None:
+        lines += [f"vn {x!r} {y!r} {z!r}\n" for x, y, z in normals.tolist()]
+    for a, b, c in (mesh.faces + 1).tolist():
+        lines.append(f"f {a} {b} {c}\n" if normals is None else f"f {a}//{a} {b}//{b} {c}//{c}\n")
+    return "".join(lines).encode("utf-8")
+
+
+@pytest.mark.parametrize("extras", [False, True], ids=["bare", "colors_and_normals"])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_obj_writer_block_edges(tmp_path, extra, extras):
+    n = meshio._OBJ_BLOCK + extra
+    rng = np.random.default_rng(n)
+    # short reprs keep the test quick; the first and last rows need all 17 digits
+    vertices, normals = rng.integers(-999, 1000, size=(2, n, 3)) / 8.0
+    colors = rng.integers(0, 33, size=(n, 3)) / 32.0
+    vertices[0], normals[0], colors[0] = [-0.0, 1e-300, 1e300], [0.1, -2 / 3, 0.2], [1 / 3, 0, 1]
+    vertices[-1], normals[-1], colors[-1] = rng.normal(size=3), rng.normal(size=3), rng.random(3)
+    ring = np.arange(n)
+    mesh = TriangleMesh(
+        vertices, np.stack([ring, (ring + 1) % n, (ring + 2) % n], axis=1),
+        vertex_normals=normals if extras else None,
+        vertex_colors=colors if extras else None,
+    )
+    path = tmp_path / "block.obj"
+    save_mesh(mesh, path)
+    assert path.read_bytes() == _reference_obj_bytes(mesh)
+
+
+@pytest.fixture(scope="module")
+def large_obj(tmp_path_factory):
+    """A mesh shaped like a Poisson reconstruction at 128^3 (2^17 + 3
+    vertices, two faces per vertex, no colours or normals), and its OBJ."""
+    n = 2**17 + 3
+    rng = np.random.default_rng(17)
+    first = rng.integers(0, n, size=2 * n)
+    mesh = TriangleMesh(rng.normal(size=(n, 3)),
+                        np.stack([first, (first + 1) % n, (first + 2) % n], axis=1))
+    path = tmp_path_factory.mktemp("large") / "large.obj"
+    save_mesh(mesh, path)
+    return mesh, path
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_obj_save_memory_bounded_by_block(tmp_path, large_obj):
+    """One block of rows with k numbers each holds, per number, its
+    float64 in the block (8 B), a Python float (24 B) with its list and
+    tuple slots (16 B), 3 B of format string and at most 25 B of text (a
+    shortest repr of a normal deviate has at most 24 characters, plus its
+    separator): 76 B, so 96 B bounds it. The writer also holds the 1-based
+    faces, 24 B per face. Formatting the whole mesh at once peaks at 55 MB
+    here."""
+    mesh, _ = large_obj
+    peak = _traced_peak(lambda: save_mesh(mesh, tmp_path / "again.obj"))
+    assert peak <= 96 * 3 * meshio._OBJ_BLOCK + 24 * mesh.n_faces
+
+
+def test_obj_load_memory_bounded_by_one_record_kind(large_obj):
+    """The reader holds the file's bytes, 16 B per line (line starts and
+    kinds) and the parsed vertices (24 B each) while it turns the face
+    records, the largest kind here, into ids. For those it holds their
+    lines' bytes twice more (joined, then decoded; at most 23 B per line),
+    four tokens per line at up to 64 B each (a str of up to 7 ASCII
+    characters is 56 B, plus its list slot) and 24 B of ids per face.
+    Tokenising every record kind before converting any also holds the
+    vertex tokens and peaks at 147 MB here."""
+    mesh, path = large_obj
+    peak = _traced_peak(lambda: load_mesh(path))
+    n_v, n_f = mesh.n_vertices, mesh.n_faces
+    per_face = 2 * 23 + 4 * 64 + 24
+    assert peak <= path.stat().st_size + 16 * (n_v + n_f) + 24 * n_v + per_face * n_f
 
 
 @st.composite

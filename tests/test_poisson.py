@@ -169,6 +169,20 @@ def test_splat_rejects_outside_domain():
         splat_normals(pc, 16)
 
 
+def test_splat_domain_error_states_the_node_hull():
+    # At R = 2 the nodes sit at -0.3 and 0.3, and a point splats only if
+    # every coordinate lies in [-0.3, 0.3): the first point is on the
+    # hull's lower face, the second just past its upper face.
+    pc = PointCloud([[-0.3, 0.0, 0.0], [0.3, 0.0, 0.0]], [[1.0, 0, 0]] * 2, [[1, 1, 1]] * 2)
+    with pytest.raises(PoissonError) as info:
+        splat_normals(pc, 2)
+    assert str(info.value) == (
+        f"point outside the splat domain (e.g. {np.array([0.3, 0.0, 0.0])}); "
+        "at resolution 2 the nodes cover [-0.3, 0.3)^3"
+    )
+    splat_normals(PointCloud(pc.positions[:1], pc.normals[:1], pc.colors[:1]), 2)
+
+
 def test_splat_rejects_empty():
     empty = PointCloud(np.empty((0, 3)), np.empty((0, 3)), np.empty((0, 3)))
     with pytest.raises(PoissonError, match="empty"):
