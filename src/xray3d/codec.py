@@ -167,8 +167,8 @@ class XRayTensor:
         mask = hit > 0.5
         if self.layers > 1 and np.any(~mask[:-1] & mask[1:]):
             raise XRayDataError("hit flags are not prefix-dense along layers")
-        channels_last = self.data.transpose(0, 2, 3, 1)
-        if np.any(channels_last[~mask] != 0):
+        unhit = ~mask
+        if any(np.any((self.data[:, ch] != 0) & unhit) for ch in range(8)):
             raise XRayDataError("non-zero channels at unhit layers")
         depth = self.data[:, CH_DEPTH]
         if np.any(depth[mask] <= 0):
@@ -309,7 +309,7 @@ def write_xray(x: XRayTensor, path) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(x.data, dtype="<f4").tobytes())
+        fh.write(np.ascontiguousarray(x.data, dtype="<f4").data)
 
 
 def read_xray(path) -> XRayTensor:
@@ -330,14 +330,10 @@ def read_xray(path) -> XRayTensor:
     if min(layers, height, width) < 1:
         raise XRayFormatError("non-positive tensor dimensions")
     expected = layers * 8 * height * width * 4
-    payload = raw[_HEADER.size:]
-    if len(payload) < expected:
-        raise XRayFormatError(
-            f"truncated payload: {len(payload)} bytes, expected {expected}"
-        )
-    if len(payload) > expected:
-        raise XRayFormatError(
-            f"payload size mismatch: {len(payload)} bytes, expected {expected}"
-        )
-    data = np.frombuffer(payload, dtype="<f4").reshape(layers, 8, height, width)
+    payload = len(raw) - _HEADER.size
+    if payload < expected:
+        raise XRayFormatError(f"truncated payload: {payload} bytes, expected {expected}")
+    if payload > expected:
+        raise XRayFormatError(f"payload size mismatch: {payload} bytes, expected {expected}")
+    data = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).reshape(layers, 8, height, width)
     return XRayTensor(data, float(fov_x), c2w)

@@ -82,6 +82,9 @@ def _fan(ids: np.ndarray, sizes) -> np.ndarray:
 # of Python numbers and text, where formatting a whole 131,562-vertex
 # mesh of three a row at once held 52 MB (tracemalloc).
 _OBJ_BLOCK = 1 << 16
+# Face corners cut per block on reading: a `v//vn` corner's pieces take
+# up to 256 B, so a block holds about 1 MB.
+_OBJ_CORNER_BLOCK = 1 << 12
 
 
 def _obj_line(data: bytes, at: np.ndarray, i: int) -> str:
@@ -138,6 +141,27 @@ def _obj_columns(values: list, counts: np.ndarray, lo: int, hi: int) -> list:
     return np.array(values, dtype=object)[(starts[:, None] + np.arange(lo, hi)).ravel()].tolist()
 
 
+def _corner_ids(corners: list, with_normals: bool, parse) -> tuple:
+    """The vertex index of each `v`, `v/vt`, `v//vn` or `v/vt/vn` corner
+    and, with_normals, its normal index, 0 (never an OBJ index) where it
+    names none. Each corner is cut at its first "/" once for both, a
+    block of corners at a time, so the pieces of one block are held at
+    once; parse(rank, tokens, dtype, shape) converts a block's tokens, or
+    records its failure and returns None."""
+    ids, normal_ids = [], []
+    for lo in range(0, len(corners), _OBJ_CORNER_BLOCK):
+        heads = [c.partition("/") for c in corners[lo:lo + _OBJ_CORNER_BLOCK]]
+        ids.append(parse(2, [h[0] for h in heads], np.int64, -1))
+        if with_normals:
+            normal_ids.append(
+                parse(4, [h[2].partition("/")[2] or "0" for h in heads], np.int64, -1))
+
+    def joined(blocks: list) -> np.ndarray | None:
+        return None if not blocks or any(b is None for b in blocks) else np.concatenate(blocks)
+
+    return joined(ids), joined(normal_ids)
+
+
 def _load_obj(path: Path) -> TriangleMesh:
     data = path.read_bytes()
     if b"\r" in data:
@@ -165,7 +189,7 @@ def _load_obj(path: Path) -> TriangleMesh:
         try:
             return np.array(tokens, dtype=dtype).reshape(shape)
         except (ValueError, OverflowError) as exc:
-            failed[rank] = exc
+            failed.setdefault(rank, exc)
 
     vertices = colors = vertex_normals = ids = normal_ids = None
     values, v_len = _obj_records(data, at, kind == 1, "v")
@@ -177,13 +201,11 @@ def _load_obj(path: Path) -> TriangleMesh:
     del values
     corners, sizes = _obj_records(data, at, kind == 3, "f")
     if well_formed(3, sizes < 3, "face with fewer than 3 vertices"):
-        # the vertex index of each `v`, `v/vt`, `v//vn` or `v/vt/vn` corner
-        ids = parse(2, [c.partition("/")[0] for c in corners] if slashed else corners,
-                    np.int64, -1)
-        if with_normals:
-            # and its normal index, 0 (never an OBJ index) where it names none
-            normal_ids = parse(
-                4, [c.partition("/")[2].partition("/")[2] or "0" for c in corners], np.int64, -1)
+        if slashed:
+            ids, normal_ids = _corner_ids(corners, with_normals, parse)
+        else:
+            ids = parse(2, corners, np.int64, -1)
+            normal_ids = np.zeros_like(ids) if with_normals and ids is not None else None
     del corners
     values, vn_len = _obj_records(data, at, kind == 2, "vn")
     if well_formed(2, vn_len < 3, "malformed normal record") and with_normals:

@@ -18,6 +18,18 @@ DOMAIN_LO + (i + 0.5) * h with h = (DOMAIN_HI - DOMAIN_LO) / R over the
 cubic domain [-0.6, 0.6]^3 (normalized meshes plus a 10% margin).
 Derivatives are in grid units (spacing 1); the iso level is data-driven,
 so the solution's scale never matters downstream.
+
+Memory, in float64 grids of R^3 nodes (16 MiB at 128^3, 128 MiB at
+256^3), beyond what the caller holds: the splat holds 4 at once (the
+vector field and one component's bincount result until it is copied in;
+the density comes after) plus a few hundred bytes per point; normalising
+divides in place, one slab of planes at a time; the divergence allocates
+f and one slab's differences; an unscreened solve holds 3 (the residual,
+the search direction, which it scales into phi, and one work buffer);
+extraction holds under 2 for the 281,000-face surface of a 128^3
+reconstruction (a few bytes per node, and per-face arrays, the sliver
+filter's a block at a time). With the fields its caller keeps, each
+phase peaks near 5 grids.
 """
 
 from __future__ import annotations
@@ -34,6 +46,10 @@ DOMAIN_LO = -0.6
 DOMAIN_HI = 0.6
 DEFAULT_RESOLUTION = 128
 MAX_RESOLUTION = 256
+# Nodes per slab of the slab-wise passes (normalisation, divergence): 32
+# planes at 128^3, 8 at 256^3, so each slab's float64 temporaries stay
+# near 4 MB however large the grid.
+_SLAB_NODES = 1 << 19
 
 
 class PoissonError(ValueError):
@@ -137,30 +153,51 @@ def splat_normals(pc: PointCloud, resolution: int) -> tuple[Field, Field]:
     nodes, weights = _stencil(r, g)
     nodes = nodes.ravel()
     n = r * r * r
-    den = np.bincount(nodes, weights=weights.ravel(), minlength=n)
     vec = np.empty((n, 3))
     for a in range(3):
         vec[:, a] = np.bincount(nodes, weights=(weights * pc.normals[:, a]).ravel(), minlength=n)
+    # the density comes last, so no component's bincount result is held next to it
+    den = np.bincount(nodes, weights=weights.ravel(), minlength=n)
     return Field(grid, vec.reshape(r, r, r, 3)), Field(grid, den.reshape(r, r, r))
+
+
+def _slabs(r: int) -> list[slice]:
+    """Runs of whole axis-0 planes, about _SLAB_NODES nodes each."""
+    step = max(1, _SLAB_NODES // (r * r))
+    return [slice(lo, min(lo + step, r)) for lo in range(0, r, step)]
 
 
 def divergence(v: Field) -> Field:
     """Divergence in grid units: central differences inside, one-sided at
     the boundary (what np.gradient computes), added axis by axis into one
-    array so no per-axis gradient is held."""
-    f = np.zeros(v.data.shape[:3])
-    for a in range(3):
-        c = np.moveaxis(v.data[..., a], a, 0)
-        out = np.moveaxis(f, a, 0)
-        out[1:-1] += (c[2:] - c[:-2]) / 2.0
-        out[0] += c[1] - c[0]
-        out[-1] += c[-1] - c[-2]
+    array. Each slab of planes takes its three axes' differences in turn,
+    so no difference of the whole grid is held."""
+    d = v.data
+    r = d.shape[0]
+    f = np.zeros(d.shape[:3])
+    x = d[..., 0]
+    for rows in _slabs(r):
+        out = f[rows]
+        # axis 0 reaches one plane past each side of the slab
+        lo, hi = max(rows.start, 1), min(rows.stop, r - 1)
+        out[lo - rows.start:hi - rows.start] += (x[lo + 1:hi + 1] - x[lo - 1:hi - 1]) / 2.0
+        if rows.start == 0:
+            out[0] += x[1] - x[0]
+        if rows.stop == r:
+            out[-1] += x[-1] - x[-2]
+        for a in (1, 2):
+            c = np.moveaxis(d[rows, ..., a], a, 0)
+            o = np.moveaxis(out, a, 0)
+            o[1:-1] += (c[2:] - c[:-2]) / 2.0
+            o[0] += c[1] - c[0]
+            o[-1] += c[-1] - c[-2]
     return Field(v.grid, f)
 
 
-def _neg_laplacian(phi: np.ndarray) -> np.ndarray:
-    """-lap with the 7-point stencil and zero ghost nodes outside the grid."""
-    out = 6.0 * phi
+def _neg_laplacian(phi: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """-lap with the 7-point stencil and zero ghost nodes outside the grid,
+    written into out."""
+    np.multiply(phi, 6.0, out=out)
     out[1:, :, :] -= phi[:-1, :, :]
     out[:-1, :, :] -= phi[1:, :, :]
     out[:, 1:, :] -= phi[:, :-1, :]
@@ -170,16 +207,18 @@ def _neg_laplacian(phi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sine_transform(x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Apply the symmetric orthonormal matrix s along each axis of x."""
+def _sine_transform(x: np.ndarray, s: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Apply the symmetric orthonormal matrix s along each axis of x; the
+    three passes alternate between x and work, and the result is in work."""
     r = len(s)
-    y = (s @ x.reshape(r, r * r)).reshape(r, r, r)
-    y = s @ y
-    return y @ s
+    np.matmul(s, x.reshape(r, r * r), out=work.reshape(r, r * r))
+    np.matmul(s, work, out=x)
+    return np.matmul(x, s, out=work)
 
 
-def _inverse_neg_laplacian(x: np.ndarray) -> np.ndarray:
-    """Exact inverse of _neg_laplacian.
+def _inverse_neg_laplacian(x: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Overwrite x with the exact inverse of _neg_laplacian applied to it;
+    work is scratch of the same shape.
 
     The 1-D second difference with zero ghost nodes has the orthonormal
     eigenvectors S[j, k] = sqrt(2/(R+1)) sin(pi j k / (R+1)) (1-based)
@@ -192,11 +231,11 @@ def _inverse_neg_laplacian(x: np.ndarray) -> np.ndarray:
     k = np.arange(1, r + 1)
     s = np.sqrt(2.0 / (r + 1)) * np.sin(np.pi * np.outer(k, k) / (r + 1))
     lam = 2.0 - 2.0 * np.cos(np.pi * k / (r + 1))
-    y = _sine_transform(x, s)
+    y = _sine_transform(x, s, work)
     plane = lam[:, None] + lam[None, :]
     for i in range(r):
         y[i] /= plane + lam[i]
-    return _sine_transform(y, s)
+    return _sine_transform(y, s, x)
 
 
 def solve_poisson(
@@ -234,37 +273,46 @@ def solve_poisson(
         return Field(f.grid, zero), SolveInfo(True, 0, 0.0, np.zeros(1))
 
     screen = screening_weight * density.data if screening_weight > 0 else None
-
-    def apply_op(x):
-        out = _neg_laplacian(x)
-        if screen is not None:
-            out += screen * x
-        return out
-
-    x = np.zeros_like(res)
-    p = _inverse_neg_laplacian(res)
-    r_z = float(np.sum(res * p))
+    # The loop holds res, p and work. x is allocated once a second
+    # iteration starts, and only then does z need scratch of its own.
+    work = np.empty_like(res)
+    x = scratch = None
+    p = _inverse_neg_laplacian(res.copy(), work)
+    r_z = float(np.vdot(res, p))
     history = [1.0]
     res_norm = b_norm
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        a_p = apply_op(p)
-        p_ap = float(np.sum(p * a_p))
+        a_p = _neg_laplacian(p, work)
+        if screen is not None:
+            for i in range(r):
+                a_p[i] += screen[i] * p[i]
+        p_ap = float(np.vdot(p, a_p))
         if p_ap == 0.0 or r_z == 0.0:
             break
         alpha = r_z / p_ap
-        x += alpha * p
-        res -= alpha * a_p
+        a_p *= alpha
+        res -= a_p
         res_norm = float(np.linalg.norm(res))
         history.append(res_norm / b_norm)
-        if res_norm <= tol * b_norm:
+        converged = res_norm <= tol * b_norm
+        if x is None:  # x was zero: it becomes alpha * p, in p itself if p is done
+            x = np.multiply(p, alpha, out=p if converged else None)
+        else:
+            x += np.multiply(p, alpha, out=work)
+        if converged:
             break
-        z = _inverse_neg_laplacian(res)
-        r_z_next = float(np.sum(res * z))
+        if scratch is None:
+            scratch = np.empty_like(res)
+        np.copyto(work, res)
+        z = _inverse_neg_laplacian(work, scratch)
+        r_z_next = float(np.vdot(res, z))
         p *= r_z_next / r_z
         p += z
         r_z = r_z_next
 
+    if x is None:
+        x = np.zeros_like(res)
     relative = res_norm / b_norm
     info = SolveInfo(relative <= tol, iterations, relative, np.asarray(history))
     return Field(f.grid, x), info
@@ -329,10 +377,12 @@ def reconstruct(
     # Raw splats carry the local sample density, which for ray-cast
     # clouds varies with the grazing angle, giving the solved indicator a
     # wildly uneven amplitude and making a single iso level eat
-    # under-sampled regions. Dividing by density (in place: at R = 256 a
-    # copy is another 400 MB) caps every node at unit magnitude, so the
-    # surface jump is uniform regardless of sampling density.
-    vec.data[...] /= np.maximum(den.data, 1e-12)[..., None]
+    # under-sampled regions. Dividing by density (in place and slab by
+    # slab: at R = 256 a copy is another 400 MB, the clamped density 130 MB)
+    # caps every node at unit magnitude, so the surface jump is uniform
+    # regardless of sampling density.
+    for rows in _slabs(resolution):
+        vec.data[rows] /= np.maximum(den.data[rows], 1e-12)[..., None]
     f = divergence(vec)
     del vec  # three R^3 arrays the solve and extraction do not need
     phi, info = solve_poisson(f, screening, den, tol=tol, max_iter=max_iter)

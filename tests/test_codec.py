@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -242,6 +243,23 @@ def test_write_read_round_trip_bitwise(tmp_path, rng):
         assert x.data.tobytes() == y.data.tobytes()
         assert x.c2w.tobytes() == y.c2w.tobytes()
         assert np.float32(x.fov_x) == np.float32(y.fov_x)
+
+
+def test_read_memory_one_payload(tmp_path, rng):
+    """The tensor read back is a view of the file's bytes, so a read holds
+    one payload (plus the header and array objects). Slicing the header
+    off the bytes first holds it twice."""
+    x = XRayTensor(rng.random((8, 8, 128, 128), dtype=np.float32), 1.0, np.eye(4))
+    path = tmp_path / "big.xray"
+    write_xray(x, path)
+    tracemalloc.start()
+    try:
+        y = read_xray(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert y.data.tobytes() == x.data.tobytes()
+    assert peak <= 1.1 * x.data.nbytes
 
 
 def test_read_bad_magic(tmp_path, rng):

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from xray3d import mcubes
 from xray3d.mcubes import _TRI_TABLE_ROWS, marching_cubes
 
 # Bourke's numbering, written out here rather than read from the module:
@@ -91,6 +92,19 @@ def test_marching_cubes_matches_cell_by_cell_oracle(values, iso):
     vertices, faces, _ = _reference_marching_cubes(values, iso, origin, spacing)
     assert got.vertices.shape == vertices.shape and got.vertices.tobytes() == vertices.tobytes()
     assert got.faces.dtype == np.int64 and np.array_equal(got.faces, faces)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_sliver_filter_block_edges(monkeypatch, block):
+    """Blocks of 1 and 7 faces put block edges between every pair of
+    faces and at uneven places, on the grids whose slivers are dropped;
+    the faces must not change."""
+    want = [marching_cubes(values, iso, np.zeros(3), 1.0) for _, values, iso in _FIELDS]
+    monkeypatch.setattr(mcubes, "_FACE_BLOCK", block)
+    for (name, values, iso), w in zip(_FIELDS, want):
+        got = marching_cubes(values, iso, np.zeros(3), 1.0)
+        assert np.array_equal(got.faces, w.faces), name
+        assert got.vertices.tobytes() == w.vertices.tobytes(), name
 
 
 def test_oracle_cases_cover_slivers_and_borders():

@@ -281,6 +281,35 @@ def test_obj_errors_match_line_by_line_oracle(tmp_path, text):
     assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
+_SLASHED_HEAD = "v 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0 1\nvn 0 1 0\nvn 1 0 0\nf 1//1 2//2 3//3\n"
+
+
+@pytest.mark.parametrize("block", [1, 2])
+def test_obj_corner_blocks_match_line_by_line_oracle(tmp_path, monkeypatch, block):
+    """Corner blocks of 1 and 2 put block edges inside and between faces;
+    arrays, and the first failed parse in file order, stay the oracle's."""
+    monkeypatch.setattr(meshio, "_OBJ_CORNER_BLOCK", block)
+    for name in ("double_slash_corners", "full_corners", "negative_normals",
+                 "colors_and_normals", "normal_ids_differ"):
+        path = tmp_path / f"{name}.obj"
+        path.write_bytes(_OBJ_CORPUS[name])
+        got, want = load_mesh(path), _reference_load_obj(path)
+        for field in ("vertices", "faces", "vertex_normals", "vertex_colors"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert (a is None) == (b is None), (name, field)
+            assert b is None or a.tobytes() == b.tobytes(), (name, field)
+    for tail in ("f 1//1 2//x 3//3\nf 1//1 y//2 3//3\n",  # vertex ids go first
+                 "f 1//1 2//q 3//3\nf 1//1 2//x 3//3\n",  # the earlier of two
+                 "f 3//3 2//2 1//99999999999999999999\nf 1//1 2//z 3//3\n"):
+        path = tmp_path / "bad.obj"
+        path.write_text(_SLASHED_HEAD + tail)
+        with pytest.raises(MeshError) as want:
+            _reference_load_obj(path)
+        with pytest.raises(MeshError) as got:
+            load_mesh(path)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
 def test_obj_earliest_bad_record_is_named(tmp_path):
     path = tmp_path / "bad.obj"
     path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2\nv 0 0\n")
@@ -418,6 +447,31 @@ def test_obj_load_memory_bounded_by_one_record_kind(large_obj):
     n_v, n_f = mesh.n_vertices, mesh.n_faces
     per_face = 2 * 23 + 4 * 64 + 24
     assert peak <= path.stat().st_size + 16 * (n_v + n_f) + 24 * n_v + per_face * n_f
+
+
+def test_obj_load_with_normals_memory_bounded(tmp_path):
+    """A `v//vn` file: when the reader turns the face corners into vertex
+    and normal ids, it holds the file's bytes, 16 B per line, the parsed
+    vertices (24 B each) and, per face, three corner tokens (a str of up
+    to 15 ASCII characters is 64 B, plus its list slot), the ids and
+    normal ids both in blocks and joined (4 x 24 B) and the corner count
+    (8 B): 320 B. Cutting one block of corners at "/" adds up to 256 B a
+    corner. Building each id list over every corner at once holds 507 B
+    per face past the file here."""
+    n = 2**15 + 3
+    rng = np.random.default_rng(18)
+    first = rng.integers(0, n, size=2 * n)
+    normals = rng.normal(size=(n, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    mesh = TriangleMesh(rng.normal(size=(n, 3)),
+                        np.stack([first, (first + 1) % n, (first + 2) % n], axis=1),
+                        vertex_normals=normals)
+    path = tmp_path / "normals.obj"
+    save_mesh(mesh, path)
+    peak = _traced_peak(lambda: load_mesh(path))
+    n_v, n_f = mesh.n_vertices, mesh.n_faces
+    assert peak <= (path.stat().st_size + 16 * (2 * n_v + n_f) + 24 * n_v + 320 * n_f
+                    + 256 * meshio._OBJ_CORNER_BLOCK)
 
 
 @st.composite

@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.ndimage import map_coordinates
 
 from conftest import closed_two_manifold, euler_characteristic
+from xray3d import poisson
 from xray3d.codec import PointCloud
 from xray3d.mcubes import marching_cubes
-from xray3d.mesh import face_normals
+from xray3d.mesh import face_normals, normalize_mesh
+from xray3d.metrics import sample_surface
 from xray3d.poisson import (
     Field,
     GridSpec,
@@ -236,6 +240,106 @@ def test_divergence_equals_gradient_sum(r):
     got = divergence(Field(GridSpec(r), vec)).data
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
+@pytest.mark.parametrize("planes", [1, 2, 5])
+def test_divergence_slabs_equal_gradient_sum(monkeypatch, planes):
+    """Slabs of 1, 2 and 5 planes put slab edges everywhere, unevenly."""
+    r = 17
+    monkeypatch.setattr(poisson, "_SLAB_NODES", planes * r * r)
+    vec = np.random.default_rng(planes).normal(size=(r, r, r, 3))
+    want = sum(np.gradient(vec[..., a], axis=a) for a in range(3))
+    got = divergence(Field(GridSpec(r), vec)).data
+    assert got.tobytes() == want.tobytes()
+
+
+def test_reconstruct_same_with_one_plane_slabs(monkeypatch):
+    pc = sphere_cloud(3000, seed=4)
+    want = reconstruct(pc, 24)
+    monkeypatch.setattr(poisson, "_SLAB_NODES", 1)
+    got = reconstruct(pc, 24)
+    assert got.vertices.tobytes() == want.vertices.tobytes()
+    assert np.array_equal(got.faces, want.faces)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def fields_128(nested_mesh):
+    """Density, normalised vector field, source and potential at 128^3 for
+    80,000 seeded surface samples of the nested cubes, and the bytes of
+    one float64 grid."""
+    r = 128
+    mesh, _ = normalize_mesh(nested_mesh)
+    vec, den = splat_normals(sample_surface(mesh, 80_000, seed=0), r)
+    vec.data[...] /= np.maximum(den.data, 1e-12)[..., None]
+    f = divergence(vec)
+    phi, _ = solve_poisson(f)
+    return vec, den, f, phi, 8 * r**3
+
+
+def test_splat_memory_budget(nested_mesh):
+    """The splat returns the vector field (3 grids) and the density (1),
+    and holds one component's bincount result (1) until it is copied into
+    the vector field; the density is counted after the last copy, so 4
+    grids are live at once. Per point it also holds the stencil's node
+    ids, weights and one weighted copy (8 per point each) and the node
+    coordinates (3 per point): 216 B, so 256 B bounds it. Counting the
+    density first holds 5 grids next to the stencil."""
+    r = 128
+    mesh, _ = normalize_mesh(nested_mesh)
+    cloud = sample_surface(mesh, 80_000, seed=0)
+    _, peak = _traced_peak(lambda: splat_normals(cloud, r))
+    assert peak <= 4 * 8 * r**3 + 256 * len(cloud)
+
+
+def test_divergence_memory_budget(fields_128):
+    """The divergence keeps f, one grid. A slab of planes holds one
+    difference at a time, and numpy halves it in place, so the two slab
+    temporaries allowed here (_SLAB_NODES float64 each, a quarter grid at
+    128^3) are slack: 1 + 2 / 4 = 1.5 grids. Differencing the whole grid
+    at once holds 2.0."""
+    vec, _, _, _, grid = fields_128
+    _, peak = _traced_peak(lambda: divergence(vec))
+    assert peak <= grid + 2 * 8 * poisson._SLAB_NODES
+    assert peak <= 1.5 * grid
+
+
+def test_solve_memory_budget(fields_128):
+    """An unscreened solve holds the residual, the search direction, which
+    it scales into the solution, and one work buffer that the sine
+    transforms and the operator write into: 3 grids. The sine matrix and
+    the per-plane eigenvalue divisors are R^2 arrays, 1/128 of a grid
+    each here, so 3.5 grids leaves room for dozens of them. A solve that
+    forms each transform, operator and inner product as a new array holds
+    5.0."""
+    _, _, f, _, grid = fields_128
+    (phi, info), peak = _traced_peak(lambda: solve_poisson(f))
+    assert info.converged and info.iterations == 1
+    assert peak <= 3.5 * grid
+
+
+def test_extract_memory_budget(fields_128):
+    """Marching cubes holds at most 5 B per node in its node pass, about
+    100 B per face in its vertex pass (3 int64 vertex ids per face and
+    19 float64 per vertex, at about 2 faces per vertex) and one block of
+    the sliver filter (23 float64 per face, _FACE_BLOCK faces). With
+    281,092 faces that is 10.5 + 28.1 + 12.1 MB, 3.0 grids of 16.8 MB.
+    Filtering every face at once holds 4.96 grids."""
+    from xray3d import mcubes
+
+    _, den, _, phi, grid = fields_128
+    mesh, peak = _traced_peak(lambda: extract_isosurface(phi, den))
+    assert mesh.n_faces > 200_000
+    assert peak <= 5 * den.data.size + 100 * mesh.n_faces + 23 * 8 * mcubes._FACE_BLOCK
+    assert peak <= 3.0 * grid
+
+
 def test_solve_zero_source_gives_zero():
     grid = GridSpec(16)
     phi, info = solve_poisson(Field(grid, np.zeros((16, 16, 16))))
@@ -282,7 +386,7 @@ def test_solve_residual_history_non_increasing():
 @pytest.mark.parametrize("r", [2, 3, 17, 48])
 def test_preconditioner_inverts_discrete_laplacian(r):
     b = np.random.default_rng(r).normal(size=(r, r, r))
-    recovered = _discrete_neg_lap(_inverse_neg_laplacian(b))
+    recovered = _discrete_neg_lap(_inverse_neg_laplacian(b.copy(), np.empty_like(b)))
     assert np.linalg.norm(recovered - b) <= 1e-12 * np.linalg.norm(b)
 
 
