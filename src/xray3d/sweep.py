@@ -13,6 +13,8 @@ and evaluation, run at that deepest filled layer count: their rows carry
 the same chamfer and f_score, and repeat the decode and reconstruction
 timings of the computation they report. On a convex mesh, which no ray
 crosses more than twice, every cell from 2 layers up is one computation.
+Every cell of one mesh is scored against the same reference samples,
+drawn and indexed once per mesh.
 
 Cells execute on a bounded thread pool (XRAY_THREADS env var); rows are
 emitted in deterministic (mesh, view, layers, resolution) order no
@@ -33,7 +35,7 @@ import numpy as np
 from .camera import DEFAULT_FOV_X, sample_views
 from .codec import decode_to_pointcloud, encode, pad_or_truncate
 from .mesh import TriangleMesh, normalize_mesh
-from .metrics import evaluate_pair
+from .metrics import evaluate_pair, reference_index
 from .poisson import reconstruct
 from .raycast import build_bvh
 
@@ -142,7 +144,8 @@ def run_sweep(
             recon = reconstruct(cloud, poisson_res, screening, trim)
             recon_ms = (time.perf_counter() - t0) * 1000.0
             report = evaluate_pair(
-                recon, normalized[name], n_samples=n_samples, threshold=threshold, seed=seed
+                recon, references[name].result(), n_samples=n_samples, threshold=threshold,
+                seed=seed,
             )
             return SweepRow(name, view, layers, res, report.chamfer, report.f_score,
                             encode_ms, decode_ms, recon_ms)
@@ -174,6 +177,12 @@ def run_sweep(
         return rows
 
     with ThreadPoolExecutor(max_workers=max_workers or worker_count()) as pool:
+        # Submitted before the cells, so no cell waits on a build queued
+        # behind it; a mesh that cannot be sampled fails in each cell.
+        references = {
+            name: pool.submit(reference_index, mesh, n_samples, seed)
+            for name, mesh in normalized.items()
+        }
         results = list(pool.map(run_job, jobs))
 
     rows = [row for rows_ in results for row in rows_]

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, one PASS/FAIL line each.
 
 Run with `pytest tests/test_acceptance.py -v -s`. The sweep-based
-criteria take a few minutes; everything runs on a laptop-class CPU with
-no network or GPU.
+criteria take about 13 s each on 2 CPUs; everything runs on a
+laptop-class CPU with no network or GPU.
 """
 
 import math

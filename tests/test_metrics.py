@@ -10,6 +10,7 @@ from xray3d.metrics import (
     chamfer_f_score,
     evaluate_pair,
     icp_align,
+    reference_index,
     sample_surface,
 )
 
@@ -163,7 +164,7 @@ def test_icp_collinear_degenerate():
         icp_align(line, line + 0.1)
 
 
-def brute_force_icp(src, dst, max_iter=50, tol=1e-8):
+def brute_force_icp(src, dst, max_iter=50, tol=1e-4):
     """Point-to-point ICP matching by a full distance matrix; exact ties
     go to the lowest target index (argmin). Returns the transform, the
     RMSE history and the matched targets handed to each Kabsch step."""
@@ -176,7 +177,7 @@ def brute_force_icp(src, dst, max_iter=50, tol=1e-8):
         idx = full.argmin(axis=1)
         new_rmse = float(np.sqrt(np.mean(full[np.arange(len(src)), idx] ** 2)))
         history.append(new_rmse)
-        if abs(rmse - new_rmse) < tol:
+        if abs(rmse - new_rmse) <= tol * new_rmse:
             break
         rmse = new_rmse
         matched.append(dst[idx])
@@ -247,6 +248,51 @@ def test_icp_matches_brute_force_oracle(case, monkeypatch):
                                rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e-5, 1e-3, 1.0, 1e3])
+def test_icp_passes_do_not_depend_on_scale(scale):
+    src, dst = rotated_case()
+    assert len(icp_align(src * scale, dst * scale).rmse_history) == 23
+
+
+def test_icp_identical_clouds_converge():
+    pts = np.random.default_rng(1).uniform(-0.5, 0.5, size=(200, 3))
+    result = icp_align(pts, pts.copy())
+    assert len(result.rmse_history) <= 3
+    assert result.converged is True
+
+
+def test_icp_stop_on_the_last_allowed_pass_is_converged():
+    src, dst = rotated_case()
+    passes = len(icp_align(src, dst).rmse_history)
+    assert icp_align(src, dst, max_iter=passes).converged is True
+    capped = icp_align(src, dst, max_iter=passes - 1)
+    assert len(capped.rmse_history) == passes - 1
+    assert capped.converged is False
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(max_iter=0), "max_iter >= 1, got 0"),
+        (dict(max_iter=-2), "max_iter >= 1, got -2"),
+        (dict(tol=float("nan")), "got nan"),
+        (dict(tol=-1.0), "got -1.0"),
+        (dict(tol=0.0), "got 0.0"),
+        (dict(tol=float("inf")), "got inf"),
+    ],
+    ids=["max_iter_0", "max_iter_negative", "tol_nan", "tol_negative", "tol_zero", "tol_inf"],
+)
+def test_icp_rejects_bad_arguments(kwargs, message):
+    src, dst = rotated_case()
+    with pytest.raises(ValueError, match=message):
+        icp_align(src, dst, **kwargs)
+
+
+def test_evaluate_pair_rejects_zero_icp_passes(sphere_mesh):
+    with pytest.raises(ValueError, match="max_iter >= 1, got 0"):
+        evaluate_pair(sphere_mesh, sphere_mesh, n_samples=256, icp_max_iter=0)
+
+
 def test_evaluate_pair_shares_tree_and_reports_icp(torus_mesh):
     # The protocol spelled out with plain arrays, so each call builds its
     # own tree: the shared tree must give bitwise the same scores.
@@ -262,6 +308,10 @@ def test_evaluate_pair_shares_tree_and_reports_icp(torus_mesh):
     )
     assert report.icp_iterations == len(icp.rmse_history) < 50
     assert report.icp_converged is True
+    # A prebuilt reference index scores exactly as the mesh does.
+    shared = evaluate_pair(pred, reference_index(torus_mesh, 4096, 5), n_samples=4096,
+                           threshold=0.05, seed=5)
+    assert shared == report
 
     capped = evaluate_pair(pred, torus_mesh, n_samples=4096, seed=5, icp_max_iter=2)
     assert capped.icp_iterations == 2

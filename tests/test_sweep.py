@@ -134,6 +134,28 @@ def test_cells_past_the_deepest_hit_share_one_reconstruction(monkeypatch):
     assert (report.chamfer, report.f_score) == (twelve.chamfer, twelve.f_score)
 
 
+def test_reference_sampled_once_per_mesh_matches_per_cell_path(monkeypatch):
+    meshes = {"cube": cube(), "sphere": icosphere(1)}
+    kwargs = dict(layers_list=[1, 2], res_list=[24, 32], views=2, seed=1, poisson_res=32,
+                  n_samples=1024, max_workers=2)
+    built = []
+    real_reference = sweep_mod.reference_index
+
+    def counting_reference(mesh, n_samples, seed):
+        built.append(mesh)
+        return real_reference(mesh, n_samples, seed)
+
+    monkeypatch.setattr(sweep_mod, "reference_index", counting_reference)
+    shared = rows_to_csv(run_sweep(meshes, **kwargs), timings=False)
+    assert len(built) == len(meshes)
+
+    # The per-cell path: evaluate_pair samples the mesh it is handed.
+    monkeypatch.setattr(sweep_mod, "reference_index", lambda mesh, n_samples, seed: mesh)
+    per_cell = rows_to_csv(run_sweep(meshes, **kwargs), timings=False)
+    assert shared == per_cell
+    assert ",," not in shared  # every cell scored
+
+
 def test_mesh_without_hits_records_every_cell():
     # A zero-area triangle is never hit: every cell has an empty cloud.
     line = TriangleMesh([[0, 0, 0], [1, 0, 0], [2, 0, 0]], [[0, 1, 2]])
