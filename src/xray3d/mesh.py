@@ -137,9 +137,12 @@ class TriangleMesh:
         return v[self.faces[:, 0]], v[self.faces[:, 1]], v[self.faces[:, 2]]
 
 
-def face_areas(mesh: TriangleMesh) -> np.ndarray:
-    a, b, c = mesh.triangle_corners()
-    return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+def _unit_normals(cross: np.ndarray) -> np.ndarray:
+    """Unit vectors along (n, 3) face cross products `(b - a) x (c - a)`;
+    zero for a zero-area face. The one normal formula of the package."""
+    lengths = np.linalg.norm(cross, axis=1, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(lengths > 0, cross / lengths, 0.0)
 
 
 def face_normals(mesh: TriangleMesh) -> np.ndarray:
@@ -148,11 +151,20 @@ def face_normals(mesh: TriangleMesh) -> np.ndarray:
     Zero-area faces produce zero vectors.
     """
     a, b, c = mesh.triangle_corners()
-    n = np.cross(b - a, c - a)
-    lengths = np.linalg.norm(n, axis=1, keepdims=True)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        unit = np.where(lengths > 0, n / lengths, 0.0)
-    return unit
+    return _unit_normals(np.cross(b - a, c - a))
+
+
+def _surface_colors(
+    mesh: TriangleMesh, face: np.ndarray, u: np.ndarray, v: np.ndarray
+) -> np.ndarray:
+    """The colors of surface_attributes."""
+    if mesh.vertex_colors is None:
+        return np.ones((len(face), 3))
+    w0 = 1.0 - u - v
+    c = mesh.vertex_colors
+    f = mesh.faces[face]
+    colors = w0[:, None] * c[f[:, 0]] + u[:, None] * c[f[:, 1]] + v[:, None] * c[f[:, 2]]
+    return np.clip(colors, 0.0, 1.0)
 
 
 def surface_attributes(
@@ -165,14 +177,7 @@ def surface_attributes(
     viewer. Colors interpolate the vertex colors, clipped to [0, 1];
     colorless meshes report white.
     """
-    normals = face_normals(mesh)[face]
-    if mesh.vertex_colors is None:
-        return normals, np.ones((len(face), 3))
-    w0 = 1.0 - u - v
-    c = mesh.vertex_colors
-    f = mesh.faces[face]
-    colors = w0[:, None] * c[f[:, 0]] + u[:, None] * c[f[:, 1]] + v[:, None] * c[f[:, 2]]
-    return normals, np.clip(colors, 0.0, 1.0)
+    return face_normals(mesh)[face], _surface_colors(mesh, face, u, v)
 
 
 def normalize_mesh(mesh: TriangleMesh) -> tuple[TriangleMesh, RigidTransform]:

@@ -17,7 +17,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .codec import PointCloud
-from .mesh import MeshError, RigidTransform, TriangleMesh, face_areas, normalize_mesh, surface_attributes
+from .mesh import (
+    MeshError, RigidTransform, TriangleMesh, _surface_colors, _unit_normals, normalize_mesh,
+)
 
 DEFAULT_SAMPLES = 16384
 DEFAULT_THRESHOLD = 0.1
@@ -74,16 +76,25 @@ class IcpResult:
     # Whether the last pass met the tolerance, rather than the pass cap
     # ending the run.
     converged: bool
+    # When converged, each transformed source point's distance to its
+    # nearest target, as the last pass measured them at `transform`. None
+    # after the cap: the transform moved after its last query.
+    distances: np.ndarray | None = field(default=None, repr=False)
 
 
 def sample_surface(mesh: TriangleMesh, n: int, seed: int = 0) -> PointCloud:
     """Draw n area-weighted uniform surface points with face normals and
-    interpolated colors."""
+    interpolated colors.
+
+    The corners of every face are gathered once, for the areas and the
+    positions; normals are computed for the sampled faces only."""
     if mesh.is_empty:
         raise MeshError("cannot sample an empty mesh")
     if n < 1:
         raise ValueError("need at least one sample")
-    areas = face_areas(mesh)
+    a, b, c = mesh.triangle_corners()
+    cross = np.cross(b - a, c - a)
+    areas = 0.5 * np.linalg.norm(cross, axis=1)
     total = areas.sum()
     if total <= 0:
         raise MeshError("mesh has zero surface area")
@@ -94,12 +105,11 @@ def sample_surface(mesh: TriangleMesh, n: int, seed: int = 0) -> PointCloud:
     # sqrt trick: uniform over each triangle
     s = np.sqrt(r1)
     w0, w1, w2 = 1.0 - s, s * (1.0 - r2), s * r2
-    a, b, c = mesh.triangle_corners()
     positions = (
         w0[:, None] * a[chosen] + w1[:, None] * b[chosen] + w2[:, None] * c[chosen]
     )
-    normals, colors = surface_attributes(mesh, chosen, w1, w2)
-    return PointCloud(positions, normals, colors)
+    return PointCloud(positions, _unit_normals(cross[chosen]),
+                      _surface_colors(mesh, chosen, w1, w2))
 
 
 def _positions(obj) -> np.ndarray:
@@ -118,20 +128,28 @@ def _index(obj) -> NearestNeighborIndex:
     return NearestNeighborIndex(_positions(obj))
 
 
-def chamfer_f_score(p, q, threshold: float = DEFAULT_THRESHOLD) -> MetricReport:
+def chamfer_f_score(
+    p, q, threshold: float = DEFAULT_THRESHOLD, dist_to_p: np.ndarray | None = None
+) -> MetricReport:
     """Symmetric Chamfer distance and F-score between two point sets.
 
     chamfer = mean over q of distance-to-p + mean over p of
     distance-to-q. Precision counts q-side matches below the threshold,
     recall counts p-side matches. Swapping p and q swaps precision and
     recall but leaves chamfer and f_score unchanged. p may be a
-    NearestNeighborIndex, whose tree is then reused.
+    NearestNeighborIndex, whose tree is then reused. A caller that has
+    measured each q point's nearest distance to p (IcpResult.distances)
+    passes them as dist_to_p, and p is not queried.
     """
     p_points = _positions(p)
     q = _positions(q)
     if len(p_points) == 0 or len(q) == 0:
         raise ValueError("chamfer distance needs two non-empty point sets")
-    dist_to_p, _ = _index(p).query(q)
+    if dist_to_p is None:
+        dist_to_p, _ = _index(p).query(q)
+    elif np.shape(dist_to_p) != (len(q),):
+        raise ValueError(f"dist_to_p needs one distance per q point, got shape "
+                         f"{np.shape(dist_to_p)} for {len(q)} points")
     dist_to_q, _ = NearestNeighborIndex(q).query(p_points)
     chamfer = float(dist_to_p.mean() + dist_to_q.mean())
     precision = float((dist_to_p < threshold).mean())
@@ -199,8 +217,9 @@ def icp_align(
     margin far above the rounding of the distances. Every distance is
     then recomputed from the matches, with the arithmetic the tree uses,
     so the matches, transforms and RMSE history are those of querying
-    every point on every iteration. `dst` may be a NearestNeighborIndex,
-    whose tree is then reused.
+    every point on every iteration, and a converged result's
+    `distances` are those a query at `transform` returns. `dst` may be a
+    NearestNeighborIndex, whose tree is then reused.
     """
     if max_iter < 1:
         raise ValueError(f"ICP needs max_iter >= 1, got {max_iter!r}")
@@ -239,7 +258,8 @@ def icp_align(
         if converged:
             break
         transform = _kabsch(src, matched)
-    return IcpResult(transform, rmse, np.asarray(history), converged)
+    return IcpResult(transform, rmse, np.asarray(history), converged,
+                     dists if converged else None)
 
 
 def reference_index(
@@ -265,7 +285,9 @@ def evaluate_pair(
 
     Precision is the fraction of prediction-side samples within the
     threshold of the reference surface samples. One kd-tree over the
-    reference samples serves both the alignment and the score. gt_mesh
+    reference samples serves both the alignment and the score, and a
+    converged alignment hands its last pass's distances to the score, so
+    the tree is not queried for them again. gt_mesh
     may be that tree, built by reference_index with the same n_samples
     and seed; the report is then bitwise the one for the mesh.
     """
@@ -274,5 +296,6 @@ def evaluate_pair(
     reference = (gt_mesh if isinstance(gt_mesh, NearestNeighborIndex)
                  else reference_index(gt_mesh, n_samples, seed))
     icp = icp_align(pred_pts, reference, max_iter=icp_max_iter)
-    report = chamfer_f_score(reference, icp.transform.apply(pred_pts), threshold)
+    report = chamfer_f_score(reference, icp.transform.apply(pred_pts), threshold,
+                             icp.distances)
     return replace(report, icp_iterations=len(icp.rmse_history), icp_converged=icp.converged)

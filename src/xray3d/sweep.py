@@ -18,16 +18,26 @@ drawn and indexed once per mesh.
 
 Cells execute on a bounded thread pool (XRAY_THREADS env var); rows are
 emitted in deterministic (mesh, view, layers, resolution) order no
-matter how the pool schedules them.
+matter how the pool schedules them. The pool is the sweep's only
+parallelism: while run_sweep runs, the OpenBLAS that numpy ships is held
+at one thread, process-wide, and given back its previous count when the
+last concurrent run_sweep returns or raises. An OpenBLAS thread busy-waits
+for a while after each call it shares, so a second BLAS thread per call
+would take a core from the pool workers. Rows then depend on neither the
+caller's BLAS thread count nor the pool size. Other BLAS builds (MKL, a
+system OpenBLAS) are left alone; their users set `*_NUM_THREADS=1`.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -79,7 +89,8 @@ class SweepRow:
 
 
 def worker_count() -> int:
-    """Thread pool size: XRAY_THREADS if set, else min(4, cpu count)."""
+    """Thread pool size: XRAY_THREADS if set, else min(4, the number of
+    CPUs this process may run on)."""
     env = os.environ.get(THREADS_ENV)
     if env:
         try:
@@ -89,9 +100,72 @@ def worker_count() -> int:
         if n < 1:
             raise ValueError(f"{THREADS_ENV} must be positive")
         return n
+    if hasattr(os, "sched_getaffinity"):  # a container's or taskset's CPUs
+        return min(4, len(os.sched_getaffinity(0)))
     return min(4, os.cpu_count() or 1)
 
 
+@functools.cache
+def _numpy_openblas():
+    """(get, set) of the thread count of the OpenBLAS bundled in numpy's
+    wheel, or None where numpy ships none (MKL or a system BLAS)."""
+    import ctypes  # here, so that importing the package does not pay for it
+    import glob
+
+    pkg = os.path.dirname(np.__file__)
+    paths = glob.glob(os.path.join(pkg + ".libs", "*openblas*"))
+    paths += glob.glob(os.path.join(pkg, ".dylibs", "*openblas*"))
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)  # numpy loaded it already: the same handle
+        except OSError:
+            continue
+        # scipy_openblas_* in numpy 2 wheels, openblas_* in 1.x; 64_ for
+        # the 64-bit-integer build.
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    return get, set_
+    return None
+
+
+# The BLAS thread count is process-wide, so concurrent sweeps share one
+# hold: the first to enter saves the caller's count, the last to leave
+# restores it.
+_blas_lock = threading.Lock()
+_blas_holders = 0
+_blas_saved = 1
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread; a no-op where
+    numpy bundles no OpenBLAS."""
+    global _blas_holders, _blas_saved
+    blas = _numpy_openblas()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    with _blas_lock:
+        if _blas_holders == 0:
+            _blas_saved = get()
+            set_(1)
+        _blas_holders += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_holders -= 1
+            if _blas_holders == 0:
+                set_(_blas_saved)
+
+
+@_one_blas_thread()
 def run_sweep(
     meshes: dict[str, TriangleMesh],
     layers_list: list[int],
@@ -106,7 +180,10 @@ def run_sweep(
     fov_x: float = DEFAULT_FOV_X,
     max_workers: int | None = None,
 ) -> list[SweepRow]:
-    """Evaluate the intrinsic round-trip error over the parameter grid."""
+    """Evaluate the intrinsic round-trip error over the parameter grid.
+
+    Numpy's bundled OpenBLAS runs on one thread, process-wide, until this
+    returns; see the module docstring."""
     if not meshes:
         raise ValueError("need at least one mesh")
     if not layers_list or not res_list:

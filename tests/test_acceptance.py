@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, one PASS/FAIL line each.
 
 Run with `pytest tests/test_acceptance.py -v -s`. The sweep-based
-criteria take about 13 s each on 2 CPUs; everything runs on a
+criteria take about 10 s each on 2 CPUs; everything runs on a
 laptop-class CPU with no network or GPU.
 """
 

@@ -4,7 +4,9 @@ import pytest
 from xray3d import metrics as metrics_module
 from xray3d.codec import PointCloud
 from xray3d.fixtures import cube, icosphere
-from xray3d.mesh import MeshError, RigidTransform, TriangleMesh, normalize_mesh
+from xray3d.mesh import (
+    MeshError, RigidTransform, TriangleMesh, face_normals, normalize_mesh, surface_attributes,
+)
 from xray3d.metrics import (
     NearestNeighborIndex,
     chamfer_f_score,
@@ -64,6 +66,37 @@ def test_sample_surface_deterministic(sphere_mesh):
     np.testing.assert_array_equal(a.positions, b.positions)
     c = sample_surface(sphere_mesh, 500, seed=4)
     assert not np.array_equal(a.positions, c.positions)
+
+
+def per_face_sample_surface(mesh, n, seed):
+    """sample_surface spelled out with the per-face helpers: areas and
+    normals of every face, and the attributes of surface_attributes."""
+    a, b, c = mesh.triangle_corners()
+    areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+    rng = np.random.default_rng(seed)
+    chosen = rng.choice(mesh.n_faces, size=n, p=areas / areas.sum())
+    s, r2 = np.sqrt(rng.random(n)), rng.random(n)
+    w0, w1, w2 = 1.0 - s, s * (1.0 - r2), s * r2
+    positions = w0[:, None] * a[chosen] + w1[:, None] * b[chosen] + w2[:, None] * c[chosen]
+    normals, colors = surface_attributes(mesh, chosen, w1, w2)
+    np.testing.assert_array_equal(normals, face_normals(mesh)[chosen])
+    return positions, normals, colors
+
+
+@pytest.mark.parametrize("colored", [False, True])
+def test_sample_surface_equals_per_face_attributes(colored):
+    # A zero-area face is never drawn, but its normal is part of the
+    # per-face path; sampled normals are computed for drawn faces only.
+    mesh = icosphere(2, colored=colored)
+    mesh = TriangleMesh(np.vstack([mesh.vertices, [[2, 0, 0], [3, 0, 0], [4, 0, 0]]]),
+                        np.vstack([mesh.faces, [[len(mesh.vertices) + i for i in range(3)]]]),
+                        vertex_colors=None if mesh.vertex_colors is None else
+                        np.vstack([mesh.vertex_colors, np.full((3, 3), 0.5)]))
+    cloud = sample_surface(mesh, 3000, seed=11)
+    positions, normals, colors = per_face_sample_surface(mesh, 3000, 11)
+    np.testing.assert_array_equal(cloud.positions, positions)
+    np.testing.assert_array_equal(cloud.normals, normals)
+    np.testing.assert_array_equal(cloud.colors, colors)
 
 
 def test_sample_surface_zero_area():
@@ -316,6 +349,47 @@ def test_evaluate_pair_shares_tree_and_reports_icp(torus_mesh):
     capped = evaluate_pair(pred, torus_mesh, n_samples=4096, seed=5, icp_max_iter=2)
     assert capped.icp_iterations == 2
     assert capped.icp_converged is False
+
+
+def test_icp_distances_are_the_tree_query_at_the_transform():
+    src, dst = rotated_case()
+    result = icp_align(src, dst)
+    assert result.converged
+    want, _ = NearestNeighborIndex(dst).query(result.transform.apply(src))
+    np.testing.assert_array_equal(result.distances, want)
+    # After the cap the transform moved past its last query: no distances.
+    assert icp_align(src, dst, max_iter=2).distances is None
+
+
+def test_chamfer_with_given_distances(rng):
+    p, q = rng.normal(size=(300, 3)), rng.normal(size=(200, 3))
+    d, _ = NearestNeighborIndex(p).query(q)
+    assert chamfer_f_score(p, q, 0.5, d) == chamfer_f_score(p, q, 0.5)
+    with pytest.raises(ValueError, match="one distance per q point"):
+        chamfer_f_score(p, q, 0.5, d[:-1])
+
+
+@pytest.mark.parametrize("icp_max_iter, queries", [(50, 1), (2, 2)],
+                         ids=["converged", "capped"])
+def test_evaluate_pair_queries_reference_only_after_capped_icp(
+    torus_mesh, monkeypatch, icp_max_iter, queries
+):
+    # Scoring queries the prediction's tree once; the reference's tree is
+    # queried again only when ICP's last pass did not measure at the
+    # returned transform.
+    pred = TriangleMesh(torus_mesh.vertices @ rotation_about([1, 0, 0], 0.1).T, torus_mesh.faces)
+    reference = reference_index(torus_mesh, 2048, 5)
+    calls = []
+    real_query = NearestNeighborIndex.query
+
+    def counting_query(self, queries):
+        calls.append(len(queries))
+        return real_query(self, queries)
+
+    monkeypatch.setattr(NearestNeighborIndex, "query", counting_query)
+    report = evaluate_pair(pred, reference, n_samples=2048, seed=5, icp_max_iter=icp_max_iter)
+    assert report.icp_converged is (icp_max_iter == 50)
+    assert calls == [2048] * queries
 
 
 def test_evaluate_pair_self_comparison(sphere_mesh):

@@ -1,5 +1,7 @@
 import csv
 import io
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -124,13 +126,14 @@ def test_cells_past_the_deepest_hit_share_one_reconstruction(monkeypatch):
     assert (twelve.decode_ms, twelve.recon_ms) == (two.decode_ms, two.recon_ms)
 
     # Against fresh computation: a sweep with no 2-layer cell, and the
-    # 12-layer pipeline run by hand.
+    # 12-layer pipeline run by hand, on one BLAS thread as the sweep runs.
     (alone,) = run_sweep({"cube": cube()}, layers_list=[12], **kwargs)
     assert (alone.chamfer, alone.f_score) == (twelve.chamfer, twelve.f_score)
-    mesh = normalize_mesh(cube())[0]
-    camera = sample_views(0, 1, width=32, height=32, fov_x=DEFAULT_FOV_X)[0]
-    cloud = decode_to_pointcloud(encode(mesh, camera, 12), frame="world")
-    report = real_evaluate(reconstruct(cloud, 32, 0.0, 0.0), mesh, n_samples=1024, seed=0)
+    with sweep_mod._one_blas_thread():
+        mesh = normalize_mesh(cube())[0]
+        camera = sample_views(0, 1, width=32, height=32, fov_x=DEFAULT_FOV_X)[0]
+        cloud = decode_to_pointcloud(encode(mesh, camera, 12), frame="world")
+        report = real_evaluate(reconstruct(cloud, 32, 0.0, 0.0), mesh, n_samples=1024, seed=0)
     assert (report.chamfer, report.f_score) == (twelve.chamfer, twelve.f_score)
 
 
@@ -176,6 +179,119 @@ def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("XRAY_THREADS", "abc")
     with pytest.raises(ValueError):
         worker_count()
+
+
+def test_worker_count_counts_the_cpus_the_process_may_use(monkeypatch):
+    monkeypatch.delenv("XRAY_THREADS", raising=False)
+    monkeypatch.setattr(sweep_mod.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 64)
+    assert worker_count() == 1
+
+
+needs_openblas = pytest.mark.skipif(
+    sweep_mod._numpy_openblas() is None, reason="numpy bundles no OpenBLAS here"
+)
+
+
+@pytest.fixture
+def blas_threads():
+    """(get, set) of numpy's OpenBLAS thread count; the caller's count is
+    restored after the test."""
+    get, set_ = sweep_mod._numpy_openblas()
+    before = get()
+    yield get, set_
+    set_(before)
+
+
+@needs_openblas
+def test_one_blas_thread_restores_the_callers_count(blas_threads):
+    get, set_ = blas_threads
+    for caller in (2, 1, 3):
+        set_(caller)
+        with sweep_mod._one_blas_thread():
+            assert get() == 1
+            with sweep_mod._one_blas_thread():  # a sweep inside a sweep
+                assert get() == 1
+            assert get() == 1
+        assert get() == caller
+        with pytest.raises(RuntimeError, match="inside"):
+            with sweep_mod._one_blas_thread():
+                raise RuntimeError("raised inside")
+        assert get() == caller
+
+
+@needs_openblas
+def test_concurrent_holds_restore_the_callers_count(blas_threads):
+    # More threads than cores enter and leave the hold with a short switch
+    # interval: every holder sees one thread, and the last one out
+    # restores the caller's count.
+    get, set_ = blas_threads
+    set_(2)
+    seen = []
+
+    def hold():
+        for _ in range(200):
+            with sweep_mod._one_blas_thread():
+                seen.append(get())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hold) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == 8 * 200 and set(seen) == {1}
+    assert get() == 2
+
+
+@needs_openblas
+def test_rows_depend_on_neither_pool_size_nor_caller_blas_threads(blas_threads, monkeypatch):
+    get, set_ = blas_threads
+    inside = []
+    real_reconstruct = sweep_mod.reconstruct
+
+    def recording_reconstruct(*args, **kwargs):
+        inside.append(get())
+        return real_reconstruct(*args, **kwargs)
+
+    monkeypatch.setattr(sweep_mod, "reconstruct", recording_reconstruct)
+    meshes = {"cube": cube(), "sphere": icosphere(2)}
+    kwargs = dict(layers_list=[1, 2], res_list=[32], views=1, seed=2, poisson_res=48,
+                  n_samples=2048)
+    texts = set()
+    for caller in (1, 2):
+        for workers in (1, 2):
+            set_(caller)
+            rows = run_sweep(meshes, max_workers=workers, **kwargs)
+            assert get() == caller
+            texts.add(rows_to_csv(rows, timings=False))
+    assert len(texts) == 1
+    assert inside and set(inside) == {1}
+
+
+def test_sweep_without_openblas_gives_the_same_rows(monkeypatch):
+    # Where numpy bundles no OpenBLAS the hold does nothing; with the
+    # caller already on one thread, the rows are those of the hold.
+    blas = sweep_mod._numpy_openblas()
+    before = blas[0]() if blas else None
+    if blas:
+        blas[1](1)
+    try:
+        kwargs = dict(layers_list=[2], res_list=[32], views=1, seed=3, poisson_res=32,
+                      n_samples=1024, max_workers=2)
+        held = rows_to_csv(run_sweep({"cube": cube()}, **kwargs), timings=False)
+        monkeypatch.setattr(sweep_mod, "_numpy_openblas", lambda: None)
+        unheld = rows_to_csv(run_sweep({"cube": cube()}, **kwargs), timings=False)
+    finally:
+        if blas:
+            blas[1](before)
+    assert held == unheld
+    assert ",," not in held
 
 
 def test_mean_chamfer_skips_failures():
