@@ -144,6 +144,7 @@ def cmd_decode(args) -> int:
     _require(args.screening >= 0, "--screening must be nonnegative")
     tensor = read_xray(args.xray_path)
     cloud = decode_to_pointcloud(tensor, frame=args.frame)
+    del tensor  # the payload, 16.8 MB at 8 layers of 256^2, is not read again
     if len(cloud) == 0:
         raise ValueError("empty point cloud (tensor has no hits)")
     print(f"decoded {len(cloud)} points")
@@ -154,6 +155,7 @@ def cmd_decode(args) -> int:
     mesh, info = reconstruct(
         cloud, args.poisson_res, args.screening, args.trim, return_info=True
     )
+    del cloud  # writing the mesh does not need it
     print(
         f"solver: {info.iterations} iterations, "
         f"relative residual {info.relative_residual:.3e}"

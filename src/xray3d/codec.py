@@ -235,14 +235,19 @@ def encode(
 
 
 def pad_or_truncate(x: XRayTensor, target_layers: int) -> XRayTensor:
-    """Zero-pad or drop layers from the deep end to reach `target_layers`."""
+    """Zero-pad or drop layers from the deep end to reach `target_layers`.
+
+    Dropping layers copies nothing: the result's data is a read-only view
+    of the leading layers of x's.
+    """
     if target_layers < 1:
         raise ValueError("target layer count must be at least 1")
     if target_layers == x.layers:
         return x
+    if target_layers < x.layers:
+        return XRayTensor(x.data[:target_layers], x.fov_x, x.c2w)
     data = np.zeros((target_layers, 8, x.height, x.width), dtype=np.float32)
-    keep = min(x.layers, target_layers)
-    data[:keep] = x.data[:keep]
+    data[:x.layers] = x.data
     return XRayTensor(data, x.fov_x, x.c2w)
 
 

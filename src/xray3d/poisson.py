@@ -20,16 +20,19 @@ Derivatives are in grid units (spacing 1); the iso level is data-driven,
 so the solution's scale never matters downstream.
 
 Memory, in float64 grids of R^3 nodes (16 MiB at 128^3, 128 MiB at
-256^3), beyond what the caller holds: the splat holds 4 at once (the
-vector field and one component's bincount result until it is copied in;
-the density comes after) plus a few hundred bytes per point; normalising
-divides in place, one slab of planes at a time; the divergence allocates
-f and one slab's differences; an unscreened solve holds 3 (the residual,
-the search direction, which it scales into phi, and one work buffer);
-extraction holds under 2 for the 281,000-face surface of a 128^3
-reconstruction (a few bytes per node, and per-face arrays, the sliver
-filter's a block at a time). With the fields its caller keeps, each
-phase peaks near 5 grids.
+256^3), for each phase of an unscreened reconstruct:
+- splat 4: the vector field and the density, added into in place one
+  stencil corner at a time, plus about 100 bytes per point;
+- normalisation 4: it divides in place, one slab of planes at a time;
+- divergence 4: the field and f, plus one slab's differences; the
+  density waits parked as its nonzero nodes (16 bytes each, at most 8
+  per point);
+- solve 4: f, the residual, the search direction (which becomes phi)
+  and one work buffer; a screened solve also holds the density, the
+  screening term, the iterate and a second work buffer, 8 in all;
+- extraction at most 4: phi, the density and under 2 of its own for the
+  281,000-face surface of a 128^3 reconstruction (a few bytes per node,
+  and per-face arrays, the sliver filter's a block at a time).
 """
 
 from __future__ import annotations
@@ -95,20 +98,33 @@ class GridSpec:
     def trilinear(self, data: np.ndarray, points: np.ndarray) -> np.ndarray:
         """Sample a (R, R, R) array at world points, clamped to the node hull."""
         g = np.clip(self.grid_coords(points), 0.0, self.resolution - 1)
-        nodes, weights = _stencil(self.resolution, g)
-        return (data.reshape(-1)[nodes] * weights).sum(axis=0)
+        corners = _corners(self.resolution, g)
+        del g  # the stencil drops it once it has the fractions
+        flat = data.reshape(-1)
+        node, w = next(corners)
+        out = flat[node] * w
+        for node, w in corners:
+            out += flat[node] * w
+        return out
 
 
-def _stencil(r: int, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(8, N) flat node indices and trilinear weights of node coordinates g
-    in [0, r - 1]^3; row k is the corner offset by the bits of k, x highest."""
-    base = np.minimum(np.floor(g), r - 2).astype(np.int64)
+def _corners(r: int, g: np.ndarray):
+    """Yield the flat node indices and trilinear weights of node coordinates
+    g in [0, r - 1]^3 one corner at a time, never as an (8, N) stencil;
+    the k-th corner is offset by the bits of k, x highest."""
+    base = np.floor(g)
+    np.minimum(base, r - 2, out=base)
     frac = g - base
-    bit = np.arange(2)
-    corner = (bit[:, None, None] * r + bit[:, None]) * r + bit
-    nodes = corner.reshape(8, 1) + (base[:, 0] * r + base[:, 1]) * r + base[:, 2]
-    wx, wy, wz = (np.array([1.0 - frac[:, a], frac[:, a]]) for a in range(3))
-    return nodes, ((wx[:, None, None] * wy[:, None]) * wz).reshape(8, -1)
+    del g
+    base = base.astype(np.int64)
+    flat = (base[:, 0] * r + base[:, 1]) * r + base[:, 2]
+    del base
+    wx, wy, wz = ((1.0 - frac[:, a], frac[:, a]) for a in range(3))
+    for dx in (0, 1):
+        for dy in (0, 1):
+            wxy = wx[dx] * wy[dy]
+            for dz in (0, 1):
+                yield flat + ((dx * r + dy) * r + dz), wxy * wz[dz]
 
 
 @dataclass(frozen=True)
@@ -150,14 +166,18 @@ def splat_normals(pc: PointCloud, resolution: int) -> tuple[Field, Field]:
             f"point outside the splat domain (e.g. {pc.positions[np.argmax(outside)]}); "
             f"at resolution {r} the nodes cover [{lo:.6g}, {hi:.6g})^3"
         )
-    nodes, weights = _stencil(r, g)
-    nodes = nodes.ravel()
+    corners = _corners(r, g)
+    del g  # the stencil drops it once it has the fractions
     n = r * r * r
-    vec = np.empty((n, 3))
-    for a in range(3):
-        vec[:, a] = np.bincount(nodes, weights=(weights * pc.normals[:, a]).ravel(), minlength=n)
-    # the density comes last, so no component's bincount result is held next to it
-    den = np.bincount(nodes, weights=weights.ravel(), minlength=n)
+    vec = np.zeros((n, 3))
+    den = np.zeros(n)
+    # np.add.at is a bincount with an out=: corner by corner, each node
+    # receives the same terms in the same order as a bincount over the
+    # (8, N) stencil, without a whole-grid result per component.
+    for node, w in corners:
+        np.add.at(den, node, w)
+        for a in range(3):
+            np.add.at(vec[:, a], node, w * pc.normals[:, a])
     return Field(grid, vec.reshape(r, r, r, 3)), Field(grid, den.reshape(r, r, r))
 
 
@@ -358,6 +378,14 @@ def density_trim(
     )
 
 
+def _unpark(grid: GridSpec, nodes: np.ndarray, values: np.ndarray) -> Field:
+    """The scalar field that is zero except for values at flat nodes."""
+    r = grid.resolution
+    data = np.zeros(r * r * r)
+    data[nodes] = values
+    return Field(grid, data.reshape(r, r, r))
+
+
 def reconstruct(
     pc: PointCloud,
     resolution: int = DEFAULT_RESOLUTION,
@@ -383,11 +411,21 @@ def reconstruct(
     # regardless of sampling density.
     for rows in _slabs(resolution):
         vec.data[rows] /= np.maximum(den.data[rows], 1e-12)[..., None]
+    # Park the density as its nonzero nodes (at most 8 per sample) until
+    # it is next read, so the divergence holds only the field and f, and
+    # an unscreened solve only f and its own three grids.
+    grid, nodes = den.grid, np.flatnonzero(den.data)
+    values = den.data.reshape(-1)[nodes]
+    del den
     f = divergence(vec)
     del vec  # three R^3 arrays the solve and extraction do not need
+    den = _unpark(grid, nodes, values) if screening > 0 else None
     phi, info = solve_poisson(f, screening, den, tol=tol, max_iter=max_iter)
+    del f
     if not info.converged:
         raise SolverConvergenceError(info.relative_residual, info.iterations)
+    if den is None:
+        den = _unpark(grid, nodes, values)
     mesh = extract_isosurface(phi, den)
     if trim > 0.0:
         mesh = density_trim(mesh, den.grid.trilinear(den.data, mesh.vertices), trim)

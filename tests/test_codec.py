@@ -125,6 +125,9 @@ def test_truncate_keeps_prefix():
     x = random_valid_tensor(rng, layers=12, height=4, width=4)
     cut = pad_or_truncate(x, 8)
     np.testing.assert_array_equal(cut.data, x.data[:8])
+    assert np.shares_memory(cut.data, x.data)
+    assert cut.data.flags.c_contiguous and not cut.data.flags.writeable
+    assert (cut.fov_x, cut.c2w.tobytes()) == (x.fov_x, x.c2w.tobytes())
     cut.validate()
 
 

@@ -122,6 +122,63 @@ def test_splat_matches_scatter_oracle(r):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
     assert den.data.sum() == pytest.approx(len(pc), rel=1e-12)
 
+
+def _stencil_8n(r: int, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference: the (8, N) flat node ids and trilinear weights of node
+    coordinates g in [0, r - 1]^3 as whole arrays; row k is the corner
+    offset by the bits of k, x highest."""
+    base = np.minimum(np.floor(g), r - 2).astype(np.int64)
+    frac = g - base
+    bit = np.arange(2)
+    corner = (bit[:, None, None] * r + bit[:, None]) * r + bit
+    nodes = corner.reshape(8, 1) + (base[:, 0] * r + base[:, 1]) * r + base[:, 2]
+    wx, wy, wz = (np.array([1.0 - frac[:, a], frac[:, a]]) for a in range(3))
+    return nodes, ((wx[:, None, None] * wy[:, None]) * wz).reshape(8, -1)
+
+
+def _splat_by_bincount(pc: PointCloud, r: int):
+    """Reference: one np.bincount per normal component and one for the
+    density over the (8, N) stencil."""
+    nodes, weights = _stencil_8n(r, GridSpec(r).grid_coords(pc.positions))
+    nodes = nodes.ravel()
+    n = r**3
+    vec = np.stack([
+        np.bincount(nodes, weights=(weights * pc.normals[:, a]).ravel(), minlength=n)
+        for a in range(3)
+    ], axis=-1)
+    den = np.bincount(nodes, weights=weights.ravel(), minlength=n)
+    return vec.reshape(r, r, r, 3), den.reshape(r, r, r)
+
+
+@pytest.mark.parametrize("r", [2, 17, 64, 128])
+def test_splat_is_bitwise_the_bincount_splat(r, nested_mesh):
+    """Adding corner by corner gives every node the bincount's terms in the
+    bincount's order, so the sums agree to the bit."""
+    mesh, _ = normalize_mesh(nested_mesh)
+    pc = sample_surface(mesh, 20_000, seed=r)
+    if r == 2:  # every sample in the one cell, none on the upper hull
+        pc = PointCloud(np.clip(pc.positions, -0.29, 0.29), pc.normals, pc.colors)
+    vec, den = splat_normals(pc, r)
+    want_vec, want_den = _splat_by_bincount(pc, r)
+    assert vec.data.tobytes() == want_vec.tobytes()
+    assert den.data.tobytes() == want_den.tobytes()
+
+
+@pytest.mark.parametrize("r", [2, 17, 64, 128])
+def test_trilinear_is_bitwise_the_stencil_gather_and_sum(r):
+    """Summing the corners one at a time is the (8, N) gather's sum over
+    its first axis, row after row. (For a single point numpy sums the 8
+    pairwise instead, which can differ in the last bit.)"""
+    rng = np.random.default_rng(r)
+    grid = GridSpec(r)
+    data = rng.normal(size=(r, r, r))
+    points = rng.uniform(-0.7, 0.7, size=(200_000, 3))  # partly outside the hull
+    g = np.clip(grid.grid_coords(points), 0.0, r - 1)
+    nodes, weights = _stencil_8n(r, g)
+    want = (data.reshape(-1)[nodes] * weights).sum(axis=0)
+    assert grid.trilinear(data, points).tobytes() == want.tobytes()
+
+
 def _map_world(data: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Oracle: scipy's order-1 spline at world points, each clamped to the
     node hull; node i sits at -0.6 + (i + 0.5) * 1.2 / R on every axis."""
@@ -270,32 +327,53 @@ def _traced_peak(fn):
 
 
 @pytest.fixture(scope="module")
-def fields_128(nested_mesh):
-    """Density, normalised vector field, source and potential at 128^3 for
-    80,000 seeded surface samples of the nested cubes, and the bytes of
-    one float64 grid."""
-    r = 128
+def cloud_80k(nested_mesh):
+    """80,000 seeded surface samples of the nested cubes."""
     mesh, _ = normalize_mesh(nested_mesh)
-    vec, den = splat_normals(sample_surface(mesh, 80_000, seed=0), r)
+    return sample_surface(mesh, 80_000, seed=0)
+
+
+@pytest.fixture(scope="module")
+def fields_128(cloud_80k):
+    """Density, normalised vector field, source and potential at 128^3 for
+    cloud_80k, and the bytes of one float64 grid."""
+    r = 128
+    vec, den = splat_normals(cloud_80k, r)
     vec.data[...] /= np.maximum(den.data, 1e-12)[..., None]
     f = divergence(vec)
     phi, _ = solve_poisson(f)
     return vec, den, f, phi, 8 * r**3
 
 
-def test_splat_memory_budget(nested_mesh):
-    """The splat returns the vector field (3 grids) and the density (1),
-    and holds one component's bincount result (1) until it is copied into
-    the vector field; the density is counted after the last copy, so 4
-    grids are live at once. Per point it also holds the stencil's node
-    ids, weights and one weighted copy (8 per point each) and the node
-    coordinates (3 per point): 216 B, so 256 B bounds it. Counting the
-    density first holds 5 grids next to the stencil."""
+def test_splat_memory_budget(cloud_80k):
+    """The splat holds the vector field (3 grids) and the density (1) it
+    returns, and adds into them in place: no whole-grid bincount result.
+    Per point it holds the stencil one corner at a time: the fractional
+    coordinates (24 B), the base node (8), the three new axis weights
+    (24), the two latest corners' nodes and weights (32), a pair weight
+    and one weighted normal component (16). That is about 104 B (96
+    measured), so 128 B bounds it. Bincounting an (8, N) stencil per
+    component holds 4 grids and 217 B per point, and 5 grids when the
+    density is counted first."""
     r = 128
-    mesh, _ = normalize_mesh(nested_mesh)
-    cloud = sample_surface(mesh, 80_000, seed=0)
-    _, peak = _traced_peak(lambda: splat_normals(cloud, r))
-    assert peak <= 4 * 8 * r**3 + 256 * len(cloud)
+    _, peak = _traced_peak(lambda: splat_normals(cloud_80k, r))
+    assert peak <= 4 * 8 * r**3 + 128 * len(cloud_80k)
+
+
+def test_reconstruct_memory_budget(cloud_80k):
+    """No phase of an unscreened reconstruction holds more than 4 grids:
+    the splat holds the field and the density, the divergence the field
+    and f (the density is parked as its nonzero nodes), the solve f and
+    its own 3, and extraction the potential, the density and under 2 of
+    its own. On top come two slabs of the slab-wise passes and a per-point
+    term of 128 B: the splat's stencil (about 104 B) or the parked density
+    (16 B per nonzero node, 3.1 nodes per sample here). Keeping the
+    density whole beside the divergence and the solve, with (8, N)
+    stencils in the splat and the trim, holds 5.95 grids."""
+    r = 128
+    mesh, peak = _traced_peak(lambda: reconstruct(cloud_80k, r, trim=0.05))
+    assert mesh.n_faces > 100_000
+    assert peak <= 4 * 8 * r**3 + 2 * 8 * poisson._SLAB_NODES + 128 * len(cloud_80k)
 
 
 def test_divergence_memory_budget(fields_128):
