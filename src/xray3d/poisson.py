@@ -2,16 +2,14 @@
 
 Pipeline: splat oriented point normals into a vector field on a regular
 grid and divide it by the splatted density, take its divergence as the
-source term f, solve the screened system (lap - screening * density)
-phi = f with zero-Dirichlet ghost boundaries by conjugate gradient
-preconditioned with the exact inverse of -lap (a sine-basis fast Poisson
-solve), then run marching cubes at the mean potential of the input
-samples. Each sample's trilinear weights are exactly what its splat
-added to the density, so that mean is the density-weighted mean of phi
-over the nodes and needs no second pass over the samples. Faces are
-wound along grad(phi), outward for outward input normals, so no
-orientation pass follows. Unscreened systems converge in one iteration;
-screened ones take a few dozen to a few hundred.
+source term f, solve lap phi = f with zero-Dirichlet ghost boundaries
+directly (the exact inverse of -lap, a sine-basis fast Poisson solve),
+then run marching cubes at the mean potential of the input samples.
+Each sample's trilinear weights are exactly what its splat added to the
+density, so that mean is the density-weighted mean of phi over the nodes
+and needs no second pass over the samples. Faces are wound along
+grad(phi), outward for outward input normals, so no orientation pass
+follows.
 
 Grid layout is cell-centered: resolution R means R nodes per axis at
 DOMAIN_LO + (i + 0.5) * h with h = (DOMAIN_HI - DOMAIN_LO) / R over the
@@ -20,16 +18,16 @@ Derivatives are in grid units (spacing 1); the iso level is data-driven,
 so the solution's scale never matters downstream.
 
 Memory, in float64 grids of R^3 nodes (16 MiB at 128^3, 128 MiB at
-256^3), for each phase of an unscreened reconstruct:
+256^3), for each phase of reconstruct:
 - splat 4: the vector field and the density, added into in place one
   stencil corner at a time, plus about 100 bytes per point;
 - normalisation 4: it divides in place, one slab of planes at a time;
 - divergence 4: the field and f, plus one slab's differences; the
   density waits parked as its nonzero nodes (16 bytes each, at most 8
   per point);
-- solve 4: f, the residual, the search direction (which becomes phi)
-  and one work buffer; a screened solve also holds the density, the
-  screening term, the iterate and a second work buffer, 8 in all;
+- solve 3: f, phi (the copy of -f it transforms in place) and one
+  work buffer, which ends holding the residual; the density stays
+  parked;
 - extraction at most 4: phi, the density and under 2 of its own for the
   281,000-face surface of a 128^3 reconstruction (a few bytes per node,
   and per-face arrays, the sliver filter's a block at a time).
@@ -37,7 +35,7 @@ Memory, in float64 grids of R^3 nodes (16 MiB at 128^3, 128 MiB at
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,13 +58,12 @@ class PoissonError(ValueError):
 
 
 class SolverConvergenceError(RuntimeError):
-    """The preconditioned conjugate-gradient solve failed to reach the
-    residual tolerance within its iteration budget."""
+    """The Poisson solve missed its relative residual tolerance."""
 
     def __init__(self, residual: float, iterations: int):
         super().__init__(
-            f"solver stalled at relative residual {residual:.3e} "
-            f"after {iterations} iterations"
+            f"Poisson solve missed its tolerance: relative residual "
+            f"{residual:.3e} after {iterations} iteration(s)"
         )
         self.residual = residual
         self.iterations = iterations
@@ -142,10 +139,12 @@ class Field:
 
 @dataclass(frozen=True)
 class SolveInfo:
+    """converged: relative_residual is within the tolerance; iterations:
+    1 for a nonzero source, 0 for a zero one."""
+
     converged: bool
     iterations: int
     relative_residual: float
-    residual_history: np.ndarray = field(repr=False)
 
 
 def splat_normals(pc: PointCloud, resolution: int) -> tuple[Field, Field]:
@@ -258,84 +257,28 @@ def _inverse_neg_laplacian(x: np.ndarray, work: np.ndarray) -> np.ndarray:
     return _sine_transform(y, s, x)
 
 
-def solve_poisson(
-    f: Field,
-    screening_weight: float = 0.0,
-    density: Field | None = None,
-    tol: float = 1e-6,
-    max_iter: int | None = None,
-) -> tuple[Field, SolveInfo]:
-    """Solve (lap - screening * density) phi = f to a relative residual.
+def solve_poisson(f: Field, tol: float = 1e-6) -> tuple[Field, SolveInfo]:
+    """Solve lap phi = f with zero-Dirichlet ghost nodes just outside the
+    grid, directly: phi is the exact inverse of -lap applied to -f.
 
-    Conjugate gradient on the SPD form (-lap + screening * density) phi
-    = -f, preconditioned with the exact inverse of -lap. Without
-    screening the preconditioner is the inverse of the operator, so one
-    iteration reaches rounding error; with screening the same loop is a
-    Krylov solve whose residual 2-norm need not fall monotonically.
-    Dirichlet zeros sit on the ghost layer just outside the grid.
-    Non-convergence is reported in the returned SolveInfo, never raised
-    here.
+    The returned SolveInfo carries the true relative residual
+    |lap phi - f| / |f|, rounding error for any f (about 1e-14 from 64^3
+    to 256^3), and whether it is within tol; a miss is reported there,
+    never raised here. The solve holds phi and one work buffer beside
+    the caller's f.
     """
-    if screening_weight < 0:
-        raise ValueError("screening weight must be nonnegative")
-    if screening_weight > 0 and density is None:
-        raise ValueError("screening requires a density field")
-    if density is not None and density.grid != f.grid:
-        raise ValueError("density and source grids do not match")
-    r = f.grid.resolution
-    if max_iter is None:
-        max_iter = 10 * r
-
-    res = -f.data
-    b_norm = float(np.linalg.norm(res))
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"solve tolerance must be finite and > 0, got {tol!r}")
+    b_norm = float(np.linalg.norm(f.data))
     if b_norm == 0.0:
-        zero = np.zeros_like(res)
-        return Field(f.grid, zero), SolveInfo(True, 0, 0.0, np.zeros(1))
-
-    screen = screening_weight * density.data if screening_weight > 0 else None
-    # The loop holds res, p and work. x is allocated once a second
-    # iteration starts, and only then does z need scratch of its own.
-    work = np.empty_like(res)
-    x = scratch = None
-    p = _inverse_neg_laplacian(res.copy(), work)
-    r_z = float(np.vdot(res, p))
-    history = [1.0]
-    res_norm = b_norm
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        a_p = _neg_laplacian(p, work)
-        if screen is not None:
-            for i in range(r):
-                a_p[i] += screen[i] * p[i]
-        p_ap = float(np.vdot(p, a_p))
-        if p_ap == 0.0 or r_z == 0.0:
-            break
-        alpha = r_z / p_ap
-        a_p *= alpha
-        res -= a_p
-        res_norm = float(np.linalg.norm(res))
-        history.append(res_norm / b_norm)
-        converged = res_norm <= tol * b_norm
-        if x is None:  # x was zero: it becomes alpha * p, in p itself if p is done
-            x = np.multiply(p, alpha, out=p if converged else None)
-        else:
-            x += np.multiply(p, alpha, out=work)
-        if converged:
-            break
-        if scratch is None:
-            scratch = np.empty_like(res)
-        np.copyto(work, res)
-        z = _inverse_neg_laplacian(work, scratch)
-        r_z_next = float(np.vdot(res, z))
-        p *= r_z_next / r_z
-        p += z
-        r_z = r_z_next
-
-    if x is None:
-        x = np.zeros_like(res)
-    relative = res_norm / b_norm
-    info = SolveInfo(relative <= tol, iterations, relative, np.asarray(history))
-    return Field(f.grid, x), info
+        return Field(f.grid, np.zeros_like(f.data)), SolveInfo(True, 0, 0.0)
+    phi = np.negative(f.data, order="C")
+    work = np.empty_like(phi)
+    _inverse_neg_laplacian(phi, work)
+    res = _neg_laplacian(phi, work)
+    res += f.data
+    relative = float(np.linalg.norm(res)) / b_norm
+    return Field(f.grid, phi), SolveInfo(relative <= tol, 1, relative)
 
 
 def extract_isosurface(phi: Field, density: Field) -> TriangleMesh:
@@ -378,29 +321,23 @@ def density_trim(
     )
 
 
-def _unpark(grid: GridSpec, nodes: np.ndarray, values: np.ndarray) -> Field:
-    """The scalar field that is zero except for values at flat nodes."""
-    r = grid.resolution
-    data = np.zeros(r * r * r)
-    data[nodes] = values
-    return Field(grid, data.reshape(r, r, r))
-
-
 def reconstruct(
     pc: PointCloud,
     resolution: int = DEFAULT_RESOLUTION,
-    screening: float = 0.0,
+    *,
     trim: float = 0.0,
     tol: float = 1e-6,
-    max_iter: int | None = None,
     return_info: bool = False,
 ):
     """Full oriented-cloud-to-mesh pipeline.
 
     splat -> density-normalize -> divergence -> solve -> iso-surface ->
-    density trim. Raises SolverConvergenceError if the linear solve
-    stalls. With return_info=True, returns (mesh, SolveInfo).
+    density trim, which drops vertices whose splat density is below trim
+    (0 keeps every vertex). Raises SolverConvergenceError if the solve
+    misses tol. With return_info=True, returns (mesh, SolveInfo).
     """
+    if not (np.isfinite(trim) and trim >= 0):
+        raise ValueError(f"trim must be finite and >= 0, got {trim!r}")
     vec, den = splat_normals(pc, resolution)
     # Raw splats carry the local sample density, which for ray-cast
     # clouds varies with the grazing angle, giving the solved indicator a
@@ -412,20 +349,20 @@ def reconstruct(
     for rows in _slabs(resolution):
         vec.data[rows] /= np.maximum(den.data[rows], 1e-12)[..., None]
     # Park the density as its nonzero nodes (at most 8 per sample) until
-    # it is next read, so the divergence holds only the field and f, and
-    # an unscreened solve only f and its own three grids.
+    # extraction reads it, so the divergence holds only the field and f,
+    # and the solve only f and its own two grids.
     grid, nodes = den.grid, np.flatnonzero(den.data)
     values = den.data.reshape(-1)[nodes]
     del den
     f = divergence(vec)
     del vec  # three R^3 arrays the solve and extraction do not need
-    den = _unpark(grid, nodes, values) if screening > 0 else None
-    phi, info = solve_poisson(f, screening, den, tol=tol, max_iter=max_iter)
+    phi, info = solve_poisson(f, tol=tol)
     del f
     if not info.converged:
         raise SolverConvergenceError(info.relative_residual, info.iterations)
-    if den is None:
-        den = _unpark(grid, nodes, values)
+    den = np.zeros(grid.resolution**3)
+    den[nodes] = values
+    den = Field(grid, den.reshape(phi.data.shape))
     mesh = extract_isosurface(phi, den)
     if trim > 0.0:
         mesh = density_trim(mesh, den.grid.trilinear(den.data, mesh.vertices), trim)

@@ -183,7 +183,10 @@ def run_sweep(
     """Evaluate the intrinsic round-trip error over the parameter grid.
 
     Numpy's bundled OpenBLAS runs on one thread, process-wide, until this
-    returns; see the module docstring."""
+    returns; see the module docstring. screening is accepted only as 0.0,
+    the unscreened solve every cell runs."""
+    if screening != 0.0:
+        raise ValueError(f"Poisson screening was removed; screening must be 0.0, got {screening!r}")
     if not meshes:
         raise ValueError("need at least one mesh")
     if not layers_list or not res_list:
@@ -218,7 +221,7 @@ def run_sweep(
             if len(cloud) == 0:
                 raise ValueError("empty point cloud")
             t0 = time.perf_counter()
-            recon = reconstruct(cloud, poisson_res, screening, trim)
+            recon = reconstruct(cloud, poisson_res, trim=trim)
             recon_ms = (time.perf_counter() - t0) * 1000.0
             report = evaluate_pair(
                 recon, references[name].result(), n_samples=n_samples, threshold=threshold,

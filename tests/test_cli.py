@@ -186,11 +186,16 @@ _SWEEP = ("sweep", "{dir}", "--out", "{out}", "--layers-list", "1", "--res-list"
     (*_SWEEP, "--poisson-res", "1"),
     (*_SWEEP, "--poisson-res", "257"),
     (*_SWEEP, "--samples", "0"),
+    ("decode", "{xray}", "{out}", "--trim", "-1"),
+    ("decode", "{xray}", "{out}", "--trim", "nan"),
+    ("decode", "{xray}", "{out}", "--screening", "0.5"),
 ], ids=["views-width", "views-height", "sweep-poisson-res-1", "sweep-poisson-res-257",
-        "sweep-samples"])
+        "sweep-samples", "decode-trim-negative", "decode-trim-nan", "decode-screening"])
 def test_usage_errors_exit_2(tmp_path, cube_obj, argv):
     out = tmp_path / "out"
-    argv = [a.format(mesh=cube_obj, dir=cube_obj.parent, out=out) for a in argv]
+    xray = tmp_path / "t.xray"
+    run_cli("encode", cube_obj, xray, "--width", "16", "--height", "16")
+    argv = [a.format(mesh=cube_obj, dir=cube_obj.parent, out=out, xray=xray) for a in argv]
     assert run_cli(*argv) == 2
     assert not out.exists()
 

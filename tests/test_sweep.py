@@ -133,7 +133,7 @@ def test_cells_past_the_deepest_hit_share_one_reconstruction(monkeypatch):
         mesh = normalize_mesh(cube())[0]
         camera = sample_views(0, 1, width=32, height=32, fov_x=DEFAULT_FOV_X)[0]
         cloud = decode_to_pointcloud(encode(mesh, camera, 12), frame="world")
-        report = real_evaluate(reconstruct(cloud, 32, 0.0, 0.0), mesh, n_samples=1024, seed=0)
+        report = real_evaluate(reconstruct(cloud, 32), mesh, n_samples=1024, seed=0)
     assert (report.chamfer, report.f_score) == (twelve.chamfer, twelve.f_score)
 
 
@@ -322,3 +322,8 @@ def test_sweep_input_validation():
         run_sweep({"cube": cube()}, [0], [32])
     with pytest.raises(ValueError):
         run_sweep({"cube": cube()}, [1], [1])
+
+
+def test_sweep_rejects_screening():
+    with pytest.raises(ValueError, match="screening must be 0.0, got 0.5"):
+        run_sweep({"cube": cube()}, [1], [32], screening=0.5)
