@@ -66,7 +66,6 @@ from .poisson import (
     PoissonError,
     SolveInfo,
     SolverConvergenceError,
-    density_trim,
     divergence,
     extract_isosurface,
     reconstruct,
@@ -98,6 +97,6 @@ __all__ = [
     "evaluate_pair", "icp_align", "sample_surface",
     "GridSpec", "Field", "SolveInfo",
     "PoissonError", "SolverConvergenceError", "splat_normals", "divergence",
-    "solve_poisson", "extract_isosurface", "density_trim", "reconstruct",
+    "solve_poisson", "extract_isosurface", "reconstruct",
     "BvhAccel", "HitBatch", "build_bvh", "cast_rays",
 ]

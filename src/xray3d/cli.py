@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--screening", type=float, default=0.0,
                    help="removed; only 0, the unscreened solve, is accepted")
     p.add_argument("--trim", type=float, default=0.0,
-                   help="drop output vertices whose splat density is below this")
+                   help="removed; only 0, which keeps every vertex, is accepted")
     p.add_argument("--points-only", action="store_true",
                    help="write the decoded point cloud instead of reconstructing")
     p.add_argument("--frame", choices=["world", "camera"], default="world")
@@ -145,8 +145,7 @@ def cmd_decode(args) -> int:
              f"--poisson-res must be in [2, {MAX_RESOLUTION}]")
     _require(args.screening == 0.0,
              f"--screening was removed and accepts only 0, got {args.screening:g}")
-    _require(np.isfinite(args.trim) and args.trim >= 0,
-             f"--trim must be finite and nonnegative, got {args.trim:g}")
+    _require(args.trim == 0.0, f"--trim was removed and accepts only 0, got {args.trim:g}")
     tensor = read_xray(args.xray_path)
     cloud = decode_to_pointcloud(tensor, frame=args.frame)
     del tensor  # the payload, 16.8 MB at 8 layers of 256^2, is not read again
@@ -157,7 +156,7 @@ def cmd_decode(args) -> int:
         save_pointcloud_ply(cloud, args.out_path)
         print(f"wrote {args.out_path}")
         return 0
-    mesh, info = reconstruct(cloud, args.poisson_res, trim=args.trim, return_info=True)
+    mesh, info = reconstruct(cloud, args.poisson_res, return_info=True)
     del cloud  # writing the mesh does not need it
     print(
         f"solver: {info.iterations} iterations, "

@@ -6,10 +6,10 @@ source term f, solve lap phi = f with zero-Dirichlet ghost boundaries
 directly (the exact inverse of -lap, a sine-basis fast Poisson solve),
 then run marching cubes at the mean potential of the input samples.
 Each sample's trilinear weights are exactly what its splat added to the
-density, so that mean is the density-weighted mean of phi over the nodes
-and needs no second pass over the samples. Faces are wound along
-grad(phi), outward for outward input normals, so no orientation pass
-follows.
+density, so that mean is the density-weighted mean of phi over the
+density's nonzero nodes and needs no second pass over the samples.
+Faces are wound along grad(phi), outward for outward input normals, so
+no orientation pass follows.
 
 Grid layout is cell-centered: resolution R means R nodes per axis at
 DOMAIN_LO + (i + 0.5) * h with h = (DOMAIN_HI - DOMAIN_LO) / R over the
@@ -28,9 +28,10 @@ Memory, in float64 grids of R^3 nodes (16 MiB at 128^3, 128 MiB at
 - solve 3: f, phi (the copy of -f it transforms in place) and one
   work buffer, which ends holding the residual; the density stays
   parked;
-- extraction at most 4: phi, the density and under 2 of its own for the
-  281,000-face surface of a 128^3 reconstruction (a few bytes per node,
-  and per-face arrays, the sliver filter's a block at a time).
+- extraction at most 3: phi, the parked density and under 2 grids of
+  its own for the 281,000-face surface of a 128^3 reconstruction (a few
+  bytes per node, and per-face arrays, the sliver filter's a block at a
+  time).
 """
 
 from __future__ import annotations
@@ -91,18 +92,6 @@ class GridSpec:
     def grid_coords(self, points: np.ndarray) -> np.ndarray:
         """Map world points to fractional node coordinates."""
         return (np.asarray(points, dtype=np.float64) - self.origin) / self.spacing
-
-    def trilinear(self, data: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """Sample a (R, R, R) array at world points, clamped to the node hull."""
-        g = np.clip(self.grid_coords(points), 0.0, self.resolution - 1)
-        corners = _corners(self.resolution, g)
-        del g  # the stencil drops it once it has the fractions
-        flat = data.reshape(-1)
-        node, w = next(corners)
-        out = flat[node] * w
-        for node, w in corners:
-            out += flat[node] * w
-        return out
 
 
 def _corners(r: int, g: np.ndarray):
@@ -264,12 +253,16 @@ def solve_poisson(f: Field, tol: float = 1e-6) -> tuple[Field, SolveInfo]:
     The returned SolveInfo carries the true relative residual
     |lap phi - f| / |f|, rounding error for any f (about 1e-14 from 64^3
     to 256^3), and whether it is within tol; a miss is reported there,
-    never raised here. The solve holds phi and one work buffer beside
-    the caller's f.
+    never raised here. A source with a NaN or infinite node raises a
+    ValueError naming the first such node. The solve holds phi and one
+    work buffer beside the caller's f.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"solve tolerance must be finite and > 0, got {tol!r}")
     b_norm = float(np.linalg.norm(f.data))
+    if not np.isfinite(b_norm) and not np.isfinite(f.data).all():
+        node = tuple(int(i) for i in np.argwhere(~np.isfinite(f.data))[0])
+        raise ValueError(f"Poisson source is not finite: node {node} is {float(f.data[node])}")
     if b_norm == 0.0:
         return Field(f.grid, np.zeros_like(f.data)), SolveInfo(True, 0, 0.0)
     phi = np.negative(f.data, order="C")
@@ -281,16 +274,18 @@ def solve_poisson(f: Field, tol: float = 1e-6) -> tuple[Field, SolveInfo]:
     return Field(f.grid, phi), SolveInfo(relative <= tol, 1, relative)
 
 
-def extract_isosurface(phi: Field, density: Field) -> TriangleMesh:
-    """Iso-surface at the mean potential of the samples splatted into density.
+def extract_isosurface(phi: Field, nodes: np.ndarray, weights: np.ndarray) -> TriangleMesh:
+    """Iso-surface at the mean potential of the splatted samples, whose
+    density is weights at the flat node indices nodes and zero elsewhere.
 
     Interpolating phi at a sample weights its nodes as its splat did, so
-    the sample mean is sum(phi * density) / sum(density). Faces are wound
+    that mean is sum(phi * density) / sum(density). Faces are wound
     along grad(phi), i.e. outward for outward-oriented input normals.
     """
-    if density.grid != phi.grid:
-        raise ValueError("density and potential grids do not match")
-    iso = float(np.vdot(phi.data, density.data) / density.data.sum())
+    # Summed in extended precision, the level is the sample mean to within
+    # rounding in whatever order the nodes come.
+    iso = float(np.dot(phi.data.reshape(-1)[nodes].astype(np.longdouble), weights)
+                / weights.sum(dtype=np.longdouble))
     lo, hi = float(phi.data.min()), float(phi.data.max())
     if not lo < iso < hi:
         raise PoissonError(
@@ -302,42 +297,20 @@ def extract_isosurface(phi: Field, density: Field) -> TriangleMesh:
     return mesh
 
 
-def density_trim(
-    mesh: TriangleMesh, per_vertex_density: np.ndarray, threshold: float
-) -> TriangleMesh:
-    """Drop vertices with density below the threshold and their faces."""
-    per_vertex_density = np.asarray(per_vertex_density, dtype=np.float64)
-    if len(per_vertex_density) != mesh.n_vertices:
-        raise ValueError("density array length must match vertex count")
-    keep = per_vertex_density >= threshold
-    if keep.all():
-        return mesh
-    remap = np.cumsum(keep) - 1
-    face_keep = keep[mesh.faces].all(axis=1)
-    return TriangleMesh(
-        vertices=mesh.vertices[keep],
-        faces=remap[mesh.faces[face_keep]],
-        vertex_colors=None if mesh.vertex_colors is None else mesh.vertex_colors[keep],
-    )
-
-
 def reconstruct(
     pc: PointCloud,
     resolution: int = DEFAULT_RESOLUTION,
     *,
-    trim: float = 0.0,
     tol: float = 1e-6,
     return_info: bool = False,
 ):
     """Full oriented-cloud-to-mesh pipeline.
 
-    splat -> density-normalize -> divergence -> solve -> iso-surface ->
-    density trim, which drops vertices whose splat density is below trim
-    (0 keeps every vertex). Raises SolverConvergenceError if the solve
-    misses tol. With return_info=True, returns (mesh, SolveInfo).
+    splat -> density-normalize -> divergence -> solve -> iso-surface at
+    the mean potential of the samples, every vertex kept. Raises
+    SolverConvergenceError if the solve misses tol. With
+    return_info=True, returns (mesh, SolveInfo).
     """
-    if not (np.isfinite(trim) and trim >= 0):
-        raise ValueError(f"trim must be finite and >= 0, got {trim!r}")
     vec, den = splat_normals(pc, resolution)
     # Raw splats carry the local sample density, which for ray-cast
     # clouds varies with the grazing angle, giving the solved indicator a
@@ -348,11 +321,10 @@ def reconstruct(
     # regardless of sampling density.
     for rows in _slabs(resolution):
         vec.data[rows] /= np.maximum(den.data[rows], 1e-12)[..., None]
-    # Park the density as its nonzero nodes (at most 8 per sample) until
-    # extraction reads it, so the divergence holds only the field and f,
-    # and the solve only f and its own two grids.
-    grid, nodes = den.grid, np.flatnonzero(den.data)
-    values = den.data.reshape(-1)[nodes]
+    # Park the density as its nonzero nodes (at most 8 per sample), the
+    # form extraction reads, so no later phase holds it as a grid.
+    nodes = np.flatnonzero(den.data)
+    weights = den.data.reshape(-1)[nodes]
     del den
     f = divergence(vec)
     del vec  # three R^3 arrays the solve and extraction do not need
@@ -360,12 +332,7 @@ def reconstruct(
     del f
     if not info.converged:
         raise SolverConvergenceError(info.relative_residual, info.iterations)
-    den = np.zeros(grid.resolution**3)
-    den[nodes] = values
-    den = Field(grid, den.reshape(phi.data.shape))
-    mesh = extract_isosurface(phi, den)
-    if trim > 0.0:
-        mesh = density_trim(mesh, den.grid.trilinear(den.data, mesh.vertices), trim)
+    mesh = extract_isosurface(phi, nodes, weights)
     if return_info:
         return mesh, info
     return mesh

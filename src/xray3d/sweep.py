@@ -189,12 +189,12 @@ def run_sweep(
     """The intrinsic round-trip error over the grid, scored in the encode frame.
 
     Numpy's bundled OpenBLAS runs on one thread, process-wide, until this
-    returns; see the module docstring. screening is accepted only as 0.0,
-    the unscreened solve every cell runs."""
-    if screening != 0.0:
-        raise ValueError(f"Poisson screening was removed; screening must be 0.0, got {screening!r}")
-    if not (np.isfinite(trim) and trim >= 0):
-        raise ValueError(f"trim must be finite and >= 0, got {trim!r}")
+    returns; see the module docstring. screening and trim were removed
+    and are accepted only as 0.0: every cell runs the unscreened solve
+    and keeps every vertex."""
+    for option, value in (("screening", screening), ("trim", trim)):
+        if value != 0.0:
+            raise ValueError(f"{option} was removed; {option} must be 0.0, got {value!r}")
     if not meshes:
         raise ValueError("need at least one mesh")
     if not layers_list or not res_list:
@@ -232,7 +232,7 @@ def run_sweep(
             if len(cloud) == 0:
                 raise ValueError("empty point cloud")
             t0 = time.perf_counter()
-            recon = reconstruct(cloud, poisson_res, trim=trim)
+            recon = reconstruct(cloud, poisson_res)
             recon_ms = (time.perf_counter() - t0) * 1000.0
             samples = metrics.sample_surface(recon, n_samples, seed)
             report = metrics.chamfer_f_score(references[name].result(), samples, threshold)

@@ -106,6 +106,17 @@ def test_decode_full_reconstruction_closed(tmp_path, cube_obj, capsys):
     assert all(c == 2 for c in counts.values())
 
 
+def test_decode_accepts_zero_trim(tmp_path, cube_obj):
+    """--trim 0 is how scripts written before the trim was removed spell
+    the default, and it still writes the mesh the default writes."""
+    xray = tmp_path / "c.xray"
+    run_cli("encode", cube_obj, xray, "--width", "48", "--height", "48")
+    plain, zero = tmp_path / "plain.obj", tmp_path / "zero.obj"
+    assert run_cli("decode", xray, plain, "--poisson-res", "32") == 0
+    assert run_cli("decode", xray, zero, "--poisson-res", "32", "--trim", "0") == 0
+    assert zero.read_bytes() == plain.read_bytes() and load_mesh(zero).n_faces > 0
+
+
 def test_decode_empty_tensor_errors(tmp_path, capsys):
     xray = tmp_path / "zero.xray"
     write_xray(XRayTensor(np.zeros((2, 8, 8, 8), dtype=np.float32), 0.8, np.eye(4)), xray)
@@ -186,11 +197,13 @@ _SWEEP = ("sweep", "{dir}", "--out", "{out}", "--layers-list", "1", "--res-list"
     (*_SWEEP, "--poisson-res", "1"),
     (*_SWEEP, "--poisson-res", "257"),
     (*_SWEEP, "--samples", "0"),
+    ("decode", "{xray}", "{out}", "--trim", "0.01"),
     ("decode", "{xray}", "{out}", "--trim", "-1"),
     ("decode", "{xray}", "{out}", "--trim", "nan"),
     ("decode", "{xray}", "{out}", "--screening", "0.5"),
 ], ids=["views-width", "views-height", "sweep-poisson-res-1", "sweep-poisson-res-257",
-        "sweep-samples", "decode-trim-negative", "decode-trim-nan", "decode-screening"])
+        "sweep-samples", "decode-trim", "decode-trim-negative", "decode-trim-nan",
+        "decode-screening"])
 def test_usage_errors_exit_2(tmp_path, cube_obj, argv):
     out = tmp_path / "out"
     xray = tmp_path / "t.xray"

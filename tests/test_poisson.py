@@ -16,7 +16,6 @@ from xray3d.poisson import (
     PoissonError,
     SolverConvergenceError,
     _inverse_neg_laplacian,
-    density_trim,
     divergence,
     extract_isosurface,
     reconstruct,
@@ -164,21 +163,6 @@ def test_splat_is_bitwise_the_bincount_splat(r, nested_mesh):
     assert den.data.tobytes() == want_den.tobytes()
 
 
-@pytest.mark.parametrize("r", [2, 17, 64, 128])
-def test_trilinear_is_bitwise_the_stencil_gather_and_sum(r):
-    """Summing the corners one at a time is the (8, N) gather's sum over
-    its first axis, row after row. (For a single point numpy sums the 8
-    pairwise instead, which can differ in the last bit.)"""
-    rng = np.random.default_rng(r)
-    grid = GridSpec(r)
-    data = rng.normal(size=(r, r, r))
-    points = rng.uniform(-0.7, 0.7, size=(200_000, 3))  # partly outside the hull
-    g = np.clip(grid.grid_coords(points), 0.0, r - 1)
-    nodes, weights = _stencil_8n(r, g)
-    want = (data.reshape(-1)[nodes] * weights).sum(axis=0)
-    assert grid.trilinear(data, points).tobytes() == want.tobytes()
-
-
 def _map_world(data: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Oracle: scipy's order-1 spline at world points, each clamped to the
     node hull; node i sits at -0.6 + (i + 0.5) * 1.2 / R on every axis."""
@@ -187,20 +171,11 @@ def _map_world(data: np.ndarray, points: np.ndarray) -> np.ndarray:
     return map_coordinates(data, g.T, order=1, mode="nearest")
 
 
-@pytest.mark.parametrize("r", [2, 17, 64])
-def test_trilinear_matches_map_coordinates(r):
-    rng = np.random.default_rng(r)
-    grid = GridSpec(r)
-    data = rng.normal(size=(r, r, r))
-    nodes = grid_node_positions(grid)
-    points = np.concatenate([
-        rng.uniform(nodes[0], nodes[-1], size=(500, 3)),  # inside the node hull
-        rng.uniform(-1.0, 1.0, size=(500, 3)),  # mostly outside it
-        nodes[rng.integers(0, r, size=(50, 3))],  # on nodes, hull faces included
-    ])
-    assert ((points < nodes[0]) | (points > nodes[-1])).any(axis=1).sum() > 100
-    got = grid.trilinear(data, points)
-    np.testing.assert_allclose(got, _map_world(data, points), rtol=0, atol=1e-12)
+def _parked(den: Field) -> tuple[np.ndarray, np.ndarray]:
+    """A splat density as reconstruct parks it for extraction: its nonzero
+    flat node indices and their values."""
+    nodes = np.flatnonzero(den.data)
+    return nodes, den.data.reshape(-1)[nodes]
 
 
 def test_extract_iso_level_is_sample_mean():
@@ -219,7 +194,7 @@ def test_extract_iso_level_is_sample_mean():
     iso = _map_world(sdf, pc.positions).mean()
     assert iso < -0.05
     want = marching_cubes(sdf, iso, grid.origin, grid.spacing)
-    got = extract_isosurface(Field(grid, sdf), den)
+    got = extract_isosurface(Field(grid, sdf), *_parked(den))
     np.testing.assert_array_equal(got.faces, want.faces)
     np.testing.assert_allclose(got.vertices, want.vertices, rtol=0, atol=1e-12)
 
@@ -364,16 +339,36 @@ def test_reconstruct_memory_budget(cloud_80k):
     """No phase of a reconstruction holds more than 4 grids:
     the splat holds the field and the density, the divergence the field
     and f (the density is parked as its nonzero nodes), the solve f and
-    its own 2, and extraction the potential, the density and under 2 of
-    its own. On top come two slabs of the slab-wise passes and a per-point
-    term of 128 B: the splat's stencil (about 104 B) or the parked density
-    (16 B per nonzero node, 3.1 nodes per sample here). Keeping the
-    density whole beside the divergence and the solve, with (8, N)
-    stencils in the splat and the trim, holds 5.95 grids."""
+    its own 2, and extraction the potential and under 2 of its own. On
+    top come two slabs of the slab-wise passes and a per-point term of
+    128 B: the splat's stencil (about 104 B) or the parked density (16 B
+    per nonzero node, 3.1 nodes per sample here). Keeping the density
+    whole beside the divergence and the solve, with (8, N) stencils in
+    the splat and a density trim, held 5.95 grids."""
     r = 128
-    mesh, peak = _traced_peak(lambda: reconstruct(cloud_80k, r, trim=0.05))
+    mesh, peak = _traced_peak(lambda: reconstruct(cloud_80k, r))
     assert mesh.n_faces > 100_000
     assert peak <= 4 * 8 * r**3 + 2 * 8 * poisson._SLAB_NODES + 128 * len(cloud_80k)
+
+
+def test_reconstruct_extraction_phase_budget(monkeypatch, cloud_80k):
+    """From the moment reconstruct enters extraction, it holds phi, the
+    parked density (about 50 B per sample here) and marching cubes' under
+    2 grids: at most 3 grids and 128 B per point (3.05 grids measured).
+    Rebuilding the density as a grid for extraction holds 4.05."""
+    r = 128
+    extract, peaks = poisson.extract_isosurface, []
+
+    def traced(*args):
+        tracemalloc.reset_peak()
+        mesh = extract(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return mesh
+
+    monkeypatch.setattr(poisson, "extract_isosurface", traced)
+    mesh, _ = _traced_peak(lambda: reconstruct(cloud_80k, r))
+    assert mesh.n_faces > 200_000 and len(peaks) == 1
+    assert peaks[0] <= 3 * 8 * r**3 + 128 * len(cloud_80k)
 
 
 def test_divergence_memory_budget(fields_128):
@@ -412,7 +407,8 @@ def test_extract_memory_budget(fields_128):
     from xray3d import mcubes
 
     _, den, _, phi, grid = fields_128
-    mesh, peak = _traced_peak(lambda: extract_isosurface(phi, den))
+    nodes, weights = _parked(den)
+    mesh, peak = _traced_peak(lambda: extract_isosurface(phi, nodes, weights))
     assert mesh.n_faces > 200_000
     assert peak <= 5 * den.data.size + 100 * mesh.n_faces + 23 * 8 * mcubes._FACE_BLOCK
     assert peak <= 3.0 * grid
@@ -489,6 +485,14 @@ def test_solve_non_convergence_reported_not_raised():
     assert info.relative_residual > 1e-16
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_solve_names_a_non_finite_source_node(value):
+    f = np.random.default_rng(5).normal(size=(8, 8, 8))
+    f[2, 5, 7] = value
+    with pytest.raises(ValueError, match=rf"not finite: node \(2, 5, 7\) is {value}$"):
+        solve_poisson(Field(GridSpec(8), f))
+
+
 @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
 def test_solve_rejects_bad_tolerance(tol):
     f = Field(GridSpec(8), np.ones((8, 8, 8)))
@@ -520,7 +524,7 @@ def test_extract_sphere_sdf():
     sdf = np.sqrt(X**2 + Y**2 + Z**2) - 0.4
     pc = sphere_cloud(4000)
     _, den = splat_normals(pc, 64)
-    mesh = extract_isosurface(Field(grid, sdf), den)
+    mesh = extract_isosurface(Field(grid, sdf), *_parked(den))
     radii = np.linalg.norm(mesh.vertices, axis=1)
     assert np.abs(radii - 0.4).max() <= 2 * (1.2 / 64)
     assert closed_two_manifold(mesh)
@@ -537,18 +541,7 @@ def test_extract_constant_field_degenerate():
     grid = GridSpec(16)
     with pytest.raises(PoissonError, match="iso"):
         flat = Field(grid, np.ones((16, 16, 16)))
-        extract_isosurface(flat, flat)
-
-
-def test_extract_rejects_mismatched_density_grid():
-    grid = GridSpec(64)
-    coords = grid_node_positions(grid)
-    X, Y, Z = np.meshgrid(coords, coords, coords, indexing="ij")
-    sdf = np.sqrt(X**2 + Y**2 + Z**2) - 0.4
-    pc = sphere_cloud(4000)
-    _, den = splat_normals(pc, 32)
-    with pytest.raises(ValueError, match="density and potential grids do not match"):
-        extract_isosurface(Field(grid, sdf), den)
+        extract_isosurface(flat, *_parked(flat))
 
 
 @pytest.mark.parametrize("kind", ["sdf", "neg_sdf", "smooth"])
@@ -571,88 +564,6 @@ def test_marching_cubes_winds_along_gradient(kind):
         [map_coordinates(g, centroids.T, order=1) for g in np.gradient(values)], axis=1
     )
     assert np.mean(np.sum(face_normals(mesh) * grad, axis=1) > 0) >= 0.99
-
-
-def test_density_trim_noop_and_empty(cube_mesh):
-    d = np.full(cube_mesh.n_vertices, 2.0)
-    same = density_trim(cube_mesh, d, 0.0)
-    assert same is cube_mesh
-    empty = density_trim(cube_mesh, d, 3.0)
-    assert empty.is_empty
-
-
-def _connected_components(mesh) -> int:
-    parent = list(range(mesh.n_vertices))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for f in mesh.faces:
-        ra, rb, rc = find(f[0]), find(f[1]), find(f[2])
-        parent[rb] = ra
-        parent[rc] = ra
-    used = {find(v) for f in mesh.faces for v in f}
-    return len(used)
-
-
-def test_density_trim_removes_low_density_component():
-    # Sphere plus a far outlier blob; the blob carries almost no sample
-    # density, so trimming at 1% of the peak removes that component.
-    from xray3d.fixtures import icosphere
-    from xray3d.mesh import TriangleMesh
-
-    sphere = icosphere(2, 0.4)
-    blob = icosphere(1, 0.05)
-    mesh = TriangleMesh(
-        np.vstack([sphere.vertices, blob.vertices + 0.55]),
-        np.vstack([sphere.faces, blob.faces + sphere.n_vertices]),
-    )
-    densities = np.concatenate(
-        [np.full(sphere.n_vertices, 1.0), np.full(blob.n_vertices, 0.001)]
-    )
-    assert _connected_components(mesh) == 2
-    trimmed = density_trim(mesh, densities, 0.01 * densities.max())
-    assert _connected_components(trimmed) == 1
-    assert trimmed.n_faces == sphere.n_faces
-    assert np.linalg.norm(trimmed.vertices, axis=1).max() < 0.5
-
-
-def test_density_trim_removes_closure_over_missing_data():
-    # Upper hemisphere only: the solve closes the bottom smoothly, and
-    # those closure vertices carry near-zero sample density.
-    pc = sphere_cloud(8000)
-    keep = pc.positions[:, 1] > 0
-    hemi = PointCloud(pc.positions[keep], pc.normals[keep], pc.colors[keep])
-    vec, den = splat_normals(hemi, 48)
-    f = divergence(vec)
-    phi, info = solve_poisson(f)
-    assert info.converged
-    mesh = extract_isosurface(phi, den)
-    dens = phi.grid.trilinear(den.data, mesh.vertices)
-    assert closed_two_manifold(mesh)
-    assert mesh.vertices[:, 1].min() < -0.1  # closure lid below the equator
-    trimmed = density_trim(mesh, dens, 0.01 * dens.max())
-    assert 0 < trimmed.n_faces < mesh.n_faces
-    assert trimmed.vertices[:, 1].min() > -0.05  # closure removed
-
-
-@pytest.mark.parametrize("fraction", [0.01, 0.1])
-def test_reconstruct_trim_equals_trim_of_untrimmed(fraction):
-    pc = sphere_cloud(8000)
-    keep = pc.positions[:, 1] > 0
-    hemi = PointCloud(pc.positions[keep], pc.normals[keep], pc.colors[keep])
-    full = reconstruct(hemi, 48)
-    _, den = _splat_by_scatter(hemi, 48)
-    dens = _map_world(den, full.vertices)
-    trim = fraction * dens.max()
-    want = density_trim(full, dens, trim)
-    assert 0 < want.n_faces < full.n_faces
-    got = reconstruct(hemi, 48, trim=trim)
-    np.testing.assert_array_equal(got.faces, want.faces)
-    np.testing.assert_array_equal(got.vertices, want.vertices)
 
 
 def test_reconstruct_sphere_radial_accuracy():
@@ -686,12 +597,6 @@ def test_reconstruct_raises_on_stalled_solver():
     # A tolerance below rounding: the solve's residual misses it.
     with pytest.raises(SolverConvergenceError, match="missed its tolerance"):
         reconstruct(sphere_cloud(2000), 48, tol=1e-16)
-
-
-@pytest.mark.parametrize("trim", [-1.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
-def test_reconstruct_rejects_bad_trim(trim):
-    with pytest.raises(ValueError, match=f"trim must be finite and >= 0, got {trim!r}"):
-        reconstruct(sphere_cloud(200), 16, trim=trim)
 
 
 def test_reconstruct_rotation_equivariance():

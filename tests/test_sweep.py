@@ -363,16 +363,13 @@ def test_sweep_input_validation():
         run_sweep({"cube": cube()}, [1], [1])
 
 
-def test_sweep_rejects_screening():
-    with pytest.raises(ValueError, match="screening must be 0.0, got 0.5"):
-        run_sweep({"cube": cube()}, [1], [32], screening=0.5)
-
-
-@pytest.mark.parametrize("trim", [-0.5, float("nan"), float("inf")])
-def test_sweep_rejects_bad_trim_before_any_work(monkeypatch, trim):
+@pytest.mark.parametrize("option, value", [
+    ("screening", 0.5), ("trim", 0.05), ("trim", -0.5), ("trim", float("nan")), ("trim", float("inf")),
+], ids=["screening-0.5", "trim-0.05", "trim--0.5", "trim-nan", "trim-inf"])
+def test_sweep_rejects_removed_options_before_any_work(monkeypatch, option, value):
     def no_work(*args, **kwargs):
-        raise AssertionError("the sweep started work before checking trim")
+        raise AssertionError(f"the sweep started work before checking {option}")
 
     monkeypatch.setattr(sweep_mod, "build_bvh", no_work)
-    with pytest.raises(ValueError, match=f"trim must be finite and >= 0, got {trim!r}"):
-        run_sweep({"cube": cube()}, [1], [32], trim=trim)
+    with pytest.raises(ValueError, match=f"{option} was removed; {option} must be 0.0, got {value!r}"):
+        run_sweep({"cube": cube()}, [1], [32], **{option: value})
