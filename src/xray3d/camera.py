@@ -152,13 +152,12 @@ def sample_views(
     width: int = 256,
     height: int = 256,
     fov_x: float | None = None,
-    distance: float = DEFAULT_DISTANCE,
 ) -> list[Camera]:
-    """Draw n deterministic random views around the origin, fixed
-    distance, looking at the origin with up = +y (default field of view
-    as in camera_from_spherical)."""
+    """Draw n deterministic random views around the origin at
+    DEFAULT_DISTANCE, looking at the origin with up = +y (default field
+    of view as in camera_from_spherical)."""
     azimuths, elevations = sample_view_angles(seed, n)
     return [
-        camera_from_spherical(az, el, distance, width, height, fov_x)
+        camera_from_spherical(az, el, DEFAULT_DISTANCE, width, height, fov_x)
         for az, el in zip(azimuths, elevations)
     ]

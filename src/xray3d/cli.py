@@ -29,7 +29,7 @@ from .mesh import normalize_mesh
 from .meshio import load_mesh, save_mesh, save_pointcloud_ply
 from .metrics import evaluate_pair
 from .poisson import MAX_RESOLUTION, reconstruct
-from .raycast import build_bvh
+from .raycast import MAX_HITS, build_bvh
 from .sweep import plot_sweep_svg, rows_to_csv, run_sweep
 
 
@@ -120,8 +120,18 @@ def _print_occupancy(tensor) -> None:
         print(f"  layer {layer}: {frac * 100.0:6.2f}% pixels hit")
 
 
+def _require_threshold(threshold: float) -> None:
+    _require(np.isfinite(threshold) and threshold > 0,
+             f"--threshold must be finite and > 0, got {threshold:g}")
+
+
+def _require_layers(layers: int) -> None:
+    _require(1 <= layers <= MAX_HITS,
+             f"--layers must be in [1, {MAX_HITS}] (the per-ray hit cap), got {layers}")
+
+
 def cmd_encode(args) -> int:
-    _require(args.layers >= 1, "--layers must be at least 1")
+    _require_layers(args.layers)
     _require(args.width >= 1 and args.height >= 1, "--width/--height must be at least 1")
     _require(args.distance > 0, "--distance must be positive")
     mesh = load_mesh(args.mesh_path)
@@ -146,6 +156,9 @@ def cmd_decode(args) -> int:
     _require(args.screening == 0.0,
              f"--screening was removed and accepts only 0, got {args.screening:g}")
     _require(args.trim == 0.0, f"--trim was removed and accepts only 0, got {args.trim:g}")
+    _require(args.points_only or args.frame == "world",
+             "--frame camera requires --points-only: reconstruction runs in the "
+             "world-frame Poisson domain")
     tensor = read_xray(args.xray_path)
     cloud = decode_to_pointcloud(tensor, frame=args.frame)
     del tensor  # the payload, 16.8 MB at 8 layers of 256^2, is not read again
@@ -156,7 +169,7 @@ def cmd_decode(args) -> int:
         save_pointcloud_ply(cloud, args.out_path)
         print(f"wrote {args.out_path}")
         return 0
-    mesh, info = reconstruct(cloud, args.poisson_res, return_info=True)
+    mesh, info = reconstruct(cloud, args.poisson_res)
     del cloud  # writing the mesh does not need it
     print(
         f"solver: {info.iterations} iterations, "
@@ -169,6 +182,7 @@ def cmd_decode(args) -> int:
 
 def cmd_eval(args) -> int:
     _require(args.samples >= 1, "--samples must be at least 1")
+    _require_threshold(args.threshold)
     pred = load_mesh(args.pred_path)
     gt = load_mesh(args.gt_path)
     report = evaluate_pair(
@@ -207,11 +221,13 @@ def cmd_sweep(args) -> int:
     layers_list = _parse_int_list(args.layers_list, "--layers-list")
     res_list = _parse_int_list(args.res_list, "--res-list")
     _require(min(layers_list) >= 1, "--layers-list entries must be at least 1")
+    _require(max(layers_list) <= MAX_HITS, f"--layers-list entries must be at most {MAX_HITS}")
     _require(min(res_list) >= 2, "--res-list entries must be at least 2")
     _require(args.views >= 1, "--views must be at least 1")
     _require(2 <= args.poisson_res <= MAX_RESOLUTION,
              f"--poisson-res must be in [2, {MAX_RESOLUTION}]")
     _require(args.samples >= 1, "--samples must be at least 1")
+    _require_threshold(args.threshold)
     mesh_dir = Path(args.mesh_dir)
     if not mesh_dir.is_dir():
         raise FileNotFoundError(f"mesh directory not found: {mesh_dir}")
@@ -244,7 +260,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_views(args) -> int:
     _require(args.num >= 1, "--num must be at least 1")
-    _require(args.layers >= 1, "--layers must be at least 1")
+    _require_layers(args.layers)
     _require(args.width >= 1 and args.height >= 1, "--width/--height must be at least 1")
     mesh = load_mesh(args.mesh_path)
     mesh, _ = normalize_mesh(mesh)
@@ -274,8 +290,9 @@ def cmd_info(args) -> int:
     _print_occupancy(tensor)
     if tensor.height == tensor.width:
         ratio = storage_ratio(tensor.layers, tensor.width)
+        change = "smaller" if ratio >= 0 else "larger"
         print(
-            f"storage: {ratio * 100.0:.2f}% smaller than a "
+            f"storage: {abs(ratio) * 100.0:.2f}% {change} than a "
             f"{tensor.width}^3 dense voxel grid"
         )
     return 0

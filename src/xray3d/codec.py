@@ -17,7 +17,7 @@ import numpy as np
 
 from .camera import Camera, generate_rays
 from .mesh import TriangleMesh, _frozen, surface_attributes
-from .raycast import BvhAccel, build_bvh, cast_rays
+from .raycast import MAX_HITS, BvhAccel, build_bvh, cast_rays
 
 MAGIC = b"XRAY"
 FORMAT_VERSION = 1
@@ -200,10 +200,15 @@ def encode(
     """Encode a mesh into a layered surface tensor for one camera view.
 
     The nearest `layers` intersections per pixel are kept; deeper ones
-    are truncated. Pass a prebuilt `accel` to reuse the BVH across views.
+    are truncated. The ray cast records at most MAX_HITS (64) per ray, so
+    more layers than that are rejected. Pass a prebuilt `accel` to reuse
+    the BVH across views.
     """
     if layers < 1:
         raise ValueError("need at least one layer")
+    if layers > MAX_HITS:
+        raise ValueError(f"layers must be at most {MAX_HITS}, the ray cast's per-ray hit cap, "
+                         f"got {layers}")
     h, w = camera.height, camera.width
     data = np.zeros((layers, 8, h, w), dtype=np.float32)
     if mesh.is_empty:

@@ -9,8 +9,9 @@ chamfer_f_score alone: renormalization and ICP could only hide error.
 Chamfer distance is the symmetric mean of unsquared nearest-neighbor
 distances; the F-score counts matches below a distance threshold (0.1).
 
-ICP stops when a pass changes the RMSE by at most 1e-4 of its value, or
-after 50 passes; the stop does not depend on the scale of the points.
+ICP stops when a pass changes the RMSE by at most 1e-4 of its value
+(_ICP_TOL), or after 50 passes (_ICP_MAX_ITER); the stop does not depend
+on the scale of the points. The F-score threshold must be finite and > 0.
 """
 
 from __future__ import annotations
@@ -26,9 +27,11 @@ from .mesh import (
 
 DEFAULT_SAMPLES = 16384
 DEFAULT_THRESHOLD = 0.1
-# icp_align's default stop: the RMSE change, as a fraction of the RMSE, at
-# or below which it has converged.
+# icp_align's stop: the RMSE change, as a fraction of the RMSE, at or
+# below which it has converged.
 _ICP_TOL = 1e-4
+# The pass cap evaluate_pair gives icp_align.
+_ICP_MAX_ITER = 50
 
 
 class NearestNeighborIndex:
@@ -131,6 +134,11 @@ def _index(obj) -> NearestNeighborIndex:
     return NearestNeighborIndex(_positions(obj))
 
 
+def _check_threshold(threshold: float) -> None:
+    if not (np.isfinite(threshold) and threshold > 0):
+        raise ValueError(f"threshold must be finite and > 0, got {threshold!r}")
+
+
 def chamfer_f_score(
     p, q, threshold: float = DEFAULT_THRESHOLD, dist_to_p: np.ndarray | None = None
 ) -> MetricReport:
@@ -142,8 +150,10 @@ def chamfer_f_score(
     recall but leaves chamfer and f_score unchanged. p may be a
     NearestNeighborIndex, whose tree is then reused. A caller that has
     measured each q point's nearest distance to p (IcpResult.distances)
-    passes them as dist_to_p, and p is not queried.
+    passes them as dist_to_p, and p is not queried. The threshold must be
+    finite and > 0.
     """
+    _check_threshold(threshold)
     p_points = _positions(p)
     q = _positions(q)
     if len(p_points) == 0 or len(q) == 0:
@@ -196,20 +206,16 @@ def _nearest_two(tree, points: np.ndarray):
     return idx, d[:, 0], d[:, 1]
 
 
-def icp_align(
-    src,
-    dst,
-    max_iter: int = 50,
-    tol: float = _ICP_TOL,
-) -> IcpResult:
+def icp_align(src, dst, max_iter: int = 50) -> IcpResult:
     """Point-to-point ICP from the identity: returns src -> dst transform.
 
     Each iteration matches every source point to its nearest target and
     solves the optimal rigid transform by SVD; the RMSE sequence is
     non-increasing. Stops when a pass changes the RMSE by at most
-    `tol * rmse` (`converged=True`), or after `max_iter` passes. The
-    test is relative, so scaling both clouds by one factor leaves the
-    passes unchanged, and `<=` lets a fit that reaches RMSE 0 stop.
+    `_ICP_TOL * rmse`, 1e-4 of it (`converged=True`), or after `max_iter`
+    passes. The test is relative, so scaling both clouds by one factor
+    leaves the passes unchanged, and `<=` lets a fit that reaches RMSE 0
+    stop.
 
     Only points whose nearest target may have changed are looked up in
     the kd-tree again. A lookup keeps the nearest index, the nearest and
@@ -226,8 +232,6 @@ def icp_align(
     """
     if max_iter < 1:
         raise ValueError(f"ICP needs max_iter >= 1, got {max_iter!r}")
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"ICP tolerance must be finite and positive, got {tol!r}")
     src = _positions(src)
     targets = _positions(dst)
     if len(src) < 3 or len(targets) < 3:
@@ -256,7 +260,7 @@ def icp_align(
         dists = np.linalg.norm(moved - matched, axis=1)
         new_rmse = float(np.sqrt(np.mean(dists**2)))
         history.append(new_rmse)
-        converged = abs(rmse - new_rmse) <= tol * new_rmse
+        converged = abs(rmse - new_rmse) <= _ICP_TOL * new_rmse
         rmse = new_rmse
         if converged:
             break
@@ -271,7 +275,6 @@ def evaluate_pair(
     n_samples: int = DEFAULT_SAMPLES,
     threshold: float = DEFAULT_THRESHOLD,
     seed: int = 0,
-    icp_max_iter: int = 50,
 ) -> MetricReport:
     """Full protocol: normalize both meshes, sample, ICP-align, score.
 
@@ -279,13 +282,15 @@ def evaluate_pair(
     threshold of the reference surface samples. One kd-tree over the
     reference samples serves both the alignment and the score, and a
     converged alignment hands its last pass's distances to the score, so
-    the tree is not queried for them again.
+    the tree is not queried for them again. A threshold that is not
+    finite and > 0 is rejected before any work.
     """
+    _check_threshold(threshold)
     pred_norm, _ = normalize_mesh(pred_mesh)
     pred_pts = sample_surface(pred_norm, n_samples, seed).positions
     gt_norm, _ = normalize_mesh(gt_mesh)
     reference = NearestNeighborIndex(sample_surface(gt_norm, n_samples, seed).positions)
-    icp = icp_align(pred_pts, reference, max_iter=icp_max_iter)
+    icp = icp_align(pred_pts, reference, max_iter=_ICP_MAX_ITER)
     report = chamfer_f_score(reference, icp.transform.apply(pred_pts), threshold,
                              icp.distances)
     return replace(report, icp_iterations=len(icp.rmse_history), icp_converged=icp.converged)

@@ -3,7 +3,8 @@
 Pipeline: splat oriented point normals into a vector field on a regular
 grid and divide it by the splatted density, take its divergence as the
 source term f, solve lap phi = f with zero-Dirichlet ghost boundaries
-directly (the exact inverse of -lap, a sine-basis fast Poisson solve),
+directly (the exact inverse of -lap, a sine-basis fast Poisson solve,
+whose relative residual is rounding error against a fixed 1e-6 bound),
 then run marching cubes at the mean potential of the input samples.
 Each sample's trilinear weights are exactly what its splat added to the
 density, so that mean is the density-weighted mean of phi over the
@@ -52,6 +53,9 @@ MAX_RESOLUTION = 256
 # planes at 128^3, 8 at 256^3, so each slab's float64 temporaries stay
 # near 4 MB however large the grid.
 _SLAB_NODES = 1 << 19
+# The relative residual a solve must reach; the direct solve's is rounding
+# error, about 1e-14.
+_SOLVE_TOL = 1e-6
 
 
 class PoissonError(ValueError):
@@ -61,13 +65,12 @@ class PoissonError(ValueError):
 class SolverConvergenceError(RuntimeError):
     """The Poisson solve missed its relative residual tolerance."""
 
-    def __init__(self, residual: float, iterations: int):
+    def __init__(self, residual: float):
         super().__init__(
-            f"Poisson solve missed its tolerance: relative residual "
-            f"{residual:.3e} after {iterations} iteration(s)"
+            f"Poisson solve missed its tolerance: relative residual {residual:.3e} "
+            f"above {_SOLVE_TOL:g}"
         )
         self.residual = residual
-        self.iterations = iterations
 
 
 @dataclass(frozen=True)
@@ -128,8 +131,8 @@ class Field:
 
 @dataclass(frozen=True)
 class SolveInfo:
-    """converged: relative_residual is within the tolerance; iterations:
-    1 for a nonzero source, 0 for a zero one."""
+    """converged: relative_residual is within _SOLVE_TOL; iterations: 1
+    for a nonzero source, 0 for a zero one."""
 
     converged: bool
     iterations: int
@@ -246,19 +249,17 @@ def _inverse_neg_laplacian(x: np.ndarray, work: np.ndarray) -> np.ndarray:
     return _sine_transform(y, s, x)
 
 
-def solve_poisson(f: Field, tol: float = 1e-6) -> tuple[Field, SolveInfo]:
+def solve_poisson(f: Field) -> tuple[Field, SolveInfo]:
     """Solve lap phi = f with zero-Dirichlet ghost nodes just outside the
     grid, directly: phi is the exact inverse of -lap applied to -f.
 
     The returned SolveInfo carries the true relative residual
     |lap phi - f| / |f|, rounding error for any f (about 1e-14 from 64^3
-    to 256^3), and whether it is within tol; a miss is reported there,
-    never raised here. A source with a NaN or infinite node raises a
-    ValueError naming the first such node. The solve holds phi and one
-    work buffer beside the caller's f.
+    to 256^3), and whether it is within 1e-6 (_SOLVE_TOL); a miss is
+    reported there, never raised here. A source with a NaN or infinite
+    node raises a ValueError naming the first such node. The solve holds
+    phi and one work buffer beside the caller's f.
     """
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"solve tolerance must be finite and > 0, got {tol!r}")
     b_norm = float(np.linalg.norm(f.data))
     if not np.isfinite(b_norm) and not np.isfinite(f.data).all():
         node = tuple(int(i) for i in np.argwhere(~np.isfinite(f.data))[0])
@@ -271,7 +272,7 @@ def solve_poisson(f: Field, tol: float = 1e-6) -> tuple[Field, SolveInfo]:
     res = _neg_laplacian(phi, work)
     res += f.data
     relative = float(np.linalg.norm(res)) / b_norm
-    return Field(f.grid, phi), SolveInfo(relative <= tol, 1, relative)
+    return Field(f.grid, phi), SolveInfo(relative <= _SOLVE_TOL, 1, relative)
 
 
 def extract_isosurface(phi: Field, nodes: np.ndarray, weights: np.ndarray) -> TriangleMesh:
@@ -298,18 +299,13 @@ def extract_isosurface(phi: Field, nodes: np.ndarray, weights: np.ndarray) -> Tr
 
 
 def reconstruct(
-    pc: PointCloud,
-    resolution: int = DEFAULT_RESOLUTION,
-    *,
-    tol: float = 1e-6,
-    return_info: bool = False,
-):
-    """Full oriented-cloud-to-mesh pipeline.
+    pc: PointCloud, resolution: int = DEFAULT_RESOLUTION
+) -> tuple[TriangleMesh, SolveInfo]:
+    """Full oriented-cloud-to-mesh pipeline: (mesh, the solve's SolveInfo).
 
     splat -> density-normalize -> divergence -> solve -> iso-surface at
     the mean potential of the samples, every vertex kept. Raises
-    SolverConvergenceError if the solve misses tol. With
-    return_info=True, returns (mesh, SolveInfo).
+    SolverConvergenceError if the solve misses its 1e-6 tolerance.
     """
     vec, den = splat_normals(pc, resolution)
     # Raw splats carry the local sample density, which for ray-cast
@@ -328,11 +324,8 @@ def reconstruct(
     del den
     f = divergence(vec)
     del vec  # three R^3 arrays the solve and extraction do not need
-    phi, info = solve_poisson(f, tol=tol)
+    phi, info = solve_poisson(f)
     del f
     if not info.converged:
-        raise SolverConvergenceError(info.relative_residual, info.iterations)
-    mesh = extract_isosurface(phi, nodes, weights)
-    if return_info:
-        return mesh, info
-    return mesh
+        raise SolverConvergenceError(info.relative_residual)
+    return extract_isosurface(phi, nodes, weights), info

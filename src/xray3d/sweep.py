@@ -52,8 +52,8 @@ from .codec import decode_to_pointcloud, encode, pad_or_truncate
 from .mesh import TriangleMesh, normalize_mesh
 # Not called here: bound while the benchmark's tracer wraps sweep.evaluate_pair by name.
 from .metrics import evaluate_pair  # noqa: F401
-from .poisson import reconstruct
-from .raycast import build_bvh
+from .poisson import MAX_RESOLUTION, reconstruct
+from .raycast import MAX_HITS, build_bvh
 
 CSV_HEADER = "mesh,view,layers,resolution,chamfer,f_score,encode_ms,decode_ms,recon_ms,error"
 
@@ -191,10 +191,15 @@ def run_sweep(
     Numpy's bundled OpenBLAS runs on one thread, process-wide, until this
     returns; see the module docstring. screening and trim were removed
     and are accepted only as 0.0: every cell runs the unscreened solve
-    and keeps every vertex."""
+    and keeps every vertex. Every setting is checked before any work."""
     for option, value in (("screening", screening), ("trim", trim)):
         if value != 0.0:
             raise ValueError(f"{option} was removed; {option} must be 0.0, got {value!r}")
+    if not 2 <= poisson_res <= MAX_RESOLUTION:
+        raise ValueError(f"poisson_res must be in [2, {MAX_RESOLUTION}], got {poisson_res!r}")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples!r}")
+    metrics._check_threshold(threshold)
     if not meshes:
         raise ValueError("need at least one mesh")
     if not layers_list or not res_list:
@@ -203,6 +208,8 @@ def run_sweep(
     res_list = sorted(set(int(v) for v in res_list))
     if layers_list[0] < 1:
         raise ValueError("layer counts must be positive")
+    if layers_list[-1] > MAX_HITS:
+        raise ValueError(f"layer counts must be at most {MAX_HITS}, got {layers_list[-1]}")
     if res_list[0] < 2:
         raise ValueError("resolutions must be at least 2")
     max_layers = layers_list[-1]
@@ -232,7 +239,7 @@ def run_sweep(
             if len(cloud) == 0:
                 raise ValueError("empty point cloud")
             t0 = time.perf_counter()
-            recon = reconstruct(cloud, poisson_res)
+            recon, _ = reconstruct(cloud, poisson_res)
             recon_ms = (time.perf_counter() - t0) * 1000.0
             samples = metrics.sample_surface(recon, n_samples, seed)
             report = metrics.chamfer_f_score(references[name].result(), samples, threshold)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from xray3d import cli as cli_mod
 from xray3d.camera import DEFAULT_FOV_X
 from xray3d.cli import main
 from xray3d.codec import XRayTensor, read_xray, write_xray
@@ -201,9 +202,15 @@ _SWEEP = ("sweep", "{dir}", "--out", "{out}", "--layers-list", "1", "--res-list"
     ("decode", "{xray}", "{out}", "--trim", "-1"),
     ("decode", "{xray}", "{out}", "--trim", "nan"),
     ("decode", "{xray}", "{out}", "--screening", "0.5"),
+    ("views", "{mesh}", "--out-dir", "{out}", "--layers", "65"),
+    (*_SWEEP, "--layers-list", "2,65"),
+    ("eval", "{mesh}", "{mesh}", "--threshold", "0"),
+    (*_SWEEP, "--threshold", "-1"),
+    (*_SWEEP, "--threshold", "inf"),
 ], ids=["views-width", "views-height", "sweep-poisson-res-1", "sweep-poisson-res-257",
         "sweep-samples", "decode-trim", "decode-trim-negative", "decode-trim-nan",
-        "decode-screening"])
+        "decode-screening", "views-layers-65", "sweep-layers-65", "eval-threshold-zero",
+        "sweep-threshold-negative", "sweep-threshold-inf"])
 def test_usage_errors_exit_2(tmp_path, cube_obj, argv):
     out = tmp_path / "out"
     xray = tmp_path / "t.xray"
@@ -211,6 +218,36 @@ def test_usage_errors_exit_2(tmp_path, cube_obj, argv):
     argv = [a.format(mesh=cube_obj, dir=cube_obj.parent, out=out, xray=xray) for a in argv]
     assert run_cli(*argv) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("encode", "{mesh}", "{out}", "--layers", "65"), "--layers must be in [1, 64]"),
+    (("eval", "{mesh}", "{mesh}", "--threshold", "-1"), "--threshold must be finite and > 0, got -1"),
+    (("eval", "{mesh}", "{mesh}", "--threshold", "nan"),
+     "--threshold must be finite and > 0, got nan"),
+    (("decode", "{out}", "{out}.obj", "--frame", "camera"),
+     "--frame camera requires --points-only: reconstruction runs in the world-frame"),
+], ids=["encode-layers", "eval-threshold-negative", "eval-threshold-nan", "decode-camera-frame"])
+def test_usage_errors_name_the_bad_value_before_reading_files(
+    tmp_path, cube_obj, capsys, monkeypatch, argv, message
+):
+    def no_read(*args, **kwargs):
+        raise AssertionError("read an input before checking the options")
+
+    for name in ("load_mesh", "read_xray"):
+        monkeypatch.setattr(cli_mod, name, no_read)
+    out = tmp_path / "out"
+    argv = [a.format(mesh=cube_obj, out=out) for a in argv]
+    assert run_cli(*argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_decode_camera_frame_points_only_still_writes_points(tmp_path, cube_obj):
+    xray = tmp_path / "c.xray"
+    assert run_cli("encode", cube_obj, xray, "--width", "16", "--height", "16") == 0
+    out = tmp_path / "points.ply"
+    assert run_cli("decode", xray, out, "--points-only", "--frame", "camera") == 0
+    assert len(load_pointcloud_ply(out)) == front_view_cube_hits(16)
 
 
 def test_views_seeds_differ(tmp_path, cube_obj):
@@ -233,6 +270,16 @@ def test_info_reports_storage_claim(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "96.88% smaller than a 256^3 dense voxel grid" in printed
     assert "layer 0" in printed
+
+
+def test_info_words_a_negative_saving_as_larger(tmp_path, capsys):
+    # 5 layers of a 4x4 frame store more than a 4^3 grid: 1 - 5/4 = -25%.
+    xray = tmp_path / "t.xray"
+    write_xray(XRayTensor(np.zeros((5, 8, 4, 4), dtype=np.float32), 0.8, np.eye(4)), xray)
+    assert run_cli("info", xray) == 0
+    printed = capsys.readouterr().out
+    assert "storage: 25.00% larger than a 4^3 dense voxel grid" in printed
+    assert "-25" not in printed and "smaller" not in printed
 
 
 def test_info_layer_occupancy_cube(tmp_path, cube_obj, capsys):

@@ -94,6 +94,21 @@ def test_encode_truncates_deep_hits(nested_mesh):
     assert full.hit_mask()[2:].any()
 
 
+def test_encode_keeps_up_to_the_hit_cap_and_rejects_more_layers():
+    # 80 parallel triangles, 0.01 apart, all crossing the central ray: the
+    # ray cast records 64 of them, so 64 layers are all filled and more
+    # would silently stay empty.
+    z = -0.4 + 0.01 * np.arange(80)
+    corners = np.array([[-0.4, -0.3], [0.4, -0.3], [0.0, 0.4]])
+    vertices = np.concatenate([np.column_stack([corners, np.full(3, zi)]) for zi in z])
+    stack = TriangleMesh(vertices, np.arange(3 * len(z)).reshape(-1, 3))
+    tensor = encode(stack, front_camera(64), 64)
+    assert tensor.data[:, 0, 32, 32].sum() == 64
+    for layers in (65, 100):
+        with pytest.raises(ValueError, match=f"at most 64, the ray cast's .* cap, got {layers}$"):
+            encode(stack, front_camera(64), layers)
+
+
 def test_encode_colored_interpolation(colored_cube):
     tensor = encode(colored_cube, front_camera(32), 2)
     colors = tensor.data[:, 5:8].transpose(0, 2, 3, 1)[tensor.hit_mask()]

@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 import sys
 import threading
 
@@ -115,7 +116,7 @@ def score_by_hand(mesh, layers, res, view=0, views=1, seed=0, poisson_res=32, n_
         mesh = normalize_mesh(mesh)[0]
         camera = sample_views(seed, views, width=res, height=res, fov_x=DEFAULT_FOV_X)[view]
         cloud = decode_to_pointcloud(encode(mesh, camera, layers), frame="world")
-        recon = reconstruct(cloud, poisson_res)
+        recon, _ = reconstruct(cloud, poisson_res)
     ref = sample_surface(mesh, n_samples, seed).positions
     pred = sample_surface(recon, n_samples, seed).positions
     return ref, pred, chamfer_f_score(ref, pred, threshold)
@@ -373,3 +374,23 @@ def test_sweep_rejects_removed_options_before_any_work(monkeypatch, option, valu
     monkeypatch.setattr(sweep_mod, "build_bvh", no_work)
     with pytest.raises(ValueError, match=f"{option} was removed; {option} must be 0.0, got {value!r}"):
         run_sweep({"cube": cube()}, [1], [32], **{option: value})
+
+
+@pytest.mark.parametrize("setting, message", [
+    (dict(poisson_res=300), "poisson_res must be in [2, 256], got 300"),
+    (dict(poisson_res=1), "poisson_res must be in [2, 256], got 1"),
+    (dict(n_samples=0), "n_samples must be at least 1, got 0"),
+    (dict(threshold=-1.0), "threshold must be finite and > 0, got -1.0"),
+    (dict(threshold=float("nan")), "threshold must be finite and > 0, got nan"),
+    (dict(threshold=0.0), "threshold must be finite and > 0, got 0.0"),
+    (dict(layers_list=[2, 65]), "layer counts must be at most 64, got 65"),
+], ids=["poisson_res-300", "poisson_res-1", "n_samples-0", "threshold-negative", "threshold-nan",
+        "threshold-zero", "layers-65"])
+def test_sweep_rejects_bad_settings_before_any_work(monkeypatch, setting, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"the sweep started work before checking {setting}")
+
+    monkeypatch.setattr(sweep_mod, "build_bvh", no_work)
+    kwargs = dict(dict(layers_list=[1], res_list=[32]), **setting)
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        run_sweep({"cube": cube()}, **kwargs)
