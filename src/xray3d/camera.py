@@ -37,7 +37,7 @@ class Camera:
         if self.width < 1 or self.height < 1:
             raise ValueError("image dimensions must be at least 1 pixel")
         if not 0.0 < self.fov_x < math.pi:
-            raise ValueError("fov_x must lie in (0, pi)")
+            raise ValueError(f"fov_x must lie in (0, pi), got {self.fov_x!r}")
         mat = np.asarray(self.c2w, dtype=np.float64).reshape(4, 4)
         bad = np.argwhere(~np.isfinite(mat))
         if len(bad):
@@ -139,7 +139,7 @@ def sample_view_angles(seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic random view angles: azimuth uniform in [-180, 180)
     degrees, elevation uniform in [0, 45] degrees."""
     if n < 1:
-        raise ValueError("need at least one view")
+        raise ValueError(f"need at least one view, got {n!r}")
     rng = np.random.default_rng(seed)
     azimuths = rng.uniform(-180.0, 180.0, size=n)
     elevations = rng.uniform(0.0, 45.0, size=n)

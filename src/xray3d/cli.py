@@ -29,7 +29,7 @@ from .mesh import normalize_mesh
 from .meshio import load_mesh, save_mesh, save_pointcloud_ply
 from .metrics import evaluate_pair
 from .poisson import MAX_RESOLUTION, reconstruct
-from .raycast import MAX_HITS, build_bvh
+from .raycast import build_bvh
 from .sweep import plot_sweep_svg, rows_to_csv, run_sweep
 
 
@@ -126,14 +126,18 @@ def _require_threshold(threshold: float) -> None:
 
 
 def _require_layers(layers: int) -> None:
-    _require(1 <= layers <= MAX_HITS,
-             f"--layers must be in [1, {MAX_HITS}] (the per-ray hit cap), got {layers}")
+    _require(layers >= 1, f"--layers must be at least 1, got {layers}")
+
+
+def _require_fov(fov: float | None) -> None:
+    _require(fov is None or 0.0 < fov < np.pi, f"--fov must lie in (0, pi), got {fov}")
 
 
 def cmd_encode(args) -> int:
     _require_layers(args.layers)
     _require(args.width >= 1 and args.height >= 1, "--width/--height must be at least 1")
     _require(args.distance > 0, "--distance must be positive")
+    _require_fov(args.fov)
     mesh = load_mesh(args.mesh_path)
     mesh, _ = normalize_mesh(mesh)
     camera = camera_from_spherical(
@@ -220,14 +224,15 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 def cmd_sweep(args) -> int:
     layers_list = _parse_int_list(args.layers_list, "--layers-list")
     res_list = _parse_int_list(args.res_list, "--res-list")
-    _require(min(layers_list) >= 1, "--layers-list entries must be at least 1")
-    _require(max(layers_list) <= MAX_HITS, f"--layers-list entries must be at most {MAX_HITS}")
+    _require(min(layers_list) >= 1,
+             f"--layers-list entries must be at least 1, got {min(layers_list)}")
     _require(min(res_list) >= 2, "--res-list entries must be at least 2")
     _require(args.views >= 1, "--views must be at least 1")
     _require(2 <= args.poisson_res <= MAX_RESOLUTION,
              f"--poisson-res must be in [2, {MAX_RESOLUTION}]")
     _require(args.samples >= 1, "--samples must be at least 1")
     _require_threshold(args.threshold)
+    _require_fov(args.fov)
     mesh_dir = Path(args.mesh_dir)
     if not mesh_dir.is_dir():
         raise FileNotFoundError(f"mesh directory not found: {mesh_dir}")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .camera import Camera, generate_rays
 from .mesh import TriangleMesh, _frozen, surface_attributes
-from .raycast import MAX_HITS, BvhAccel, build_bvh, cast_rays
+from .raycast import BvhAccel, build_bvh, cast_rays
 
 MAGIC = b"XRAY"
 FORMAT_VERSION = 1
@@ -199,16 +199,13 @@ def encode(
 ) -> XRayTensor:
     """Encode a mesh into a layered surface tensor for one camera view.
 
-    The nearest `layers` intersections per pixel are kept; deeper ones
-    are truncated. The ray cast records at most MAX_HITS (64) per ray, so
-    more layers than that are rejected. Pass a prebuilt `accel` to reuse
-    the BVH across views.
+    Layer k of a pixel holds the k-th nearest hit of its ray, so the
+    nearest `layers` intersections per pixel are kept and deeper ones
+    are never recorded. Pass a prebuilt `accel` to reuse the BVH across
+    views.
     """
     if layers < 1:
-        raise ValueError("need at least one layer")
-    if layers > MAX_HITS:
-        raise ValueError(f"layers must be at most {MAX_HITS}, the ray cast's per-ray hit cap, "
-                         f"got {layers}")
+        raise ValueError(f"need at least one layer, got {layers!r}")
     h, w = camera.height, camera.width
     data = np.zeros((layers, 8, h, w), dtype=np.float32)
     if mesh.is_empty:
@@ -217,25 +214,14 @@ def encode(
     if accel is None:
         accel = build_bvh(mesh)
     dirs = generate_rays(camera).reshape(-1, 3)
-    batch = cast_rays(accel, np.broadcast_to(camera.position, dirs.shape), dirs)
-    if batch.ray.size:
-        group_start = np.searchsorted(batch.ray, batch.ray)
-        layer = np.arange(batch.ray.size) - group_start
-        sel = layer < layers
-        ray = batch.ray[sel]
-        layer = layer[sel]
-        depth = batch.depth[sel]
-        face = batch.face[sel]
-        u, v = batch.bary_u[sel], batch.bary_v[sel]
-        row, col = ray // w, ray % w
-
-        normal, color = surface_attributes(mesh, face, u, v)
-
-        data[layer, CH_HIT, row, col] = 1.0
-        data[layer, CH_DEPTH, row, col] = depth
-        for k in range(3):
-            data[layer, 2 + k, row, col] = normal[:, k]
-            data[layer, 5 + k, row, col] = color[:, k]
+    batch = cast_rays(accel, np.broadcast_to(camera.position, dirs.shape), dirs, layers)
+    layer, row, col = batch.layer, batch.ray // w, batch.ray % w
+    normal, color = surface_attributes(mesh, batch.face, batch.bary_u, batch.bary_v)
+    data[layer, CH_HIT, row, col] = 1.0
+    data[layer, CH_DEPTH, row, col] = batch.depth
+    for k in range(3):
+        data[layer, 2 + k, row, col] = normal[:, k]
+        data[layer, 5 + k, row, col] = color[:, k]
     return XRayTensor(data, camera.fov_x, camera.c2w)
 
 

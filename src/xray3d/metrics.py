@@ -30,7 +30,7 @@ DEFAULT_THRESHOLD = 0.1
 # icp_align's stop: the RMSE change, as a fraction of the RMSE, at or
 # below which it has converged.
 _ICP_TOL = 1e-4
-# The pass cap evaluate_pair gives icp_align.
+# icp_align's pass cap.
 _ICP_MAX_ITER = 50
 
 
@@ -206,16 +206,16 @@ def _nearest_two(tree, points: np.ndarray):
     return idx, d[:, 0], d[:, 1]
 
 
-def icp_align(src, dst, max_iter: int = 50) -> IcpResult:
+def icp_align(src, dst) -> IcpResult:
     """Point-to-point ICP from the identity: returns src -> dst transform.
 
     Each iteration matches every source point to its nearest target and
     solves the optimal rigid transform by SVD; the RMSE sequence is
     non-increasing. Stops when a pass changes the RMSE by at most
-    `_ICP_TOL * rmse`, 1e-4 of it (`converged=True`), or after `max_iter`
-    passes. The test is relative, so scaling both clouds by one factor
-    leaves the passes unchanged, and `<=` lets a fit that reaches RMSE 0
-    stop.
+    `_ICP_TOL * rmse`, 1e-4 of it (`converged=True`), or after
+    `_ICP_MAX_ITER` passes, 50. The test is relative, so scaling both
+    clouds by one factor leaves the passes unchanged, and `<=` lets a fit
+    that reaches RMSE 0 stop.
 
     Only points whose nearest target may have changed are looked up in
     the kd-tree again. A lookup keeps the nearest index, the nearest and
@@ -230,8 +230,6 @@ def icp_align(src, dst, max_iter: int = 50) -> IcpResult:
     `distances` are those a query at `transform` returns. `dst` may be a
     NearestNeighborIndex, whose tree is then reused.
     """
-    if max_iter < 1:
-        raise ValueError(f"ICP needs max_iter >= 1, got {max_iter!r}")
     src = _positions(src)
     targets = _positions(dst)
     if len(src) < 3 or len(targets) < 3:
@@ -249,7 +247,7 @@ def icp_align(src, dst, max_iter: int = 50) -> IcpResult:
     transform = RigidTransform.identity()
     history = []
     rmse = np.inf
-    for _ in range(max_iter):
+    for _ in range(_ICP_MAX_ITER):
         moved = transform.apply(src)
         drift = np.linalg.norm(moved - anchor, axis=1)
         margin = 1e-9 * (target_scale + np.abs(moved).max())
@@ -290,7 +288,7 @@ def evaluate_pair(
     pred_pts = sample_surface(pred_norm, n_samples, seed).positions
     gt_norm, _ = normalize_mesh(gt_mesh)
     reference = NearestNeighborIndex(sample_surface(gt_norm, n_samples, seed).positions)
-    icp = icp_align(pred_pts, reference, max_iter=_ICP_MAX_ITER)
+    icp = icp_align(pred_pts, reference)
     report = chamfer_f_score(reference, icp.transform.apply(pred_pts), threshold,
                              icp.distances)
     return replace(report, icp_iterations=len(icp.rmse_history), icp_converged=icp.converged)

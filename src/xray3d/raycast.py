@@ -1,7 +1,8 @@
 """BVH-accelerated multi-hit ray casting over triangle meshes.
 
-All intersections along a ray are returned sorted by distance, not just
-the first, because the codec records every surface crossing. The tree
+Each ray's nearest `max_hits` intersections are returned sorted by
+distance and ranked along the ray: the codec records each crossing as
+one layer, and its layer count is the cast's only depth limit. The tree
 is a complete binary median-split BVH in heap order: node i has children
 2i+1 and 2i+2, the 2^depth leaves are nodes 2^depth - 1 onward, and
 `leaf_bounds` holds each leaf's slice of the sorted triangles. Building
@@ -28,7 +29,6 @@ from .mesh import MeshError, TriangleMesh, _frozen, _ramp
 
 EPS_MIN = 1e-6  # reject hits this close to the ray origin (self-hits)
 EPS_DUP = 1e-6  # merge coincident hits (shared edge/vertex double-counts)
-MAX_HITS = 64   # per-ray record cap, far above the codec's layer counts
 
 _LEAF_SIZE = 4
 # Rays per cast block. Cast as one block, a 256^2 image of these meshes
@@ -65,6 +65,7 @@ class HitBatch:
     face: np.ndarray   # (n,)
     bary_u: np.ndarray
     bary_v: np.ndarray
+    layer: np.ndarray  # (n,) int64 rank along the ray: 0 for the nearest hit
 
     def offsets(self, n_rays: int) -> np.ndarray:
         """Prefix offsets: hits of ray r occupy [offsets[r], offsets[r+1])."""
@@ -255,27 +256,31 @@ def _cast_chunk(accel: BvhAccel, origins, dirs, first_ray: int):
     return rr[accept] + first_ray, t[accept], tris[accept], u[accept], v[accept]
 
 
-def _sort_merge_cap(ray, t, face, u, v):
-    """Sort hits by (ray, depth), merge near-duplicates, cap each ray's hits."""
+def _sort_merge_cap(max_hits, ray, t, face, u, v):
+    """Sort hits by (ray, depth), merge near-duplicates, rank and keep each ray's nearest."""
     order = np.lexsort((face, t, ray))
     ray, t, face, u, v = ray[order], t[order], face[order], u[order], v[order]
     # Merge a hit into the previous one on its ray when they are closer than EPS_DUP.
     dup = (np.diff(ray, prepend=-1) == 0) & (np.diff(t, prepend=0.0) < EPS_DUP)
     ray, t, face, u, v = ray[~dup], t[~dup], face[~dup], u[~dup], v[~dup]
-    # Cap records per ray.
-    keep = np.arange(ray.size) - np.searchsorted(ray, ray) < MAX_HITS
-    return ray[keep], t[keep], face[keep], u[keep], v[keep]
+    layer = np.arange(ray.size) - np.searchsorted(ray, ray)
+    keep = layer < max_hits
+    return ray[keep], t[keep], face[keep], u[keep], v[keep], layer[keep]
 
 
-def cast_rays(accel: BvhAccel, origins: np.ndarray, directions: np.ndarray) -> HitBatch:
-    """All hits for a batch of rays. Directions must be unit length."""
+def cast_rays(accel: BvhAccel, origins: np.ndarray, directions: np.ndarray,
+              max_hits: int) -> HitBatch:
+    """Each ray's nearest `max_hits` (>= 1) hits, ranked along it; unit directions."""
+    if max_hits < 1:
+        raise ValueError(f"max_hits must be at least 1, got {max_hits!r}")
     # Not copied: each block transposes its slice, and a camera's rays share one origin.
     origins = np.asarray(origins, dtype=np.float64).reshape(-1, 3)
     directions = np.ascontiguousarray(directions, dtype=np.float64).reshape(-1, 3)
     # Blocks are disjoint, increasing ray ranges, so sorting each block on
-    # its own and concatenating equals one global sort, merge and cap.
+    # its own and concatenating equals one global sort, merge and cap, and
+    # a hit's rank in its block is its rank along its ray.
     blocks = [
-        _sort_merge_cap(*_cast_chunk(
+        _sort_merge_cap(max_hits, *_cast_chunk(
             accel, origins[lo:lo + _RAY_CHUNK], directions[lo:lo + _RAY_CHUNK], lo
         ))
         for lo in range(0, max(len(origins), 1), _RAY_CHUNK)  # one block even for no rays

@@ -53,7 +53,7 @@ from .mesh import TriangleMesh, normalize_mesh
 # Not called here: bound while the benchmark's tracer wraps sweep.evaluate_pair by name.
 from .metrics import evaluate_pair  # noqa: F401
 from .poisson import MAX_RESOLUTION, reconstruct
-from .raycast import MAX_HITS, build_bvh
+from .raycast import build_bvh
 
 CSV_HEADER = "mesh,view,layers,resolution,chamfer,f_score,encode_ms,decode_ms,recon_ms,error"
 
@@ -200,6 +200,8 @@ def run_sweep(
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples!r}")
     metrics._check_threshold(threshold)
+    if max_workers is not None and max_workers < 1:
+        raise ValueError(f"max_workers must be None or at least 1, got {max_workers!r}")
     if not meshes:
         raise ValueError("need at least one mesh")
     if not layers_list or not res_list:
@@ -207,19 +209,18 @@ def run_sweep(
     layers_list = sorted(set(int(v) for v in layers_list))
     res_list = sorted(set(int(v) for v in res_list))
     if layers_list[0] < 1:
-        raise ValueError("layer counts must be positive")
-    if layers_list[-1] > MAX_HITS:
-        raise ValueError(f"layer counts must be at most {MAX_HITS}, got {layers_list[-1]}")
+        raise ValueError(f"layer counts must be at least 1, got {layers_list[0]}")
     if res_list[0] < 2:
         raise ValueError("resolutions must be at least 2")
     max_layers = layers_list[-1]
-
-    normalized = {name: normalize_mesh(m)[0] for name, m in sorted(meshes.items())}
-    accels = {name: build_bvh(m) for name, m in normalized.items()}
+    # Built first: the cameras check views and fov_x.
     cameras = {
         res: sample_views(seed, views, width=res, height=res, fov_x=fov_x)
         for res in res_list
     }
+
+    normalized = {name: normalize_mesh(m)[0] for name, m in sorted(meshes.items())}
+    accels = {name: build_bvh(m) for name, m in normalized.items()}
 
     jobs = [
         (name, view, res)

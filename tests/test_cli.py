@@ -202,14 +202,14 @@ _SWEEP = ("sweep", "{dir}", "--out", "{out}", "--layers-list", "1", "--res-list"
     ("decode", "{xray}", "{out}", "--trim", "-1"),
     ("decode", "{xray}", "{out}", "--trim", "nan"),
     ("decode", "{xray}", "{out}", "--screening", "0.5"),
-    ("views", "{mesh}", "--out-dir", "{out}", "--layers", "65"),
-    (*_SWEEP, "--layers-list", "2,65"),
+    ("views", "{mesh}", "--out-dir", "{out}", "--layers", "0"),
+    (*_SWEEP, "--layers-list", "2,0"),
     ("eval", "{mesh}", "{mesh}", "--threshold", "0"),
     (*_SWEEP, "--threshold", "-1"),
     (*_SWEEP, "--threshold", "inf"),
 ], ids=["views-width", "views-height", "sweep-poisson-res-1", "sweep-poisson-res-257",
         "sweep-samples", "decode-trim", "decode-trim-negative", "decode-trim-nan",
-        "decode-screening", "views-layers-65", "sweep-layers-65", "eval-threshold-zero",
+        "decode-screening", "views-layers-0", "sweep-layers-0", "eval-threshold-zero",
         "sweep-threshold-negative", "sweep-threshold-inf"])
 def test_usage_errors_exit_2(tmp_path, cube_obj, argv):
     out = tmp_path / "out"
@@ -221,13 +221,19 @@ def test_usage_errors_exit_2(tmp_path, cube_obj, argv):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("encode", "{mesh}", "{out}", "--layers", "65"), "--layers must be in [1, 64]"),
+    (("encode", "{mesh}", "{out}", "--layers", "0"), "--layers must be at least 1, got 0"),
+    (("encode", "{mesh}", "{out}", "--fov", "-1"), "--fov must lie in (0, pi), got -1.0"),
+    (("encode", "{mesh}", "{out}", "--fov", "nan"), "--fov must lie in (0, pi), got nan"),
+    (("sweep", "{dir}", "--out", "{out}", "--fov", "4"), "--fov must lie in (0, pi), got 4.0"),
+    (("sweep", "{dir}", "--out", "{out}", "--layers-list", "3,0"),
+     "--layers-list entries must be at least 1, got 0"),
     (("eval", "{mesh}", "{mesh}", "--threshold", "-1"), "--threshold must be finite and > 0, got -1"),
     (("eval", "{mesh}", "{mesh}", "--threshold", "nan"),
      "--threshold must be finite and > 0, got nan"),
     (("decode", "{out}", "{out}.obj", "--frame", "camera"),
      "--frame camera requires --points-only: reconstruction runs in the world-frame"),
-], ids=["encode-layers", "eval-threshold-negative", "eval-threshold-nan", "decode-camera-frame"])
+], ids=["encode-layers", "encode-fov-negative", "encode-fov-nan", "sweep-fov", "sweep-layers-list",
+        "eval-threshold-negative", "eval-threshold-nan", "decode-camera-frame"])
 def test_usage_errors_name_the_bad_value_before_reading_files(
     tmp_path, cube_obj, capsys, monkeypatch, argv, message
 ):
@@ -237,7 +243,7 @@ def test_usage_errors_name_the_bad_value_before_reading_files(
     for name in ("load_mesh", "read_xray"):
         monkeypatch.setattr(cli_mod, name, no_read)
     out = tmp_path / "out"
-    argv = [a.format(mesh=cube_obj, out=out) for a in argv]
+    argv = [a.format(mesh=cube_obj, dir=cube_obj.parent, out=out) for a in argv]
     assert run_cli(*argv) == 2
     assert message in capsys.readouterr().err
 

@@ -94,19 +94,28 @@ def test_encode_truncates_deep_hits(nested_mesh):
     assert full.hit_mask()[2:].any()
 
 
-def test_encode_keeps_up_to_the_hit_cap_and_rejects_more_layers():
-    # 80 parallel triangles, 0.01 apart, all crossing the central ray: the
-    # ray cast records 64 of them, so 64 layers are all filled and more
-    # would silently stay empty.
-    z = -0.4 + 0.01 * np.arange(80)
-    corners = np.array([[-0.4, -0.3], [0.4, -0.3], [0.0, 0.4]])
-    vertices = np.concatenate([np.column_stack([corners, np.full(3, zi)]) for zi in z])
-    stack = TriangleMesh(vertices, np.arange(3 * len(z)).reshape(-1, 3))
-    tensor = encode(stack, front_camera(64), 64)
-    assert tensor.data[:, 0, 32, 32].sum() == 64
-    for layers in (65, 100):
-        with pytest.raises(ValueError, match=f"at most 64, the ray cast's .* cap, got {layers}$"):
-            encode(stack, front_camera(64), layers)
+def test_encode_fills_as_many_layers_as_asked():
+    # 70 parallel squares stacked along z; the central pixel's ray crosses
+    # every one (along their shared diagonals, one merged hit each).
+    verts, faces = [], []
+    for k in range(70):
+        z = -0.05 * k
+        base = 4 * k
+        verts += [[-1, -1, z], [1, -1, z], [1, 1, z], [-1, 1, z]]
+        faces += [[base, base + 1, base + 2], [base, base + 2, base + 3]]
+    stack = TriangleMesh(np.array(verts, dtype=float), np.array(faces))
+    full = encode(stack, front_camera(64), 70)
+    assert full.data[:, 0, 32, 32].sum() == 70
+    assert np.all(np.diff(full.data[:, 1, 32, 32]) > 0)
+    for layers in (1, 8, 64):
+        np.testing.assert_array_equal(encode(stack, front_camera(64), layers).data,
+                                      full.data[:layers])
+
+
+@pytest.mark.parametrize("layers", [0, -2])
+def test_encode_rejects_fewer_than_one_layer(layers):
+    with pytest.raises(ValueError, match=f"need at least one layer, got {layers}$"):
+        encode(cube(), front_camera(16), layers)
 
 
 def test_encode_colored_interpolation(colored_cube):

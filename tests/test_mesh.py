@@ -99,7 +99,7 @@ def test_face_normal_colinear_degenerate():
     # never select it, so the attribute path never reads this zero.
     mesh = TriangleMesh([[0, 0, 0], [1, 0, 0], [2, 0, 0]], [[0, 1, 2]])
     np.testing.assert_array_equal(face_normals(mesh)[0], [0, 0, 0])
-    batch = cast_rays(build_bvh(mesh), [[1.0, 0.0, 1.0]], [[0.0, 0.0, -1.0]])
+    batch = cast_rays(build_bvh(mesh), [[1.0, 0.0, 1.0]], [[0.0, 0.0, -1.0]], 1)
     assert batch.face.size == 0
 
 

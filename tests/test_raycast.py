@@ -7,7 +7,9 @@ from xray3d import raycast
 from xray3d.camera import Camera, camera_from_spherical, generate_rays, look_at, sample_views
 from xray3d.fixtures import cube
 from xray3d.mesh import MeshError, TriangleMesh, normalize_mesh, surface_attributes
-from xray3d.raycast import EPS_DUP, EPS_MIN, MAX_HITS, build_bvh, cast_rays
+from xray3d.raycast import EPS_DUP, EPS_MIN, build_bvh, cast_rays
+
+EVERY_HIT = 1 << 20  # a cap no test ray reaches
 
 
 def brute_force_hits(mesh, origin, direction):
@@ -31,12 +33,12 @@ def brute_force_hits(mesh, origin, direction):
         if merged and t_hit - merged[-1][0] < EPS_DUP:
             continue
         merged.append((float(t_hit), int(fi)))
-    return merged[:MAX_HITS]
+    return merged
 
 
 def _cast_one(mesh, origin, direction=(0.0, 0.0, -1.0)):
     """All hits of one ray, nearest first."""
-    return cast_rays(build_bvh(mesh), np.array([origin]), np.array([direction]))
+    return cast_rays(build_bvh(mesh), np.array([origin]), np.array([direction]), EVERY_HIT)
 
 
 def test_cube_central_ray_two_hits(cube_mesh):
@@ -118,7 +120,7 @@ def test_bvh_equals_brute_force(
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     for origins, directions in [(origins, directions), *_pinhole_grids()]:
         n = len(origins)
-        batch = cast_rays(accel, origins, directions)
+        batch = cast_rays(accel, origins, directions, EVERY_HIT)
         offsets = batch.offsets(n)
         for i in range(n):
             got = [
@@ -126,6 +128,7 @@ def test_bvh_equals_brute_force(
             ]
             expected = brute_force_hits(mesh, origins[i], directions[i])
             assert len(got) == len(expected)
+            assert batch.layer[offsets[i]:offsets[i + 1]].tolist() == list(range(len(got)))
             for (gt, gf), (et, ef) in zip(got, expected):
                 assert gt == pytest.approx(et, abs=1e-9)
                 assert gf == ef
@@ -136,7 +139,7 @@ def test_depths_strictly_increasing(sphere_mesh, rng):
     origins = rng.uniform(-1.0, 1.0, size=(500, 3))
     directions = rng.normal(size=(500, 3))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    batch = cast_rays(accel, origins, directions)
+    batch = cast_rays(accel, origins, directions, EVERY_HIT)
     same_ray = batch.ray[1:] == batch.ray[:-1]
     assert np.all(batch.depth[1:][same_ray] > batch.depth[:-1][same_ray])
 
@@ -152,7 +155,7 @@ def test_even_parity_from_outside(fixture, rng, cube_mesh, sphere_mesh):
     targets = rng.uniform(-0.2, 0.2, size=(n, 3))
     directions = targets - origins
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    batch = cast_rays(accel, origins, directions)
+    batch = cast_rays(accel, origins, directions, EVERY_HIT)
     offsets = batch.offsets(n)
     checked = 0
     for i in range(n):
@@ -176,8 +179,8 @@ def test_translation_equivariance(sphere_mesh, rng):
     origins = rng.uniform(-1.0, 1.0, size=(200, 3))
     directions = rng.normal(size=(200, 3))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    b1 = cast_rays(a1, origins, directions)
-    b2 = cast_rays(a2, origins + offset, directions)
+    b1 = cast_rays(a1, origins, directions, EVERY_HIT)
+    b2 = cast_rays(a2, origins + offset, directions, EVERY_HIT)
     assert len(b1.depth) == len(b2.depth)
     np.testing.assert_array_equal(b1.ray, b2.ray)
     np.testing.assert_allclose(b1.depth, b2.depth, atol=1e-9)
@@ -188,7 +191,7 @@ def test_hit_record_invariants(sphere_mesh, rng):
     origins = 2.0 * rng.normal(size=(20, 3))
     origins /= np.linalg.norm(origins, axis=1, keepdims=True) / 2.0
     directions = -origins / np.linalg.norm(origins, axis=1, keepdims=True)
-    hits = cast_rays(accel, origins, directions)
+    hits = cast_rays(accel, origins, directions, EVERY_HIT)
     assert hits.depth.size
     position = origins[hits.ray] + hits.depth[:, None] * directions[hits.ray]
     w0, w1, w2 = 1.0 - hits.bary_u - hits.bary_v, hits.bary_u, hits.bary_v
@@ -220,16 +223,10 @@ def test_surface_attributes_barycentric_color():
     np.testing.assert_allclose(color[0], [1 / 3, 1 / 3, 1 / 3], atol=1e-9)
 
 
-def test_hit_cap_at_64():
-    # 70 parallel unit squares stacked along z; a central ray crosses all.
-    verts, faces = [], []
-    for k in range(70):
-        z = -0.05 * k
-        base = 4 * k
-        verts += [[-1, -1, z], [1, -1, z], [1, 1, z], [-1, 1, z]]
-        faces += [[base, base + 1, base + 2], [base, base + 2, base + 3]]
-    mesh = TriangleMesh(np.array(verts, dtype=float), np.array(faces))
-    assert len(_cast_one(mesh, [0.1, 0.1, 1.0]).depth) == MAX_HITS
+@pytest.mark.parametrize("max_hits", [0, -3])
+def test_cast_rejects_a_cap_below_one(cube_mesh, max_hits):
+    with pytest.raises(ValueError, match=f"max_hits must be at least 1, got {max_hits}$"):
+        cast_rays(build_bvh(cube_mesh), [[0.0, 0.0, 1.2]], [[0.0, 0.0, -1.0]], max_hits)
 
 
 def test_duplicate_edge_hits_merged():
@@ -249,10 +246,10 @@ def test_concurrent_casting_over_shared_accel(sphere_mesh, rng):
     origins = rng.uniform(-1.0, 1.0, size=(400, 3))
     directions = rng.normal(size=(400, 3))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    serial = cast_rays(accel, origins, directions)
+    serial = cast_rays(accel, origins, directions, EVERY_HIT)
     chunks = [(origins[i::4], directions[i::4]) for i in range(4)]
     with ThreadPoolExecutor(max_workers=4) as pool:
-        results = list(pool.map(lambda c: cast_rays(accel, *c), chunks))
+        results = list(pool.map(lambda c: cast_rays(accel, *c, EVERY_HIT), chunks))
     total = sum(len(r.depth) for r in results)
     assert total == len(serial.depth)
     for i, r in enumerate(results):
@@ -316,7 +313,7 @@ def test_cast_across_chunks_matches_one_chunk(
     spread = np.linspace(0, side * side - 1, n).astype(np.int64)
     origins, directions = (a[spread] for a in _flat_rays(camera))
     # Rays next to block edges cross the stack: 70 squares, one merged
-    # record each, capped at 64. Even ones run along the shared diagonals.
+    # record each. Even ones run along the shared diagonals.
     size = n + 1 if block == "over" else block
     edges = list(range(size, n, size))
     stack_rays = sorted({0, n - 1} | {i for e in edges[:2] + edges[-2:] for i in (e - 1, e)})
@@ -325,23 +322,31 @@ def test_cast_across_chunks_matches_one_chunk(
         directions[i] = (0.0, 0.0, -1.0)
 
     monkeypatch.setattr(raycast, "_RAY_CHUNK", n + 1)
-    whole = cast_rays(accel, origins, directions)
-    offsets = whole.offsets(n)
-    assert np.setdiff1d(whole.ray, stack_rays).size > n // 10
+    every = cast_rays(accel, origins, directions, EVERY_HIT)
+    offsets = every.offsets(n)
+    assert np.setdiff1d(every.ray, stack_rays).size > n // 10
     for i in stack_rays:
-        depth = whole.depth[offsets[i]:offsets[i + 1]]
-        assert depth.size == MAX_HITS and np.all(np.diff(depth) > EPS_DUP)
-    monkeypatch.setattr(raycast, "_RAY_CHUNK", size)
-    chunked = cast_rays(accel, origins, directions)
-    for name in ("ray", "depth", "face", "bary_u", "bary_v"):
-        a, b = getattr(whole, name), getattr(chunked, name)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        depth = every.depth[offsets[i]:offsets[i + 1]]
+        assert depth.size == 70 and np.all(np.diff(depth) > EPS_DUP)
+    for max_hits in (1, 3, 64):
+        monkeypatch.setattr(raycast, "_RAY_CHUNK", n + 1)
+        whole = cast_rays(accel, origins, directions, max_hits)
+        nearest = every.layer < max_hits
+        for name in ("ray", "depth", "face", "bary_u", "bary_v", "layer"):
+            assert getattr(whole, name).tobytes() == getattr(every, name)[nearest].tobytes(), name
+        for i in stack_rays:
+            assert whole.layer[whole.ray == i].tolist() == list(range(max_hits))
+        monkeypatch.setattr(raycast, "_RAY_CHUNK", size)
+        chunked = cast_rays(accel, origins, directions, max_hits)
+        for name in ("ray", "depth", "face", "bary_u", "bary_v", "layer"):
+            a, b = getattr(whole, name), getattr(chunked, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (max_hits, name)
 
 
 def test_cast_of_no_rays(torus_mesh):
-    empty = cast_rays(build_bvh(torus_mesh), np.empty((0, 3)), np.empty((0, 3)))
+    empty = cast_rays(build_bvh(torus_mesh), np.empty((0, 3)), np.empty((0, 3)), EVERY_HIT)
     for name, dtype in (("ray", np.int64), ("depth", np.float64), ("face", np.int64),
-                        ("bary_u", np.float64), ("bary_v", np.float64)):
+                        ("bary_u", np.float64), ("bary_v", np.float64), ("layer", np.int64)):
         array = getattr(empty, name)
         assert array.shape == (0,) and array.dtype == dtype, name
 
@@ -357,10 +362,11 @@ def test_cast_memory_bounded_by_block(nested_mesh):
     origins, directions = _flat_rays(camera_from_spherical(30.0, 20.0, width=512, height=512))
     tracemalloc.start()
     try:
-        batch = cast_rays(accel, origins, directions)
+        batch = cast_rays(accel, origins, directions, EVERY_HIT)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    out_bytes = sum(getattr(batch, name).nbytes for name in ("ray", "depth", "face", "bary_u", "bary_v"))
+    out_bytes = sum(getattr(batch, name).nbytes
+                    for name in ("ray", "depth", "face", "bary_u", "bary_v", "layer"))
     assert out_bytes > 10e6
     assert peak <= 2 * out_bytes + 1024 * raycast._RAY_CHUNK

@@ -383,9 +383,15 @@ def test_sweep_rejects_removed_options_before_any_work(monkeypatch, option, valu
     (dict(threshold=-1.0), "threshold must be finite and > 0, got -1.0"),
     (dict(threshold=float("nan")), "threshold must be finite and > 0, got nan"),
     (dict(threshold=0.0), "threshold must be finite and > 0, got 0.0"),
-    (dict(layers_list=[2, 65]), "layer counts must be at most 64, got 65"),
+    (dict(layers_list=[2, 0]), "layer counts must be at least 1, got 0"),
+    (dict(views=0), "need at least one view, got 0"),
+    (dict(fov_x=-1.0), "fov_x must lie in (0, pi), got -1.0"),
+    (dict(fov_x=float("nan")), "fov_x must lie in (0, pi), got nan"),
+    (dict(fov_x=np.pi), f"fov_x must lie in (0, pi), got {np.pi!r}"),
+    (dict(max_workers=0), "max_workers must be None or at least 1, got 0"),
 ], ids=["poisson_res-300", "poisson_res-1", "n_samples-0", "threshold-negative", "threshold-nan",
-        "threshold-zero", "layers-65"])
+        "threshold-zero", "layers-0", "views-0", "fov_x-negative", "fov_x-nan", "fov_x-pi",
+        "max_workers-0"])
 def test_sweep_rejects_bad_settings_before_any_work(monkeypatch, setting, message):
     def no_work(*args, **kwargs):
         raise AssertionError(f"the sweep started work before checking {setting}")
