@@ -129,14 +129,24 @@ def _require_layers(layers: int) -> None:
     _require(layers >= 1, f"--layers must be at least 1, got {layers}")
 
 
+def _require_size(width: int, height: int) -> None:
+    _require(width >= 1 and height >= 1,
+             f"--width/--height must be at least 1, got {width}x{height}")
+
+
+def _require_poisson_res(res: int) -> None:
+    _require(2 <= res <= MAX_RESOLUTION,
+             f"--poisson-res must be in [2, {MAX_RESOLUTION}], got {res}")
+
+
 def _require_fov(fov: float | None) -> None:
     _require(fov is None or 0.0 < fov < np.pi, f"--fov must lie in (0, pi), got {fov}")
 
 
 def cmd_encode(args) -> int:
     _require_layers(args.layers)
-    _require(args.width >= 1 and args.height >= 1, "--width/--height must be at least 1")
-    _require(args.distance > 0, "--distance must be positive")
+    _require_size(args.width, args.height)
+    _require(args.distance > 0, f"--distance must be positive, got {args.distance:g}")
     _require_fov(args.fov)
     mesh = load_mesh(args.mesh_path)
     mesh, _ = normalize_mesh(mesh)
@@ -155,8 +165,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    _require(2 <= args.poisson_res <= MAX_RESOLUTION,
-             f"--poisson-res must be in [2, {MAX_RESOLUTION}]")
+    _require_poisson_res(args.poisson_res)
     _require(args.screening == 0.0,
              f"--screening was removed and accepts only 0, got {args.screening:g}")
     _require(args.trim == 0.0, f"--trim was removed and accepts only 0, got {args.trim:g}")
@@ -185,7 +194,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _require(args.samples >= 1, "--samples must be at least 1")
+    _require(args.samples >= 1, f"--samples must be at least 1, got {args.samples}")
     _require_threshold(args.threshold)
     pred = load_mesh(args.pred_path)
     gt = load_mesh(args.gt_path)
@@ -226,11 +235,10 @@ def cmd_sweep(args) -> int:
     res_list = _parse_int_list(args.res_list, "--res-list")
     _require(min(layers_list) >= 1,
              f"--layers-list entries must be at least 1, got {min(layers_list)}")
-    _require(min(res_list) >= 2, "--res-list entries must be at least 2")
-    _require(args.views >= 1, "--views must be at least 1")
-    _require(2 <= args.poisson_res <= MAX_RESOLUTION,
-             f"--poisson-res must be in [2, {MAX_RESOLUTION}]")
-    _require(args.samples >= 1, "--samples must be at least 1")
+    _require(min(res_list) >= 2, f"--res-list entries must be at least 2, got {min(res_list)}")
+    _require(args.views >= 1, f"--views must be at least 1, got {args.views}")
+    _require_poisson_res(args.poisson_res)
+    _require(args.samples >= 1, f"--samples must be at least 1, got {args.samples}")
     _require_threshold(args.threshold)
     _require_fov(args.fov)
     mesh_dir = Path(args.mesh_dir)
@@ -264,9 +272,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_views(args) -> int:
-    _require(args.num >= 1, "--num must be at least 1")
+    _require(args.num >= 1, f"--num must be at least 1, got {args.num}")
     _require_layers(args.layers)
-    _require(args.width >= 1 and args.height >= 1, "--width/--height must be at least 1")
+    _require_size(args.width, args.height)
     mesh = load_mesh(args.mesh_path)
     mesh, _ = normalize_mesh(mesh)
     out_dir = Path(args.out_dir)

@@ -59,25 +59,21 @@ def _ramp(sizes: np.ndarray) -> np.ndarray:
 
 @dataclass
 class TriangleMesh:
-    """Indexed triangle soup with optional per-vertex normals and colors.
+    """Indexed triangle soup with optional per-vertex colors.
 
     Arrays are frozen after construction; all operations return new meshes.
-    Colors are RGB in [0, 1]; normals are unit vectors. Faces must index
-    valid vertices and use three distinct indices each.
+    Colors are RGB in [0, 1]. Faces must index valid vertices and use three
+    distinct indices each. A mesh carries no normals: its surface normal is
+    the winding-defined face normal (face_normals).
     """
 
     vertices: np.ndarray
     faces: np.ndarray
-    vertex_normals: np.ndarray | None = None
     vertex_colors: np.ndarray | None = None
 
     def __post_init__(self):
         self.vertices = _frozen(np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3))
         self.faces = _frozen(np.asarray(self.faces, dtype=np.int64).reshape(-1, 3))
-        if self.vertex_normals is not None:
-            self.vertex_normals = _frozen(
-                np.asarray(self.vertex_normals, dtype=np.float64).reshape(-1, 3)
-            )
         if self.vertex_colors is not None:
             self.vertex_colors = _frozen(
                 np.asarray(self.vertex_colors, dtype=np.float64).reshape(-1, 3)
@@ -96,11 +92,11 @@ class TriangleMesh:
             f = self.faces
             if np.any((f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 0] == f[:, 2])):
                 raise MeshError("degenerate face with repeated vertex index")
-        for name, attr in (("normals", self.vertex_normals), ("colors", self.vertex_colors)):
-            if attr is not None and len(attr) != len(self.vertices):
-                raise MeshError(f"vertex_{name} length does not match vertex count")
-        if self.vertex_colors is not None and self.vertex_colors.size:
-            if self.vertex_colors.min() < -1e-9 or self.vertex_colors.max() > 1 + 1e-9:
+        colors = self.vertex_colors
+        if colors is not None:
+            if len(colors) != len(self.vertices):
+                raise MeshError("vertex_colors length does not match vertex count")
+            if colors.size and (colors.min() < -1e-9 or colors.max() > 1 + 1e-9):
                 raise MeshError("vertex colors must lie in [0, 1]")
 
     @property
@@ -121,16 +117,7 @@ class TriangleMesh:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
     def transformed(self, transform: RigidTransform) -> "TriangleMesh":
-        return TriangleMesh(
-            vertices=transform.apply(self.vertices),
-            faces=self.faces,
-            vertex_normals=(
-                None
-                if self.vertex_normals is None
-                else self.vertex_normals @ transform.rotation.T
-            ),
-            vertex_colors=self.vertex_colors,
-        )
+        return TriangleMesh(transform.apply(self.vertices), self.faces, self.vertex_colors)
 
     def triangle_corners(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         v = self.vertices

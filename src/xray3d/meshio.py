@@ -1,13 +1,13 @@
 """OBJ and PLY readers/writers.
 
-OBJ is ASCII `v`/`vn`/`f` records with the common `v x y z r g b` color
+OBJ is ASCII `v`/`f` records with the common `v x y z r g b` color
 extension; polygons with more than three vertices are fan-triangulated.
-The k-th `vn` is kept as the k-th vertex's normal only if there is one
-`vn` per `v` and every face corner that names a normal (`v//vn`,
-`v/vt/vn`) names its own vertex's; otherwise `vertex_normals` is None.
-PLY reads ASCII and binary-little-endian and writes binary, vertex properties
-x/y/z[/nx/ny/nz][/red/green/blue] and faces as index lists. Materials,
-textures, and other elements are ignored.
+A face corner keeps only its vertex index (`v`, `v/vt`, `v//vn` and
+`v/vt/vn` corners read alike). PLY reads ASCII and binary-little-endian
+and writes binary, vertex properties x/y/z[/red/green/blue] and faces as
+index lists; point clouds add nx/ny/nz. Mesh normals (`vn` records, PLY
+nx/ny/nz on a mesh), texture coordinates, materials and other elements
+are ignored: a mesh's normals are its winding-defined face normals.
 
 The OBJ reader takes the file as one buffer. It reads lines as text mode
 would (CRLF and a lone CR end a line too, bad UTF-8 is replaced) and gets
@@ -17,14 +17,13 @@ kind are joined and split once; where the tags fall among those tokens
 gives each record's size, which is checked with the record's `path:line`
 (the earliest bad record is named). It reads one record kind at a time:
 the `v` tokens become arrays and are dropped before the `f` lines are
-split, and those before the `vn` lines, so only one kind's Python strings
-are alive at once. The OBJ writer formats blocks of _OBJ_BLOCK rows
-into one open file, so its Python numbers and text are bounded by the
-block, not by the mesh. The PLY reader and writer convert whole arrays:
-Python walks rows of list-valued PLY elements only to check record sizes
-and find where values sit. Each kind of value is parsed, gathered or
-formatted by one numpy call or one `%`-format (one per block in the OBJ
-writer).
+split, so only one kind's Python strings are alive at once. The OBJ
+writer formats blocks of _OBJ_BLOCK rows into one open file, so its
+Python numbers and text are bounded by the block, not by the mesh. The
+PLY reader and writer convert whole arrays: Python walks rows of
+list-valued PLY elements only to check record sizes and find where
+values sit. Each kind of value is parsed, gathered or formatted by one
+numpy call or one `%`-format (one per block in the OBJ writer).
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ def save_mesh(mesh: TriangleMesh, path) -> None:
     if fmt == "obj":
         _save_obj(mesh, path)
     elif fmt == "ply":
-        _write_ply(path, mesh.vertices, mesh.vertex_normals, mesh.vertex_colors, mesh.faces)
+        _write_ply(path, mesh.vertices, None, mesh.vertex_colors, mesh.faces)
     else:
         raise MeshIOError(f"unsupported mesh format {fmt!r}")
 
@@ -82,8 +81,9 @@ def _fan(ids: np.ndarray, sizes) -> np.ndarray:
 # of Python numbers and text, where formatting a whole 131,562-vertex
 # mesh of three a row at once held 52 MB (tracemalloc).
 _OBJ_BLOCK = 1 << 16
-# Face corners cut per block on reading: a `v//vn` corner's pieces take
-# up to 256 B, so a block holds about 1 MB.
+# Face corners cut per block on reading: a corner's vertex index is held
+# as a str of up to 64 B until its block is parsed, so a block holds
+# about 256 KB.
 _OBJ_CORNER_BLOCK = 1 << 12
 
 
@@ -92,20 +92,18 @@ def _obj_line(data: bytes, at: np.ndarray, i: int) -> str:
 
 
 def _obj_kinds(data: bytes, at: np.ndarray) -> np.ndarray:
-    """Each line's record kind, read from the first bytes of the line: 1, 2
-    or 3 for `v`, `vn` or `f`, 0 for any other line."""
-    tags = ("v", "vn", "f")
+    """Each line's record kind, read from the first bytes of the line: 1 or
+    2 for `v` or `f`, 0 for any other line."""
+    tags = ("v", "f")
     # the bytes that end a token: ASCII whitespace, a line's own newline included
     end = np.array([chr(b).isspace() for b in range(128)] + [False] * 128)
-    buf = np.frombuffer(data + b"\n\n\n", dtype=np.uint8)
-    b0, b1, b2 = (buf[at[:-1] + k] for k in range(3))
+    buf = np.frombuffer(data + b"\n\n", dtype=np.uint8)
+    b0, b1 = (buf[at[:-1] + k] for k in range(2))
     v, f = b0 == ord("v"), b0 == ord("f")
-    vn = v & (b1 == ord("n"))
-    kind = np.select([v & end[b1], vn & end[b2], f & end[b1]], [1, 2, 3])
+    kind = np.select([v & end[b1], f & end[b1]], [1, 2])
     # Bytes cannot tell where the first token starts after leading
     # whitespace, or whether a non-ASCII byte is (Unicode) whitespace.
-    unsure = (end[b0] & (b0 != ord("\n"))) | (b0 > 127)
-    unsure |= ((v | f) & (b1 > 127)) | (vn & (b2 > 127))
+    unsure = (end[b0] & (b0 != ord("\n"))) | (b0 > 127) | ((v | f) & (b1 > 127))
     for i in np.flatnonzero(unsure):
         head = _obj_line(data, at, i).split(None, 1)[:1]
         kind[i] = tags.index(head[0]) + 1 if head and head[0] in tags else 0
@@ -141,25 +139,15 @@ def _obj_columns(values: list, counts: np.ndarray, lo: int, hi: int) -> list:
     return np.array(values, dtype=object)[(starts[:, None] + np.arange(lo, hi)).ravel()].tolist()
 
 
-def _corner_ids(corners: list, with_normals: bool, parse) -> tuple:
-    """The vertex index of each `v`, `v/vt`, `v//vn` or `v/vt/vn` corner
-    and, with_normals, its normal index, 0 (never an OBJ index) where it
-    names none. Each corner is cut at its first "/" once for both, a
-    block of corners at a time, so the pieces of one block are held at
-    once; parse(rank, tokens, dtype, shape) converts a block's tokens, or
-    records its failure and returns None."""
-    ids, normal_ids = [], []
-    for lo in range(0, len(corners), _OBJ_CORNER_BLOCK):
-        heads = [c.partition("/") for c in corners[lo:lo + _OBJ_CORNER_BLOCK]]
-        ids.append(parse(2, [h[0] for h in heads], np.int64, -1))
-        if with_normals:
-            normal_ids.append(
-                parse(4, [h[2].partition("/")[2] or "0" for h in heads], np.int64, -1))
-
-    def joined(blocks: list) -> np.ndarray | None:
-        return None if not blocks or any(b is None for b in blocks) else np.concatenate(blocks)
-
-    return joined(ids), joined(normal_ids)
+def _corner_ids(corners: list, parse) -> np.ndarray | None:
+    """The vertex index of each `v`, `v/vt`, `v//vn` or `v/vt/vn` corner.
+    Corners are cut at their first "/" a block at a time, so only one
+    block's pieces are held at once; parse(tokens, dtype, shape) converts
+    a block's tokens, or records its failure and returns None."""
+    blocks = [parse([c.partition("/")[0] for c in corners[lo:lo + _OBJ_CORNER_BLOCK]],
+                    np.int64, -1)
+              for lo in range(0, len(corners), _OBJ_CORNER_BLOCK)]
+    return None if not blocks or any(b is None for b in blocks) else np.concatenate(blocks)
 
 
 def _load_obj(path: Path) -> TriangleMesh:
@@ -170,47 +158,38 @@ def _load_obj(path: Path) -> TriangleMesh:
     at = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n")) + 1
     at = np.concatenate([[0], at, [len(data) + 1]])
     kind = _obj_kinds(data, at)
-    with_normals = np.count_nonzero(kind == 2) == np.count_nonzero(kind == 1)
     slashed = b"/" in data  # else every corner is a bare vertex index
 
     # Each record kind is tokenised, checked and converted, and its tokens
     # dropped, before the next kind is tokenised. What is wrong is raised
-    # after all three: the earliest malformed record, then an empty mesh,
-    # then partial colours, then the first failed parse by rank (positions,
-    # colours, vertex ids, normals, normal ids).
-    bad, failed = [], {}
+    # after both: the earliest malformed record, then an empty mesh, then
+    # partial colours, then the first failed parse (positions, colours,
+    # vertex ids, in that order).
+    bad, failed = [], []
 
     def well_formed(code: int, wrong: np.ndarray, what: str) -> bool:
         if wrong.any():
             bad.append((np.flatnonzero(kind == code)[np.argmax(wrong)] + 1, what))
         return not wrong.any()
 
-    def parse(rank: int, tokens: list, dtype=np.float64, shape=(-1, 3)) -> np.ndarray | None:
+    def parse(tokens: list, dtype=np.float64, shape=(-1, 3)) -> np.ndarray | None:
         try:
             return np.array(tokens, dtype=dtype).reshape(shape)
         except (ValueError, OverflowError) as exc:
-            failed.setdefault(rank, exc)
+            failed.append(exc)
 
-    vertices = colors = vertex_normals = ids = normal_ids = None
+    vertices = colors = ids = None
     values, v_len = _obj_records(data, at, kind == 1, "v")
     colored = v_len == 6
     if well_formed(1, (v_len != 3) & (v_len != 6), "malformed vertex record"):
-        vertices = parse(0, _obj_columns(values, v_len, 0, 3))
+        vertices = parse(_obj_columns(values, v_len, 0, 3))
         if len(v_len) and colored.all():
-            colors = parse(1, _obj_columns(values, v_len, 3, 6))
+            colors = parse(_obj_columns(values, v_len, 3, 6))
     del values
-    corners, sizes = _obj_records(data, at, kind == 3, "f")
-    if well_formed(3, sizes < 3, "face with fewer than 3 vertices"):
-        if slashed:
-            ids, normal_ids = _corner_ids(corners, with_normals, parse)
-        else:
-            ids = parse(2, corners, np.int64, -1)
-            normal_ids = np.zeros_like(ids) if with_normals and ids is not None else None
+    corners, sizes = _obj_records(data, at, kind == 2, "f")
+    if well_formed(2, sizes < 3, "face with fewer than 3 vertices"):
+        ids = _corner_ids(corners, parse) if slashed else parse(corners, np.int64, -1)
     del corners
-    values, vn_len = _obj_records(data, at, kind == 2, "vn")
-    if well_formed(2, vn_len < 3, "malformed normal record") and with_normals:
-        vertex_normals = parse(3, _obj_columns(values, vn_len, 0, 3))
-    del values
 
     if bad:
         lineno, what = min(bad)
@@ -220,23 +199,12 @@ def _load_obj(path: Path) -> TriangleMesh:
     if colored.any() and not colored.all():
         raise MeshIOError(f"{path}: only some vertices carry colors")
     if failed:
-        exc = failed[min(failed)]
-        raise MeshIOError(f"failed to parse {path}: {exc}") from exc
+        raise MeshIOError(f"failed to parse {path}: {failed[0]}") from failed[0]
 
-    # a negative index counts back from the records defined before its face
-    defined = np.repeat(np.cumsum([kind == 1, kind == 2], axis=1)[:, kind == 3], sizes, axis=1)
-    ids = np.where(ids > 0, ids - 1, defined[0] + ids)
-    if vertex_normals is not None:
-        vertex_normals = _renormalize(vertex_normals)
-        own = np.where(normal_ids > 0, normal_ids - 1, defined[1] + normal_ids)
-        if np.any((normal_ids != 0) & (own != ids)):
-            vertex_normals = None
-    return TriangleMesh(vertices, _fan(ids, sizes), vertex_normals, colors)
-
-
-def _renormalize(normals: np.ndarray) -> np.ndarray:
-    lengths = np.linalg.norm(normals, axis=1, keepdims=True)
-    return np.where(lengths > 1e-12, normals / np.maximum(lengths, 1e-12), 0.0)
+    # a negative index counts back from the `v` records defined before its face
+    defined = np.repeat(np.cumsum(kind == 1)[kind == 2], sizes)
+    ids = np.where(ids > 0, ids - 1, defined + ids)
+    return TriangleMesh(vertices, _fan(ids, sizes), colors)
 
 
 def _write_obj_rows(fh, fmt: str, *columns: np.ndarray) -> None:
@@ -250,16 +218,9 @@ def _write_obj_rows(fh, fmt: str, *columns: np.ndarray) -> None:
 def _save_obj(mesh: TriangleMesh, path: Path) -> None:
     # %r of a Python float is its shortest exact round-trip repr
     v = [mesh.vertices] + ([] if mesh.vertex_colors is None else [mesh.vertex_colors])
-    f = mesh.faces + 1
     with open(path, "w", encoding="utf-8") as fh:
         _write_obj_rows(fh, "v" + " %r" * 3 * len(v) + "\n", *v)
-        if mesh.vertex_normals is None:
-            _write_obj_rows(fh, "f %d %d %d\n", f)
-        else:
-            _write_obj_rows(fh, "vn %r %r %r\n", mesh.vertex_normals)
-            # every corner names its own vertex's normal: f a//a b//b c//c
-            _write_obj_rows(fh, "f %d//%d %d//%d %d//%d\n",
-                            *(f[:, k:k + 1] for k in (0, 0, 1, 1, 2, 2)))
+        _write_obj_rows(fh, "f %d %d %d\n", mesh.faces + 1)
 
 
 # --- PLY ---------------------------------------------------------------
@@ -387,20 +348,19 @@ def _ply_vertices(path: Path, parsed) -> tuple[np.ndarray, np.ndarray | None, np
     positions = stack("x", "y", "z")
     if positions is None or not len(positions):
         raise MeshIOError(f"{path}: no vertex element with x/y/z")
-    normals, colors = stack("nx", "ny", "nz"), stack("red", "green", "blue")
-    return (positions, None if normals is None else _renormalize(normals),
-            None if colors is None else colors / 255.0)
+    colors = stack("red", "green", "blue")
+    return positions, stack("nx", "ny", "nz"), None if colors is None else colors / 255.0
 
 
 def _load_ply(path: Path) -> TriangleMesh:
     parsed = _parse_ply(path)
-    positions, normals, colors = _ply_vertices(path, parsed)
+    positions, _, colors = _ply_vertices(path, parsed)
     face = parsed.get("face", {})
     ids = face.get("vertex_indices", face.get("vertex_index"))
     faces = _fan(ids[0].astype(np.int64), ids[1]) if isinstance(ids, tuple) else []
     if not len(faces):
         raise MeshIOError(f"{path}: no faces (use load_pointcloud_ply for point sets)")
-    return TriangleMesh(positions, faces, normals, colors)
+    return TriangleMesh(positions, faces, colors)
 
 
 def load_pointcloud_ply(path) -> PointCloud:
@@ -411,6 +371,8 @@ def load_pointcloud_ply(path) -> PointCloud:
         raise MeshIOError(f"{path}: point cloud PLY lacks normals")
     if colors is None:
         colors = np.ones_like(positions)
+    lengths = np.linalg.norm(normals, axis=1, keepdims=True)
+    normals = np.where(lengths > 1e-12, normals / np.maximum(lengths, 1e-12), 0.0)
     return PointCloud(positions, normals, colors)
 
 

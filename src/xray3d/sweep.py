@@ -104,7 +104,7 @@ def worker_count() -> int:
         except ValueError:
             raise ValueError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
         if n < 1:
-            raise ValueError(f"{THREADS_ENV} must be positive")
+            raise ValueError(f"{THREADS_ENV} must be positive, got {env!r}")
         return n
     if hasattr(os, "sched_getaffinity"):  # a container's or taskset's CPUs
         return min(4, len(os.sched_getaffinity(0)))
@@ -202,6 +202,7 @@ def run_sweep(
     metrics._check_threshold(threshold)
     if max_workers is not None and max_workers < 1:
         raise ValueError(f"max_workers must be None or at least 1, got {max_workers!r}")
+    workers = max_workers or worker_count()
     if not meshes:
         raise ValueError("need at least one mesh")
     if not layers_list or not res_list:
@@ -273,7 +274,7 @@ def run_sweep(
             rows.append(replace(cells[depth], layers=layers))
         return rows
 
-    with ThreadPoolExecutor(max_workers=max_workers or worker_count()) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         # Submitted before the cells, so no cell waits on a build queued
         # behind it; a mesh that cannot be sampled fails in each cell.
         references = {name: pool.submit(reference, mesh) for name, mesh in normalized.items()}

@@ -232,8 +232,26 @@ def test_usage_errors_exit_2(tmp_path, cube_obj, argv):
      "--threshold must be finite and > 0, got nan"),
     (("decode", "{out}", "{out}.obj", "--frame", "camera"),
      "--frame camera requires --points-only: reconstruction runs in the world-frame"),
+    (("decode", "{out}", "{out}.obj", "--poisson-res", "300"),
+     "--poisson-res must be in [2, 256], got 300"),
+    (("sweep", "{dir}", "--out", "{out}", "--poisson-res", "1"),
+     "--poisson-res must be in [2, 256], got 1"),
+    (("eval", "{mesh}", "{mesh}", "--samples", "0"), "--samples must be at least 1, got 0"),
+    (("sweep", "{dir}", "--out", "{out}", "--samples", "-2"),
+     "--samples must be at least 1, got -2"),
+    (("sweep", "{dir}", "--out", "{out}", "--views", "0"), "--views must be at least 1, got 0"),
+    (("sweep", "{dir}", "--out", "{out}", "--res-list", "32,1"),
+     "--res-list entries must be at least 2, got 1"),
+    (("views", "{mesh}", "--out-dir", "{out}", "--num", "0"), "--num must be at least 1, got 0"),
+    (("views", "{mesh}", "--out-dir", "{out}", "--width", "0"),
+     "--width/--height must be at least 1, got 0x256"),
+    (("encode", "{mesh}", "{out}", "--height", "-1"),
+     "--width/--height must be at least 1, got 256x-1"),
+    (("encode", "{mesh}", "{out}", "--distance", "0"), "--distance must be positive, got 0"),
 ], ids=["encode-layers", "encode-fov-negative", "encode-fov-nan", "sweep-fov", "sweep-layers-list",
-        "eval-threshold-negative", "eval-threshold-nan", "decode-camera-frame"])
+        "eval-threshold-negative", "eval-threshold-nan", "decode-camera-frame",
+        "decode-poisson-res", "sweep-poisson-res", "eval-samples", "sweep-samples", "sweep-views",
+        "sweep-res-list", "views-num", "views-width", "encode-height", "encode-distance"])
 def test_usage_errors_name_the_bad_value_before_reading_files(
     tmp_path, cube_obj, capsys, monkeypatch, argv, message
 ):

@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 import tracemalloc
 
@@ -34,18 +35,6 @@ def test_obj_colors_round_trip(tmp_path, colored_cube):
     save_mesh(colored_cube, path)
     again = load_mesh(path)
     np.testing.assert_allclose(again.vertex_colors, colored_cube.vertex_colors, atol=1e-6)
-
-
-def test_obj_normals_round_trip(tmp_path):
-    mesh = TriangleMesh(
-        [[0, 0, 0], [1, 0, 0], [0, 1, 0]],
-        [[0, 1, 2]],
-        vertex_normals=[[0, 0, 1]] * 3,
-    )
-    path = tmp_path / "tri.obj"
-    save_mesh(mesh, path)
-    again = load_mesh(path)
-    np.testing.assert_allclose(again.vertex_normals, mesh.vertex_normals, atol=1e-9)
 
 
 def test_obj_fan_triangulation(tmp_path):
@@ -107,33 +96,35 @@ def test_obj_slash_tokens_and_running_negative_index(tmp_path):
     np.testing.assert_array_equal(mesh.faces, [[0, 1, 2], [1, 2, 3]])
 
 
-@pytest.mark.parametrize(
-    "records, kept",
-    [
-        ("vn 1 0 0\nvn 0 1 0\nvn 0 0 1\nf 1//3 2//2 3//1\n", False),  # another vertex's
-        ("vn 1 0 0\nvn 0 1 0\nvn 0 0 1\nf 1//1 2//2 3//3\n", True),
-        # negative indices count back from the 2 vn records defined before the face
-        ("vn 1 0 0\nvn 0 1 0\nf 1//-2 2/1/-1 3\nvn 0 0 1\n", True),
-        ("vn 1 0 0\nvn 0 1 0\nvn 0 0 1\nf 1/1/1 2/1 3//\n", True),  # 2 corners name none
-    ],
-    ids=["swapped", "own", "negative", "partial"],
-)
-def test_obj_normals_follow_corner_indices(tmp_path, records, kept):
-    path = tmp_path / "normals.obj"
-    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nvt 0 0\n" + records)
-    mesh = load_mesh(path)
-    np.testing.assert_array_equal(mesh.faces, [[0, 1, 2]])
-    if kept:
-        np.testing.assert_array_equal(mesh.vertex_normals, np.eye(3))
-    else:
-        assert mesh.vertex_normals is None
+def test_obj_normal_records_are_ignored(tmp_path):
+    # a mesh's normals are its face normals: `vn` records and the normal
+    # index of a corner are read past like `vt` records
+    with_normals = tmp_path / "with_normals.obj"
+    with_normals.write_text(
+        "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\nvn 0 0 1\nvn 0 0 1\nvn 0 0 1\nvn 0 0 1\n"
+        "f 1//1 2//2 3//3\nf 2//2 4//4 3//3\n"
+    )
+    without = tmp_path / "without.obj"
+    without.write_text(
+        "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\nf 1//1 2//2 3//3\nf 2//2 4//4 3//3\n"
+    )
+    _assert_same_mesh(load_mesh(with_normals), load_mesh(without))
 
+
+def _assert_same_mesh(got, want):
+    """Every field of two TriangleMesh objects equal to the bit, dtype and shape included."""
+    for field in dataclasses.fields(TriangleMesh):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert (a is None) == (b is None), field.name
+        if b is not None:
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field.name
 
 
 def _reference_load_obj(path):
     """Oracle: split the file line by line in text mode and sort each
-    record's tokens into lists, checking counts as it goes."""
-    xyz, rgb, normals, corners, sizes, defined = [], [], [], [], [], []
+    record's tokens into lists, checking counts as it goes. Only `v` and
+    `f` records are read; a corner keeps the index before its first "/"."""
+    xyz, rgb, corners, sizes, defined = [], [], [], [], []
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, 1):
             parts = line.split()
@@ -143,16 +134,12 @@ def _reference_load_obj(path):
                     raise MeshIOError(f"{path}:{lineno}: malformed vertex record")
                 xyz += parts[1:4]
                 rgb += parts[4:]
-            elif tag == "vn":
-                if len(parts) < 4:
-                    raise MeshIOError(f"{path}:{lineno}: malformed normal record")
-                normals += parts[1:4]
             elif tag == "f":
                 if len(parts) < 4:
                     raise MeshIOError(f"{path}:{lineno}: face with fewer than 3 vertices")
                 corners += parts[1:]
                 sizes.append(len(parts) - 1)
-                defined.append((len(xyz) // 3, len(normals) // 3))
+                defined.append(len(xyz) // 3)
     if not xyz or not corners:
         raise MeshIOError(f"{path}: empty mesh (no vertices or faces)")
     if rgb and len(rgb) != len(xyz):
@@ -161,27 +148,27 @@ def _reference_load_obj(path):
         vertices = np.array(xyz, dtype=np.float64).reshape(-1, 3)
         colors = np.array(rgb, dtype=np.float64).reshape(-1, 3) if rgb else None
         ids = np.array([c.partition("/")[0] for c in corners], dtype=np.int64)
-        vertex_normals = None
-        if len(normals) == len(xyz):
-            vertex_normals = np.array(normals, dtype=np.float64).reshape(-1, 3)
-            lengths = np.linalg.norm(vertex_normals, axis=1, keepdims=True)
-            vertex_normals = np.where(
-                lengths > 1e-12, vertex_normals / np.maximum(lengths, 1e-12), 0.0)
-            normal_ids = np.array(
-                [c.partition("/")[2].partition("/")[2] or "0" for c in corners], dtype=np.int64)
     except (ValueError, OverflowError) as exc:
         raise MeshIOError(f"failed to parse {path}: {exc}") from exc
-    defined = np.repeat(np.array(defined, dtype=np.int64), sizes, axis=0)
-    ids = np.where(ids > 0, ids - 1, defined[:, 0] + ids)
-    if vertex_normals is not None:
-        own = np.where(normal_ids > 0, normal_ids - 1, defined[:, 1] + normal_ids)
-        if np.any((normal_ids != 0) & (own != ids)):
-            vertex_normals = None
+    defined = np.repeat(np.array(defined, dtype=np.int64), sizes)
+    ids = np.where(ids > 0, ids - 1, defined + ids)
     faces, at = [], 0
     for n in sizes:
         faces += [[ids[at], ids[at + k], ids[at + k + 1]] for k in range(1, n - 1)]
         at += n
-    return TriangleMesh(vertices, faces, vertex_normals, colors)
+    return TriangleMesh(vertices, faces, colors)
+
+
+def _assert_loads_as_oracle(path):
+    """load_mesh gives the oracle's mesh, or raises the oracle's error."""
+    try:
+        want = _reference_load_obj(path)
+    except MeshError as exc:
+        with pytest.raises(MeshError) as got:
+            load_mesh(path)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+    else:
+        _assert_same_mesh(load_mesh(path), want)
 
 
 _OBJ_CORPUS = {
@@ -232,7 +219,6 @@ _OBJ_CORPUS = {
     "normal_tag_among_values": (
         b"v 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0 1 vn\nvn 0 1 0\nvn 1 0 0 x vn\nf 1//1 2//2 3//3\n"
     ),
-    # fewer vn than v records: the normals are dropped unparsed
     "unused_normal_value": b"v 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0 1\nvn 0 0 z\nf 1 2 3\n",
     "interleaved_records": (
         b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nv 1 1 0\nf 2 4 3\n# mid\nv 2 0 0\n"
@@ -248,13 +234,7 @@ _OBJ_CORPUS = {
 def test_obj_reader_matches_line_by_line_oracle(tmp_path, name):
     path = tmp_path / f"{name}.obj"
     path.write_bytes(_OBJ_CORPUS[name])
-    got, want = load_mesh(path), _reference_load_obj(path)
-    for field in ("vertices", "faces", "vertex_normals", "vertex_colors"):
-        a, b = getattr(got, field), getattr(want, field)
-        if b is None:
-            assert a is None, field
-        else:
-            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field
+    _assert_same_mesh(load_mesh(path), _reference_load_obj(path))
 
 
 @pytest.mark.parametrize("text", [
@@ -264,6 +244,7 @@ def test_obj_reader_matches_line_by_line_oracle(tmp_path, name):
     "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nv 0 0 0 1\nvn 0\n",
     "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 x 3\nv 0 0 y\n",  # two parse errors: vertices go first
     "v 0 0 0 1 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",
+    # a malformed `vn` record goes unread, like a `vt` record: this one loads
     "v 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0 1\nvn 0 0 1\nvn 0 0 z\nf 1 2 3\n",
     "v 1 v 2\nv 0 0 0\nf 1 2 3\n",
     "f 1 2 f\nv 0 0 0\nv 1 0 0\nv 0 1 0\n",
@@ -274,11 +255,7 @@ def test_obj_reader_matches_line_by_line_oracle(tmp_path, name):
 def test_obj_errors_match_line_by_line_oracle(tmp_path, text):
     path = tmp_path / "bad.obj"
     path.write_text(text)
-    with pytest.raises(MeshError) as want:
-        _reference_load_obj(path)
-    with pytest.raises(MeshError) as got:
-        load_mesh(path)
-    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+    _assert_loads_as_oracle(path)
 
 
 _SLASHED_HEAD = "v 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0 1\nvn 0 1 0\nvn 1 0 0\nf 1//1 2//2 3//3\n"
@@ -293,21 +270,14 @@ def test_obj_corner_blocks_match_line_by_line_oracle(tmp_path, monkeypatch, bloc
                  "colors_and_normals", "normal_ids_differ"):
         path = tmp_path / f"{name}.obj"
         path.write_bytes(_OBJ_CORPUS[name])
-        got, want = load_mesh(path), _reference_load_obj(path)
-        for field in ("vertices", "faces", "vertex_normals", "vertex_colors"):
-            a, b = getattr(got, field), getattr(want, field)
-            assert (a is None) == (b is None), (name, field)
-            assert b is None or a.tobytes() == b.tobytes(), (name, field)
-    for tail in ("f 1//1 2//x 3//3\nf 1//1 y//2 3//3\n",  # vertex ids go first
-                 "f 1//1 2//q 3//3\nf 1//1 2//x 3//3\n",  # the earlier of two
-                 "f 3//3 2//2 1//99999999999999999999\nf 1//1 2//z 3//3\n"):
-        path = tmp_path / "bad.obj"
+        _assert_loads_as_oracle(path)
+    for tail in ("f 1//1 2//x 3//3\nf 1//1 y//2 3//3\n",  # a bad normal index goes unread
+                 "f 1//1 q//2 3//3\nf 1//1 x//2 3//3\n",  # the earlier of two bad ids
+                 "f 3//3 2//2 99999999999999999999//1\nf 1//1 z//2 3//3\n",
+                 "f 3//3 2//2 1//99999999999999999999\nf 1//1 2//z 3//3\n"):  # loads
+        path = tmp_path / "tail.obj"
         path.write_text(_SLASHED_HEAD + tail)
-        with pytest.raises(MeshError) as want:
-            _reference_load_obj(path)
-        with pytest.raises(MeshError) as got:
-            load_mesh(path)
-        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+        _assert_loads_as_oracle(path)
 
 
 def test_obj_earliest_bad_record_is_named(tmp_path):
@@ -325,15 +295,6 @@ def test_obj_malformed_vertex(tmp_path):
     assert str(info.value) == f"{path}:1: malformed vertex record"
 
 
-def test_obj_short_normal_record(tmp_path):
-    # as many vn records as vertices, so the normals would be kept
-    path = tmp_path / "bad.obj"
-    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0 1\nvn 0 1\nvn 1 0 0\nf 1 2 3\n")
-    with pytest.raises(MeshIOError) as info:
-        load_mesh(path)
-    assert str(info.value) == f"{path}:5: malformed normal record"
-
-
 def test_obj_empty_file(tmp_path):
     path = tmp_path / "empty.obj"
     path.write_text("# nothing\n")
@@ -345,7 +306,6 @@ def test_obj_text_layout(tmp_path):
     mesh = TriangleMesh(
         [[0, 0, 0], [1, 0, 0], [0, 0.1, -2.5]],
         [[0, 1, 2]],
-        vertex_normals=[[0, 0, 1], [0, 0, 1], [0.6, 0, 0.8]],
         vertex_colors=[[1, 0.5, 0], [0, 1, 0], [0.2, 0.2, 0.3]],
     )
     path = tmp_path / "tri.obj"
@@ -354,43 +314,38 @@ def test_obj_text_layout(tmp_path):
         b"v 0.0 0.0 0.0 1.0 0.5 0.0\n"
         b"v 1.0 0.0 0.0 0.0 1.0 0.0\n"
         b"v 0.0 0.1 -2.5 0.2 0.2 0.3\n"
-        b"vn 0.0 0.0 1.0\n"
-        b"vn 0.0 0.0 1.0\n"
-        b"vn 0.6 0.0 0.8\n"
-        b"f 1//1 2//2 3//3\n"
+        b"f 1 2 3\n"
     )
 
 
 def _reference_obj_bytes(mesh):
     """Oracle: one formatted line per record, as a line-by-line writer
     would write them."""
-    colors, normals = mesh.vertex_colors, mesh.vertex_normals
+    colors = mesh.vertex_colors
     lines = []
     for i, (x, y, z) in enumerate(mesh.vertices.tolist()):
         rgb = "" if colors is None else " {!r} {!r} {!r}".format(*colors[i].tolist())
         lines.append(f"v {x!r} {y!r} {z!r}{rgb}\n")
-    if normals is not None:
-        lines += [f"vn {x!r} {y!r} {z!r}\n" for x, y, z in normals.tolist()]
     for a, b, c in (mesh.faces + 1).tolist():
-        lines.append(f"f {a} {b} {c}\n" if normals is None else f"f {a}//{a} {b}//{b} {c}//{c}\n")
+        lines.append(f"f {a} {b} {c}\n")
     return "".join(lines).encode("utf-8")
 
 
-@pytest.mark.parametrize("extras", [False, True], ids=["bare", "colors_and_normals"])
+# The colored case keeps the id it had when meshes also wrote normals.
+@pytest.mark.parametrize("colored", [False, True], ids=["bare", "colors_and_normals"])
 @pytest.mark.parametrize("extra", [-1, 0, 1])
-def test_obj_writer_block_edges(tmp_path, extra, extras):
+def test_obj_writer_block_edges(tmp_path, extra, colored):
     n = meshio._OBJ_BLOCK + extra
     rng = np.random.default_rng(n)
     # short reprs keep the test quick; the first and last rows need all 17 digits
-    vertices, normals = rng.integers(-999, 1000, size=(2, n, 3)) / 8.0
+    vertices = rng.integers(-999, 1000, size=(n, 3)) / 8.0
     colors = rng.integers(0, 33, size=(n, 3)) / 32.0
-    vertices[0], normals[0], colors[0] = [-0.0, 1e-300, 1e300], [0.1, -2 / 3, 0.2], [1 / 3, 0, 1]
-    vertices[-1], normals[-1], colors[-1] = rng.normal(size=3), rng.normal(size=3), rng.random(3)
+    vertices[0], colors[0] = [-0.0, 1e-300, 1e300], [1 / 3, 0, 1]
+    vertices[-1], colors[-1] = rng.normal(size=3), rng.random(3)
     ring = np.arange(n)
     mesh = TriangleMesh(
         vertices, np.stack([ring, (ring + 1) % n, (ring + 2) % n], axis=1),
-        vertex_normals=normals if extras else None,
-        vertex_colors=colors if extras else None,
+        vertex_colors=colors if colored else None,
     )
     path = tmp_path / "block.obj"
     save_mesh(mesh, path)
@@ -451,23 +406,27 @@ def test_obj_load_memory_bounded_by_one_record_kind(large_obj):
 
 def test_obj_load_with_normals_memory_bounded(tmp_path):
     """A `v//vn` file: when the reader turns the face corners into vertex
-    and normal ids, it holds the file's bytes, 16 B per line, the parsed
-    vertices (24 B each) and, per face, three corner tokens (a str of up
-    to 15 ASCII characters is 64 B, plus its list slot), the ids and
-    normal ids both in blocks and joined (4 x 24 B) and the corner count
-    (8 B): 320 B. Cutting one block of corners at "/" adds up to 256 B a
-    corner. Building each id list over every corner at once holds 507 B
-    per face past the file here."""
+    ids, it holds the file's bytes, 16 B per line, the parsed vertices
+    (24 B each) and, per face, three corner tokens (a str of up to 15
+    ASCII characters is 64 B, plus its list slot), the ids in blocks and
+    joined (2 x 24 B) and the corner count (8 B): 248 B, within 320 B.
+    Cutting one block of corners at "/" adds up to 256 B a corner.
+    Cutting every corner at once holds 439 B per face past the file, the
+    lines and the vertices here."""
     n = 2**15 + 3
     rng = np.random.default_rng(18)
     first = rng.integers(0, n, size=2 * n)
     normals = rng.normal(size=(n, 3))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     mesh = TriangleMesh(rng.normal(size=(n, 3)),
-                        np.stack([first, (first + 1) % n, (first + 2) % n], axis=1),
-                        vertex_normals=normals)
+                        np.stack([first, (first + 1) % n, (first + 2) % n], axis=1))
     path = tmp_path / "normals.obj"
-    save_mesh(mesh, path)
+    path.write_text(
+        "".join("v %r %r %r\n" % tuple(row) for row in mesh.vertices.tolist())
+        + "".join("vn %r %r %r\n" % tuple(row) for row in normals.tolist())
+        + "".join("f %d//%d %d//%d %d//%d\n" % (a, a, b, b, c, c)
+                  for a, b, c in (mesh.faces + 1).tolist())
+    )
     peak = _traced_peak(lambda: load_mesh(path))
     n_v, n_f = mesh.n_vertices, mesh.n_faces
     assert peak <= (path.stat().st_size + 16 * (2 * n_v + n_f) + 24 * n_v + 320 * n_f
@@ -480,14 +439,10 @@ def obj_meshes(draw):
     finite = st.floats(allow_nan=False, allow_infinity=False)
     vertices = draw(arrays(np.float64, (n, 3), elements=finite))
     faces = draw(st.lists(st.permutations(range(n)).map(lambda p: p[:3]), min_size=1, max_size=8))
-    colors = normals = None
+    colors = None
     if draw(st.booleans()):
         colors = draw(arrays(np.float64, (n, 3), elements=st.floats(0, 1)))
-    if draw(st.booleans()):
-        normals = draw(arrays(np.float64, (n, 3), elements=st.floats(-1, 1)))
-        normals[np.linalg.norm(normals, axis=1) < 0.1] = [0, 0, 1]
-        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    return TriangleMesh(vertices, faces, vertex_normals=normals, vertex_colors=colors)
+    return TriangleMesh(vertices, faces, vertex_colors=colors)
 
 
 @given(obj_meshes())
@@ -502,10 +457,6 @@ def test_obj_round_trip_property(tmp_path_factory, mesh):
         assert again.vertex_colors is None
     else:
         assert again.vertex_colors.tobytes() == mesh.vertex_colors.tobytes()
-    if mesh.vertex_normals is None:
-        assert again.vertex_normals is None
-    else:
-        np.testing.assert_allclose(again.vertex_normals, mesh.vertex_normals, rtol=0, atol=1e-12)
 
 
 def test_save_empty_mesh_rejected(tmp_path):

@@ -208,6 +208,20 @@ def test_mesh_without_hits_records_every_cell():
     assert all(r.error == "empty point cloud" and np.isnan(r.chamfer) for r in rows)
 
 
+@pytest.mark.parametrize("env, message", [
+    ("0", "XRAY_THREADS must be positive, got '0'"),
+    ("two", "XRAY_THREADS must be an integer, got 'two'"),
+], ids=["zero", "not-an-integer"])
+def test_sweep_checks_xray_threads_before_any_work(monkeypatch, env, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the sweep started work before checking XRAY_THREADS")
+
+    monkeypatch.setattr(sweep_mod, "build_bvh", no_work)
+    monkeypatch.setenv("XRAY_THREADS", env)
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        run_sweep({"cube": cube()}, [1], [32])
+
+
 def test_worker_count_env(monkeypatch):
     monkeypatch.delenv("XRAY_THREADS", raising=False)
     assert worker_count() >= 1
