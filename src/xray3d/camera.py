@@ -35,7 +35,8 @@ class Camera:
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
-            raise ValueError("image dimensions must be at least 1 pixel")
+            raise ValueError("image dimensions must be at least 1 pixel, "
+                             f"got {self.width}x{self.height}")
         if not 0.0 < self.fov_x < math.pi:
             raise ValueError(f"fov_x must lie in (0, pi), got {self.fov_x!r}")
         mat = np.asarray(self.c2w, dtype=np.float64).reshape(4, 4)

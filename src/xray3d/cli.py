@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -33,6 +34,40 @@ from .raycast import build_bvh
 from .sweep import plot_sweep_svg, rows_to_csv, run_sweep
 
 
+def _ranged(convert, low, high=math.inf, *, open_range=False):
+    """An argparse type: convert the text, then require low <= value <= high,
+    or low < value < high for an open range, which also rejects nan and inf.
+    So a bad value fails while the flags are parsed, before any file is read."""
+    if open_range:
+        shown = "pi" if high == math.pi else high
+        rule = "must be finite" if low == -math.inf else f"must lie in ({low}, {shown})"
+    else:
+        rule = f"must be at least {low}" if high == math.inf else f"must be in [{low}, {high}]"
+
+    def parse(text: str):
+        value = convert(text)
+        if not (low < value < high if open_range else low <= value <= high):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value: 'x'"
+    return parse
+
+
+def _int_list(low: int):
+    """An argparse type: a comma-separated list of integers, each at least low."""
+    entry = _ranged(int, low)
+
+    def parse(text: str) -> list[int]:
+        values = [entry(tok) for tok in text.split(",") if tok.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError(f"must list at least one integer, got {text!r}")
+        return values
+
+    parse.__name__ = "integer list"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xray3d",
@@ -43,20 +78,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="encode a mesh into a .xray tensor")
     p.add_argument("mesh_path")
     p.add_argument("out_path")
-    p.add_argument("--width", type=int, default=256)
-    p.add_argument("--height", type=int, default=256)
-    p.add_argument("--layers", type=int, default=8)
-    p.add_argument("--azimuth", type=float, default=0.0, help="degrees about +y")
-    p.add_argument("--elevation", type=float, default=0.0, help="degrees above horizon")
-    p.add_argument("--distance", type=float, default=DEFAULT_DISTANCE)
-    p.add_argument("--fov", type=float,
+    p.add_argument("--width", type=_ranged(int, 1), default=256)
+    p.add_argument("--height", type=_ranged(int, 1), default=256)
+    p.add_argument("--layers", type=_ranged(int, 1), default=8)
+    p.add_argument("--azimuth", type=_ranged(float, -math.inf, open_range=True), default=0.0,
+                   help="degrees about +y")
+    p.add_argument("--elevation", type=_ranged(float, -math.inf, open_range=True), default=0.0,
+                   help="degrees above horizon")
+    p.add_argument("--distance", type=_ranged(float, 0, open_range=True), default=DEFAULT_DISTANCE)
+    p.add_argument("--fov", type=_ranged(float, 0, math.pi, open_range=True),
                    help="horizontal fov, radians (default: the shorter axis spans DEFAULT_FOV_X)")
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("decode", help="decode a .xray tensor to points or a mesh")
     p.add_argument("xray_path")
     p.add_argument("out_path")
-    p.add_argument("--poisson-res", type=int, default=128)
+    p.add_argument("--poisson-res", type=_ranged(int, 2, MAX_RESOLUTION), default=128)
     p.add_argument("--screening", type=float, default=0.0,
                    help="removed; only 0, the unscreened solve, is accepted")
     p.add_argument("--trim", type=float, default=0.0,
@@ -69,23 +106,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="chamfer/f-score between two meshes")
     p.add_argument("pred_path")
     p.add_argument("gt_path")
-    p.add_argument("--samples", type=int, default=16384)
-    p.add_argument("--threshold", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_ranged(int, 1), default=16384)
+    p.add_argument("--threshold", type=_ranged(float, 0, open_range=True), default=0.1)
+    p.add_argument("--seed", type=_ranged(int, 0), default=0)
     p.add_argument("--csv", help="append one CSV row to this file")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="round-trip error sweep over layers and resolutions")
     p.add_argument("mesh_dir")
-    p.add_argument("--layers-list", default="1,2,3,4,5,6,7,8,9,10,11,12")
-    p.add_argument("--res-list", default="32,64,128,256,512,1024")
+    p.add_argument("--layers-list", type=_int_list(1), default="1,2,3,4,5,6,7,8,9,10,11,12")
+    p.add_argument("--res-list", type=_int_list(2), default="32,64,128,256,512,1024")
     p.add_argument("--out", default="sweep.csv")
-    p.add_argument("--views", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--poisson-res", type=int, default=64)
-    p.add_argument("--samples", type=int, default=16384)
-    p.add_argument("--threshold", type=float, default=0.1)
-    p.add_argument("--fov", type=float, default=DEFAULT_FOV_X, help="horizontal fov, radians")
+    p.add_argument("--views", type=_ranged(int, 1), default=2)
+    p.add_argument("--seed", type=_ranged(int, 0), default=0)
+    p.add_argument("--poisson-res", type=_ranged(int, 2, MAX_RESOLUTION), default=64)
+    p.add_argument("--samples", type=_ranged(int, 1), default=16384)
+    p.add_argument("--threshold", type=_ranged(float, 0, open_range=True), default=0.1)
+    p.add_argument("--fov", type=_ranged(float, 0, math.pi, open_range=True), default=DEFAULT_FOV_X,
+                   help="horizontal fov, radians")
     p.add_argument("--plot", help="also write an SVG line chart here")
     p.add_argument("--no-timings", action="store_true",
                    help="zero the timing columns for byte-stable output")
@@ -93,12 +131,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("views", help="encode several sampled views of one mesh")
     p.add_argument("mesh_path")
-    p.add_argument("--num", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--num", type=_ranged(int, 1), default=8)
+    p.add_argument("--seed", type=_ranged(int, 0), default=0)
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--width", type=int, default=256)
-    p.add_argument("--height", type=int, default=256)
-    p.add_argument("--layers", type=int, default=8)
+    p.add_argument("--width", type=_ranged(int, 1), default=256)
+    p.add_argument("--height", type=_ranged(int, 1), default=256)
+    p.add_argument("--layers", type=_ranged(int, 1), default=8)
     p.set_defaults(func=cmd_views)
 
     p = sub.add_parser("info", help="print header and occupancy of a .xray file")
@@ -120,34 +158,7 @@ def _print_occupancy(tensor) -> None:
         print(f"  layer {layer}: {frac * 100.0:6.2f}% pixels hit")
 
 
-def _require_threshold(threshold: float) -> None:
-    _require(np.isfinite(threshold) and threshold > 0,
-             f"--threshold must be finite and > 0, got {threshold:g}")
-
-
-def _require_layers(layers: int) -> None:
-    _require(layers >= 1, f"--layers must be at least 1, got {layers}")
-
-
-def _require_size(width: int, height: int) -> None:
-    _require(width >= 1 and height >= 1,
-             f"--width/--height must be at least 1, got {width}x{height}")
-
-
-def _require_poisson_res(res: int) -> None:
-    _require(2 <= res <= MAX_RESOLUTION,
-             f"--poisson-res must be in [2, {MAX_RESOLUTION}], got {res}")
-
-
-def _require_fov(fov: float | None) -> None:
-    _require(fov is None or 0.0 < fov < np.pi, f"--fov must lie in (0, pi), got {fov}")
-
-
 def cmd_encode(args) -> int:
-    _require_layers(args.layers)
-    _require_size(args.width, args.height)
-    _require(args.distance > 0, f"--distance must be positive, got {args.distance:g}")
-    _require_fov(args.fov)
     mesh = load_mesh(args.mesh_path)
     mesh, _ = normalize_mesh(mesh)
     camera = camera_from_spherical(
@@ -165,7 +176,6 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    _require_poisson_res(args.poisson_res)
     _require(args.screening == 0.0,
              f"--screening was removed and accepts only 0, got {args.screening:g}")
     _require(args.trim == 0.0, f"--trim was removed and accepts only 0, got {args.trim:g}")
@@ -194,8 +204,6 @@ def cmd_decode(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _require(args.samples >= 1, f"--samples must be at least 1, got {args.samples}")
-    _require_threshold(args.threshold)
     pred = load_mesh(args.pred_path)
     gt = load_mesh(args.gt_path)
     report = evaluate_pair(
@@ -221,26 +229,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    try:
-        values = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        _require(False, f"{flag} must be a comma-separated integer list")
-    _require(bool(values), f"{flag} must not be empty")
-    return values
-
-
 def cmd_sweep(args) -> int:
-    layers_list = _parse_int_list(args.layers_list, "--layers-list")
-    res_list = _parse_int_list(args.res_list, "--res-list")
-    _require(min(layers_list) >= 1,
-             f"--layers-list entries must be at least 1, got {min(layers_list)}")
-    _require(min(res_list) >= 2, f"--res-list entries must be at least 2, got {min(res_list)}")
-    _require(args.views >= 1, f"--views must be at least 1, got {args.views}")
-    _require_poisson_res(args.poisson_res)
-    _require(args.samples >= 1, f"--samples must be at least 1, got {args.samples}")
-    _require_threshold(args.threshold)
-    _require_fov(args.fov)
     mesh_dir = Path(args.mesh_dir)
     if not mesh_dir.is_dir():
         raise FileNotFoundError(f"mesh directory not found: {mesh_dir}")
@@ -252,8 +241,8 @@ def cmd_sweep(args) -> int:
     meshes = {p.stem: load_mesh(p) for p in paths}
     rows = run_sweep(
         meshes,
-        layers_list,
-        res_list,
+        args.layers_list,
+        args.res_list,
         views=args.views,
         seed=args.seed,
         poisson_res=args.poisson_res,
@@ -272,9 +261,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_views(args) -> int:
-    _require(args.num >= 1, f"--num must be at least 1, got {args.num}")
-    _require_layers(args.layers)
-    _require_size(args.width, args.height)
     mesh = load_mesh(args.mesh_path)
     mesh, _ = normalize_mesh(mesh)
     out_dir = Path(args.out_dir)
@@ -316,8 +302,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -43,24 +43,6 @@ class XRayDataError(ValueError):
     """Tensor contents violate the codec contract."""
 
 
-def _check_finite(data: np.ndarray) -> None:
-    """Raise XRayDataError naming the first non-finite (L, 8, H, W) entry."""
-    finite = np.isfinite(data)
-    if not finite.all():
-        layer, channel, row, col = np.argwhere(~finite)[0]
-        raise XRayDataError(
-            f"non-finite {_CHANNEL_NAMES[channel]} at layer {layer}, pixel ({row}, {col})"
-        )
-
-
-def _check_hit(hit: np.ndarray) -> None:
-    """Raise XRayDataError naming a hit-channel value that is neither 0 nor 1."""
-    ok = (np.abs(hit) <= 1e-6) | (np.abs(hit - 1.0) <= 1e-6)
-    if not np.all(ok):
-        bad = hit[~ok].flat[0]
-        raise XRayDataError(f"corrupt hit channel (value {bad!s} is neither 0 nor 1)")
-
-
 @dataclass(frozen=True)
 class PointCloud:
     """Oriented, colored point set decoded from a tensor or sampled from a mesh."""
@@ -125,19 +107,19 @@ class XRayTensor:
     def width(self) -> int:
         return self.data.shape[3]
 
-    def camera(self, identity_pose: bool = False) -> Camera:
-        if identity_pose:
-            return Camera(self.width, self.height, self.fov_x, np.eye(4))
+    def camera(self) -> Camera:
         c2w = self.c2w.astype(np.float64)
         # The stored pose is float32-quantized; project the rotation back
         # onto the nearest orthonormal matrix before ray generation. Only
-        # rounding is repaired here: _check_camera rejects anything larger.
+        # rounding is repaired here: _checked_hit_mask rejects anything larger.
         u, _, vt = np.linalg.svd(c2w[:3, :3])
         c2w[:3, :3] = u @ vt
         return Camera(self.width, self.height, self.fov_x, c2w)
 
-    def _check_camera(self) -> None:
-        """Raise XRayDataError naming a header camera field outside the contract."""
+    def _checked_hit_mask(self) -> np.ndarray:
+        """Return the hit mask once the header camera is a valid pinhole pose,
+        every value is finite and every hit value is 0 or 1; otherwise raise
+        XRayDataError naming the field or entry and its value."""
         if not 0.0 < self.fov_x < math.pi:
             raise XRayDataError(f"fov_x {self.fov_x!r} outside (0, pi)")
         c2w = self.c2w.astype(np.float64)
@@ -154,17 +136,24 @@ class XRayTensor:
                 f"c2w rotation {np.round(rot, 6).tolist()} is not orthonormal "
                 f"(|R R^T - I| reaches {error:.3g})"
             )
+        if not np.isfinite(self.data).all():
+            layer, channel, row, col = np.argwhere(~np.isfinite(self.data))[0]
+            raise XRayDataError(
+                f"non-finite {_CHANNEL_NAMES[channel]} at layer {layer}, pixel ({row}, {col})"
+            )
+        hit = self.data[:, CH_HIT]
+        ok = (np.abs(hit) <= 1e-6) | (np.abs(hit - 1.0) <= 1e-6)
+        if not np.all(ok):
+            bad = hit[~ok].flat[0]
+            raise XRayDataError(f"corrupt hit channel (value {bad!s} is neither 0 nor 1)")
+        return hit > 0.5
 
     def hit_mask(self) -> np.ndarray:
         return self.data[:, CH_HIT] > 0.5
 
     def validate(self) -> None:
         """Check every tensor invariant; raises XRayDataError on violation."""
-        self._check_camera()
-        _check_finite(self.data)
-        hit = self.data[:, CH_HIT]
-        _check_hit(hit)
-        mask = hit > 0.5
+        mask = self._checked_hit_mask()
         if self.layers > 1 and np.any(~mask[:-1] & mask[1:]):
             raise XRayDataError("hit flags are not prefix-dense along layers")
         unhit = ~mask
@@ -232,7 +221,7 @@ def pad_or_truncate(x: XRayTensor, target_layers: int) -> XRayTensor:
     of the leading layers of x's.
     """
     if target_layers < 1:
-        raise ValueError("target layer count must be at least 1")
+        raise ValueError(f"target layer count must be at least 1, got {target_layers!r}")
     if target_layers == x.layers:
         return x
     if target_layers < x.layers:
@@ -257,16 +246,12 @@ def decode_to_pointcloud(x: XRayTensor, frame: str = "camera") -> PointCloud:
     """
     if frame not in ("camera", "world"):
         raise ValueError(f"unknown frame {frame!r}")
-    x._check_camera()
-    _check_finite(x.data)
-    hit = x.data[:, CH_HIT]
-    _check_hit(hit)
-    mask = hit > 0.5
+    mask = x._checked_hit_mask()
     if not mask.any():
         empty = np.empty((0, 3))
         return PointCloud(empty, empty.copy(), empty.copy())
 
-    camera = x.camera(identity_pose=(frame == "camera"))
+    camera = Camera(x.width, x.height, x.fov_x, np.eye(4)) if frame == "camera" else x.camera()
     layer_idx, row_idx, col_idx = np.nonzero(mask)
     depth = x.data[:, CH_DEPTH][mask].astype(np.float64)
     positions = camera.position + depth[:, None] * generate_rays(camera)[row_idx, col_idx]
@@ -287,7 +272,8 @@ def storage_ratio(layers: int, grid_resolution: int) -> float:
     """Fraction of a dense grid_resolution^3 voxel volume saved by storing
     only `layers` surface frames at the same pixel footprint."""
     if layers < 1 or grid_resolution < 1:
-        raise ValueError("layer count and grid resolution must be at least 1")
+        raise ValueError("layer count and grid resolution must be at least 1, "
+                         f"got {layers!r} and {grid_resolution!r}")
     return 1.0 - layers / grid_resolution
 
 

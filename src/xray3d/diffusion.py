@@ -87,35 +87,19 @@ def dm_loss(eps: np.ndarray, eps_pred: np.ndarray) -> float:
     return float(np.mean((eps - eps_pred) ** 2))
 
 
-def _binary_mask(h: np.ndarray, mode: str) -> np.ndarray:
-    if np.any(h < 0) or np.any(h > 1):
-        raise ValueError("hit values must lie in [0, 1]")
-    if mode == "strict":
-        binary = (np.abs(h) <= 1e-6) | (np.abs(h - 1.0) <= 1e-6)
-        if not np.all(binary):
-            raise ValueError(
-                "hit mask contains fractional values; use mode='permissive' to round"
-            )
-        return h > 0.5
-    if mode == "permissive":
-        return h >= 0.5
-    raise ValueError(f"unknown mask mode {mode!r}")
-
-
 def upsampler_loss(
     x_gt: np.ndarray,
     x_up: np.ndarray,
     h_gt: np.ndarray,
     h_up: np.ndarray,
-    mode: str = "strict",
 ) -> float:
     """Masked surface loss plus hit-channel loss.
 
     First term: mean squared difference of x_gt and x_up restricted to
     positions where h_gt = 1 (the mask broadcasts across channels).
-    Second term: mean squared difference of the hit channels. Fractional
-    h_gt values are rejected in strict mode and rounded in permissive
-    mode.
+    Second term: mean squared difference of the hit channels. h_gt must
+    be binary, as the hit channel of an encoded tensor is: a value outside
+    [0, 1] or between 0 and 1 is rejected.
     """
     x_gt = np.asarray(x_gt, dtype=np.float64)
     x_up = np.asarray(x_up, dtype=np.float64)
@@ -123,7 +107,12 @@ def upsampler_loss(
     h_up = np.asarray(h_up, dtype=np.float64)
     _check_shapes(x_gt, x_up, "upsampler_loss x")
     _check_shapes(h_gt, h_up, "upsampler_loss h")
-    mask = _binary_mask(h_gt, mode)
+    if np.any(h_gt < 0) or np.any(h_gt > 1):
+        raise ValueError("hit values must lie in [0, 1]")
+    binary = (np.abs(h_gt) <= 1e-6) | (np.abs(h_gt - 1.0) <= 1e-6)
+    if not np.all(binary):
+        raise ValueError(f"hit mask contains fractional value {float(h_gt[~binary].flat[0])!r}")
+    mask = h_gt > 0.5
     try:
         mask_full = np.broadcast_to(mask, x_gt.shape)
     except ValueError:

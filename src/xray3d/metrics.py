@@ -97,7 +97,7 @@ def sample_surface(mesh: TriangleMesh, n: int, seed: int = 0) -> PointCloud:
     if mesh.is_empty:
         raise MeshError("cannot sample an empty mesh")
     if n < 1:
-        raise ValueError("need at least one sample")
+        raise ValueError(f"need at least one sample, got {n!r}")
     a, b, c = mesh.triangle_corners()
     cross = np.cross(b - a, c - a)
     areas = 0.5 * np.linalg.norm(cross, axis=1)

@@ -81,7 +81,7 @@ class GridSpec:
 
     def __post_init__(self):
         if not 2 <= self.resolution <= MAX_RESOLUTION:
-            raise ValueError(f"resolution must be in [2, {MAX_RESOLUTION}]")
+            raise ValueError(f"resolution must be in [2, {MAX_RESOLUTION}], got {self.resolution}")
 
     @property
     def spacing(self) -> float:

@@ -212,7 +212,7 @@ def run_sweep(
     if layers_list[0] < 1:
         raise ValueError(f"layer counts must be at least 1, got {layers_list[0]}")
     if res_list[0] < 2:
-        raise ValueError("resolutions must be at least 2")
+        raise ValueError(f"resolutions must be at least 2, got {res_list[0]}")
     max_layers = layers_list[-1]
     # Built first: the cameras check views and fov_x.
     cameras = {

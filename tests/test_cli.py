@@ -221,37 +221,57 @@ def test_usage_errors_exit_2(tmp_path, cube_obj, argv):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("encode", "{mesh}", "{out}", "--layers", "0"), "--layers must be at least 1, got 0"),
-    (("encode", "{mesh}", "{out}", "--fov", "-1"), "--fov must lie in (0, pi), got -1.0"),
-    (("encode", "{mesh}", "{out}", "--fov", "nan"), "--fov must lie in (0, pi), got nan"),
-    (("sweep", "{dir}", "--out", "{out}", "--fov", "4"), "--fov must lie in (0, pi), got 4.0"),
+    (("encode", "{mesh}", "{out}", "--layers", "0"),
+     "argument --layers: must be at least 1, got 0"),
+    (("encode", "{mesh}", "{out}", "--fov", "-1"), "argument --fov: must lie in (0, pi), got -1"),
+    (("encode", "{mesh}", "{out}", "--fov", "nan"), "argument --fov: must lie in (0, pi), got nan"),
+    (("sweep", "{dir}", "--out", "{out}", "--fov", "4"),
+     "argument --fov: must lie in (0, pi), got 4"),
     (("sweep", "{dir}", "--out", "{out}", "--layers-list", "3,0"),
-     "--layers-list entries must be at least 1, got 0"),
-    (("eval", "{mesh}", "{mesh}", "--threshold", "-1"), "--threshold must be finite and > 0, got -1"),
+     "argument --layers-list: must be at least 1, got 0"),
+    (("eval", "{mesh}", "{mesh}", "--threshold", "-1"),
+     "argument --threshold: must lie in (0, inf), got -1"),
     (("eval", "{mesh}", "{mesh}", "--threshold", "nan"),
-     "--threshold must be finite and > 0, got nan"),
+     "argument --threshold: must lie in (0, inf), got nan"),
     (("decode", "{out}", "{out}.obj", "--frame", "camera"),
      "--frame camera requires --points-only: reconstruction runs in the world-frame"),
     (("decode", "{out}", "{out}.obj", "--poisson-res", "300"),
-     "--poisson-res must be in [2, 256], got 300"),
+     "argument --poisson-res: must be in [2, 256], got 300"),
     (("sweep", "{dir}", "--out", "{out}", "--poisson-res", "1"),
-     "--poisson-res must be in [2, 256], got 1"),
-    (("eval", "{mesh}", "{mesh}", "--samples", "0"), "--samples must be at least 1, got 0"),
+     "argument --poisson-res: must be in [2, 256], got 1"),
+    (("eval", "{mesh}", "{mesh}", "--samples", "0"),
+     "argument --samples: must be at least 1, got 0"),
     (("sweep", "{dir}", "--out", "{out}", "--samples", "-2"),
-     "--samples must be at least 1, got -2"),
-    (("sweep", "{dir}", "--out", "{out}", "--views", "0"), "--views must be at least 1, got 0"),
+     "argument --samples: must be at least 1, got -2"),
+    (("sweep", "{dir}", "--out", "{out}", "--views", "0"),
+     "argument --views: must be at least 1, got 0"),
     (("sweep", "{dir}", "--out", "{out}", "--res-list", "32,1"),
-     "--res-list entries must be at least 2, got 1"),
-    (("views", "{mesh}", "--out-dir", "{out}", "--num", "0"), "--num must be at least 1, got 0"),
+     "argument --res-list: must be at least 2, got 1"),
+    (("views", "{mesh}", "--out-dir", "{out}", "--num", "0"),
+     "argument --num: must be at least 1, got 0"),
     (("views", "{mesh}", "--out-dir", "{out}", "--width", "0"),
-     "--width/--height must be at least 1, got 0x256"),
+     "argument --width: must be at least 1, got 0"),
     (("encode", "{mesh}", "{out}", "--height", "-1"),
-     "--width/--height must be at least 1, got 256x-1"),
-    (("encode", "{mesh}", "{out}", "--distance", "0"), "--distance must be positive, got 0"),
+     "argument --height: must be at least 1, got -1"),
+    (("encode", "{mesh}", "{out}", "--distance", "0"),
+     "argument --distance: must lie in (0, inf), got 0"),
+    (("encode", "{mesh}", "{out}", "--distance", "inf"),
+     "argument --distance: must lie in (0, inf), got inf"),
+    (("encode", "{mesh}", "{out}", "--azimuth", "nan"),
+     "argument --azimuth: must be finite, got nan"),
+    (("encode", "{mesh}", "{out}", "--elevation", "inf"),
+     "argument --elevation: must be finite, got inf"),
+    (("eval", "{mesh}", "{mesh}", "--seed", "-1"), "argument --seed: must be at least 0, got -1"),
+    (("sweep", "{dir}", "--out", "{out}", "--seed", "-1"),
+     "argument --seed: must be at least 0, got -1"),
+    (("views", "{mesh}", "--out-dir", "{out}", "--seed", "-1"),
+     "argument --seed: must be at least 0, got -1"),
 ], ids=["encode-layers", "encode-fov-negative", "encode-fov-nan", "sweep-fov", "sweep-layers-list",
         "eval-threshold-negative", "eval-threshold-nan", "decode-camera-frame",
         "decode-poisson-res", "sweep-poisson-res", "eval-samples", "sweep-samples", "sweep-views",
-        "sweep-res-list", "views-num", "views-width", "encode-height", "encode-distance"])
+        "sweep-res-list", "views-num", "views-width", "encode-height", "encode-distance",
+        "encode-distance-inf", "encode-azimuth-nan", "encode-elevation-inf", "eval-seed",
+        "sweep-seed", "views-seed"])
 def test_usage_errors_name_the_bad_value_before_reading_files(
     tmp_path, cube_obj, capsys, monkeypatch, argv, message
 ):
@@ -264,6 +284,17 @@ def test_usage_errors_name_the_bad_value_before_reading_files(
     argv = [a.format(mesh=cube_obj, dir=cube_obj.parent, out=out) for a in argv]
     assert run_cli(*argv) == 2
     assert message in capsys.readouterr().err
+
+
+def test_range_and_type_errors_share_argparse_format(tmp_path, cube_obj, capsys):
+    """An out-of-range value fails like a malformed one: argparse's usage
+    line, then `argument --flag:` and the value."""
+    for value, reason in (("0", "must be at least 1, got 0"), ("x", "invalid int value: 'x'")):
+        assert run_cli("encode", cube_obj, tmp_path / "o.xray", "--layers", value) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: xray3d encode ")
+        assert err.endswith(f"xray3d encode: error: argument --layers: {reason}\n")
+    assert not (tmp_path / "o.xray").exists()
 
 
 def test_decode_camera_frame_points_only_still_writes_points(tmp_path, cube_obj):

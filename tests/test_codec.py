@@ -184,7 +184,7 @@ def test_decode_single_synthetic_hit():
     x = XRayTensor(data, 0.9, np.eye(4))
     cloud = decode_to_pointcloud(x, frame="camera")
     assert len(cloud) == 1
-    direction = generate_rays(x.camera(identity_pose=True))[2, 2]
+    direction = generate_rays(Camera(5, 5, x.fov_x, np.eye(4)))[2, 2]
     np.testing.assert_allclose(cloud.positions[0], 0.7 * direction, atol=1e-6)
     np.testing.assert_allclose(cloud.colors[0], [1, 0, 0], atol=1e-6)
 

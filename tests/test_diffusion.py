@@ -163,10 +163,8 @@ def test_upsampler_matches_naive_loop():
 def test_upsampler_strict_rejects_fractional_mask():
     x_gt, x_up, h_gt, h_up = _random_case(3)
     h_frac = h_gt * 0.6
-    with pytest.raises(ValueError, match="fractional"):
+    with pytest.raises(ValueError, match="fractional value 0.6$"):
         upsampler_loss(x_gt, x_up, h_frac, h_up)
-    # permissive mode rounds instead
-    upsampler_loss(x_gt, x_up, h_frac, h_up, mode="permissive")
 
 
 def test_upsampler_mask_range_checked():
