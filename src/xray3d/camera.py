@@ -26,6 +26,27 @@ DEFAULT_FOV_X = 2.0 * math.asin(0.875 / 1.2)
 DEFAULT_DISTANCE = 1.2
 
 
+def _pose_error(fov_x: float, c2w: np.ndarray, tol: float) -> str | None:
+    """The one rule for a valid pinhole pose: fov_x in (0, pi), a finite
+    4x4 c2w whose last row is exactly (0, 0, 0, 1), and a rotation block
+    R with every entry of |R R^T - I| at most tol. Returns a message
+    naming the first violating value, or None for a valid pose."""
+    if not 0.0 < fov_x < math.pi:
+        return f"fov_x must lie in (0, pi), got {fov_x!r}"
+    bad = np.argwhere(~np.isfinite(c2w))
+    if len(bad):
+        row, col = bad[0]
+        return f"non-finite c2w[{row}, {col}] = {float(c2w[row, col])!r}"
+    if not np.array_equal(c2w[3], [0.0, 0.0, 0.0, 1.0]):
+        return f"c2w last row {c2w[3].tolist()} is not (0, 0, 0, 1)"
+    rot = c2w[:3, :3]
+    error = np.abs(rot @ rot.T - np.eye(3)).max()
+    if error > tol:
+        return (f"c2w rotation {np.round(rot, 6).tolist()} is not orthonormal "
+                f"(|R R^T - I| reaches {error:.3g})")
+    return None
+
+
 @dataclass(frozen=True)
 class Camera:
     width: int
@@ -37,18 +58,10 @@ class Camera:
         if self.width < 1 or self.height < 1:
             raise ValueError("image dimensions must be at least 1 pixel, "
                              f"got {self.width}x{self.height}")
-        if not 0.0 < self.fov_x < math.pi:
-            raise ValueError(f"fov_x must lie in (0, pi), got {self.fov_x!r}")
         mat = np.asarray(self.c2w, dtype=np.float64).reshape(4, 4)
-        bad = np.argwhere(~np.isfinite(mat))
-        if len(bad):
-            i, j = bad[0]
-            raise ValueError(f"non-finite c2w[{i}, {j}] = {float(mat[i, j])!r}")
-        rot = mat[:3, :3]
-        if not np.allclose(rot @ rot.T, np.eye(3), atol=1e-9):
-            raise ValueError("camera rotation block is not orthonormal")
-        if not np.allclose(mat[3], [0.0, 0.0, 0.0, 1.0], atol=1e-12):
-            raise ValueError("last row of c2w must be (0, 0, 0, 1)")
+        error = _pose_error(self.fov_x, mat, tol=1e-9)
+        if error:
+            raise ValueError(error)
         object.__setattr__(self, "c2w", _frozen(mat))
 
     @property
@@ -81,24 +94,19 @@ def generate_rays(camera: Camera) -> np.ndarray:
     return _frozen(dirs)
 
 
-def look_at(
-    position,
-    target=(0.0, 0.0, 0.0),
-    up=(0.0, 1.0, 0.0),
-) -> np.ndarray:
-    """Camera-to-world matrix for a camera at `position` facing `target`."""
+def look_at(position) -> np.ndarray:
+    """Camera-to-world matrix for a camera at `position` facing the
+    origin, with +y up."""
     position = np.asarray(position, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    up = np.asarray(up, dtype=np.float64)
-    z_cam = position - target
-    norm = np.linalg.norm(z_cam)
+    norm = np.linalg.norm(position)
     if norm < 1e-12:
-        raise ValueError("camera position coincides with target")
-    z_cam = z_cam / norm
-    x_cam = np.cross(up, z_cam)
+        raise ValueError(f"camera position {position.tolist()} coincides with the origin it faces")
+    z_cam = position / norm
+    x_cam = np.cross((0.0, 1.0, 0.0), z_cam)
     x_norm = np.linalg.norm(x_cam)
     if x_norm < 1e-12:
-        raise ValueError("view direction is parallel to the up vector")
+        raise ValueError(f"camera position {position.tolist()} lies on the y axis, "
+                         "so the view direction is parallel to the up vector +y")
     x_cam = x_cam / x_norm
     y_cam = np.cross(z_cam, x_cam)
     c2w = np.eye(4)

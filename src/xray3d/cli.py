@@ -68,6 +68,14 @@ def _int_list(low: int):
     return parse
 
 
+def _out_path(text: str) -> str:
+    """An argparse type: a file to write, whose directory must exist, so
+    that a run cannot do all its work and then fail to save it."""
+    if not Path(text).parent.is_dir():
+        raise argparse.ArgumentTypeError(f"must be in an existing directory, got {text}")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xray3d",
@@ -77,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("encode", help="encode a mesh into a .xray tensor")
     p.add_argument("mesh_path")
-    p.add_argument("out_path")
+    p.add_argument("out_path", type=_out_path)
     p.add_argument("--width", type=_ranged(int, 1), default=256)
     p.add_argument("--height", type=_ranged(int, 1), default=256)
     p.add_argument("--layers", type=_ranged(int, 1), default=8)
@@ -92,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decode", help="decode a .xray tensor to points or a mesh")
     p.add_argument("xray_path")
-    p.add_argument("out_path")
+    p.add_argument("out_path", type=_out_path)
     p.add_argument("--poisson-res", type=_ranged(int, 2, MAX_RESOLUTION), default=128)
     p.add_argument("--screening", type=float, default=0.0,
                    help="removed; only 0, the unscreened solve, is accepted")
@@ -109,14 +117,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_ranged(int, 1), default=16384)
     p.add_argument("--threshold", type=_ranged(float, 0, open_range=True), default=0.1)
     p.add_argument("--seed", type=_ranged(int, 0), default=0)
-    p.add_argument("--csv", help="append one CSV row to this file")
+    p.add_argument("--csv", type=_out_path, help="append one CSV row to this file")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="round-trip error sweep over layers and resolutions")
     p.add_argument("mesh_dir")
     p.add_argument("--layers-list", type=_int_list(1), default="1,2,3,4,5,6,7,8,9,10,11,12")
     p.add_argument("--res-list", type=_int_list(2), default="32,64,128,256,512,1024")
-    p.add_argument("--out", default="sweep.csv")
+    p.add_argument("--out", type=_out_path, default="sweep.csv")
     p.add_argument("--views", type=_ranged(int, 1), default=2)
     p.add_argument("--seed", type=_ranged(int, 0), default=0)
     p.add_argument("--poisson-res", type=_ranged(int, 2, MAX_RESOLUTION), default=64)
@@ -124,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=_ranged(float, 0, open_range=True), default=0.1)
     p.add_argument("--fov", type=_ranged(float, 0, math.pi, open_range=True), default=DEFAULT_FOV_X,
                    help="horizontal fov, radians")
-    p.add_argument("--plot", help="also write an SVG line chart here")
+    p.add_argument("--plot", type=_out_path, help="also write an SVG line chart here")
     p.add_argument("--no-timings", action="store_true",
                    help="zero the timing columns for byte-stable output")
     p.set_defaults(func=cmd_sweep)
@@ -159,12 +167,11 @@ def _print_occupancy(tensor) -> None:
 
 
 def cmd_encode(args) -> int:
-    mesh = load_mesh(args.mesh_path)
-    mesh, _ = normalize_mesh(mesh)
     camera = camera_from_spherical(
         args.azimuth, args.elevation, args.distance,
         args.width, args.height, args.fov,
     )
+    mesh, _ = normalize_mesh(load_mesh(args.mesh_path))
     tensor = encode(mesh, camera, args.layers)
     write_xray(tensor, args.out_path)
     occ = tensor.hit_mask().sum(axis=(1, 2))
@@ -261,14 +268,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_views(args) -> int:
-    mesh = load_mesh(args.mesh_path)
-    mesh, _ = normalize_mesh(mesh)
+    views = [(az, el, camera_from_spherical(az, el, width=args.width, height=args.height))
+             for az, el in zip(*sample_view_angles(args.seed, args.num))]
+    mesh, _ = normalize_mesh(load_mesh(args.mesh_path))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.mesh_path).stem
     accel = build_bvh(mesh)
-    for az, el in zip(*sample_view_angles(args.seed, args.num)):
-        camera = camera_from_spherical(az, el, width=args.width, height=args.height)
+    for az, el, camera in views:
         tensor = encode(mesh, camera, args.layers, accel=accel)
         name = f"{stem}_az{az:+08.3f}_el{el:07.3f}.xray"
         write_xray(tensor, out_dir / name)

@@ -9,13 +9,12 @@ format stores tensors losslessly (float32, little-endian).
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import Camera, generate_rays
+from .camera import Camera, _pose_error, generate_rays
 from .mesh import TriangleMesh, _frozen, surface_attributes
 from .raycast import BvhAccel, build_bvh, cast_rays
 
@@ -117,25 +116,13 @@ class XRayTensor:
         return Camera(self.width, self.height, self.fov_x, c2w)
 
     def _checked_hit_mask(self) -> np.ndarray:
-        """Return the hit mask once the header camera is a valid pinhole pose,
-        every value is finite and every hit value is 0 or 1; otherwise raise
-        XRayDataError naming the field or entry and its value."""
-        if not 0.0 < self.fov_x < math.pi:
-            raise XRayDataError(f"fov_x {self.fov_x!r} outside (0, pi)")
-        c2w = self.c2w.astype(np.float64)
-        bad = np.argwhere(~np.isfinite(c2w))
-        if len(bad):
-            row, col = bad[0]
-            raise XRayDataError(f"non-finite c2w[{row}, {col}] = {float(c2w[row, col])!r}")
-        if not np.array_equal(c2w[3], [0.0, 0.0, 0.0, 1.0]):
-            raise XRayDataError(f"c2w last row {c2w[3].tolist()} is not (0, 0, 0, 1)")
-        rot = c2w[:3, :3]
-        error = np.abs(rot @ rot.T - np.eye(3)).max()
-        if error > _POSE_TOL:
-            raise XRayDataError(
-                f"c2w rotation {np.round(rot, 6).tolist()} is not orthonormal "
-                f"(|R R^T - I| reaches {error:.3g})"
-            )
+        """Return the hit mask once the header camera is a valid pinhole pose
+        (Camera's rule, at the float32 tolerance _POSE_TOL), every value is
+        finite and every hit value is 0 or 1; otherwise raise XRayDataError
+        naming the field or entry and its value."""
+        error = _pose_error(self.fov_x, self.c2w.astype(np.float64), _POSE_TOL)
+        if error:
+            raise XRayDataError(error)
         if not np.isfinite(self.data).all():
             layer, channel, row, col = np.argwhere(~np.isfinite(self.data))[0]
             raise XRayDataError(
@@ -159,16 +146,16 @@ class XRayTensor:
         unhit = ~mask
         if any(np.any((self.data[:, ch] != 0) & unhit) for ch in range(8)):
             raise XRayDataError("non-zero channels at unhit layers")
-        depth = self.data[:, CH_DEPTH]
-        if np.any(depth[mask] <= 0):
+        hits = self.data.transpose(0, 2, 3, 1)[mask]  # one 8-float record per hit
+        if np.any(hits[:, CH_DEPTH] <= 0):
             raise XRayDataError("non-positive depth at a hit")
+        depth = self.data[:, CH_DEPTH]
         both = mask[:-1] & mask[1:]
         if np.any(depth[1:][both] <= depth[:-1][both]):
             raise XRayDataError("depths do not strictly increase with layer")
-        normals = self.data[:, CH_NORMAL].transpose(0, 2, 3, 1)[mask]
-        if len(normals) and np.abs(np.linalg.norm(normals, axis=1) - 1.0).max() > 1e-3:
+        if len(hits) and np.abs(np.linalg.norm(hits[:, CH_NORMAL], axis=1) - 1.0).max() > 1e-3:
             raise XRayDataError("hit normals are not unit length")
-        colors = self.data[:, CH_COLOR].transpose(0, 2, 3, 1)[mask]
+        colors = hits[:, CH_COLOR]
         if len(colors) and (colors.min() < 0 or colors.max() > 1):
             raise XRayDataError("hit colors outside [0, 1]")
 
@@ -253,10 +240,11 @@ def decode_to_pointcloud(x: XRayTensor, frame: str = "camera") -> PointCloud:
 
     camera = Camera(x.width, x.height, x.fov_x, np.eye(4)) if frame == "camera" else x.camera()
     layer_idx, row_idx, col_idx = np.nonzero(mask)
-    depth = x.data[:, CH_DEPTH][mask].astype(np.float64)
+    hits = x.data.transpose(0, 2, 3, 1)[mask]  # one 8-float record per hit
+    depth = hits[:, CH_DEPTH].astype(np.float64)
     positions = camera.position + depth[:, None] * generate_rays(camera)[row_idx, col_idx]
 
-    normals = x.data[:, CH_NORMAL].transpose(0, 2, 3, 1)[mask].astype(np.float64)
+    normals = hits[:, CH_NORMAL].astype(np.float64)
     lengths = np.linalg.norm(normals, axis=1, keepdims=True)
     if not lengths.all():
         i = np.argmin(lengths)
@@ -264,7 +252,7 @@ def decode_to_pointcloud(x: XRayTensor, frame: str = "camera") -> PointCloud:
             f"zero-length normal at layer {layer_idx[i]}, pixel ({row_idx[i]}, {col_idx[i]})"
         )
     normals /= lengths
-    colors = x.data[:, CH_COLOR].transpose(0, 2, 3, 1)[mask].astype(np.float64)
+    colors = hits[:, CH_COLOR].astype(np.float64)
     return PointCloud(positions, normals, colors)
 
 
@@ -310,7 +298,7 @@ def read_xray(path) -> XRayTensor:
     if dtype_tag != DTYPE_F32:
         raise XRayFormatError(f"unsupported dtype tag {dtype_tag}")
     if min(layers, height, width) < 1:
-        raise XRayFormatError("non-positive tensor dimensions")
+        raise XRayFormatError(f"non-positive tensor dimensions L={layers}, H={height}, W={width}")
     expected = layers * 8 * height * width * 4
     payload = len(raw) - _HEADER.size
     if payload < expected:

@@ -24,8 +24,9 @@ class RigidTransform:
         tr = np.asarray(self.translation, dtype=np.float64).reshape(3)
         object.__setattr__(self, "rotation", _frozen(rot))
         object.__setattr__(self, "translation", _frozen(tr))
-        if not np.allclose(rot @ rot.T, np.eye(3), atol=1e-9):
-            raise ValueError("rotation block is not orthonormal")
+        error = np.abs(rot @ rot.T - np.eye(3)).max()
+        if not error <= 1e-9:  # also rejects nan
+            raise ValueError(f"rotation block is not orthonormal (|R R^T - I| reaches {error:.3g})")
         if abs(np.linalg.det(rot) - 1.0) > 1e-9:
             raise ValueError("rotation determinant must be +1")
         if not self.scale > 0:
@@ -34,12 +35,6 @@ class RigidTransform:
     def apply(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
         return self.scale * (pts @ self.rotation.T) + self.translation
-
-    def inverse(self) -> "RigidTransform":
-        inv_rot = self.rotation.T
-        inv_scale = 1.0 / self.scale
-        inv_tr = -inv_scale * (inv_rot @ self.translation)
-        return RigidTransform(inv_rot, inv_tr, inv_scale)
 
     @staticmethod
     def identity() -> "RigidTransform":

@@ -12,6 +12,7 @@ from xray3d.camera import (
     sample_view_angles,
     sample_views,
 )
+from xray3d.codec import XRayDataError, XRayTensor
 
 
 def _identity_camera(width, height, fov_x):
@@ -97,6 +98,32 @@ def test_camera_validation():
     bad[0, 0] = 2.0
     with pytest.raises(ValueError, match="orthonormal"):
         Camera(4, 4, 0.8, bad)
+    # Within np.allclose's default rtol, but the tensor header check would
+    # reject it after encode, so Camera rejects it first.
+    bad[0, 0] = 1.0 + 4e-6
+    with pytest.raises(ValueError, match=r"is not orthonormal \(\|R R\^T - I\| reaches 8e-06\)"):
+        Camera(4, 4, 0.8, bad)
+
+
+@pytest.mark.parametrize("fov_x,entry,value,message", [
+    (math.nan, None, None, "fov_x must lie in (0, pi), got nan"),
+    (-0.5, None, None, "fov_x must lie in (0, pi), got -0.5"),
+    (0.8, (2, 1), math.inf, "non-finite c2w[2, 1] = inf"),
+    (0.8, (3, 0), 0.5, "c2w last row [0.5, 0.0, 0.0, 1.0] is not (0, 0, 0, 1)"),
+    (0.8, (1, 1), 3.0, "c2w rotation [[1.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 1.0]] "
+                       "is not orthonormal (|R R^T - I| reaches 8)"),
+], ids=["fov-nan", "fov-negative", "c2w-inf", "last-row", "rotation"])
+def test_camera_and_tensor_header_share_the_pose_rule(fov_x, entry, value, message):
+    c2w = np.eye(4)
+    if entry is not None:
+        c2w[entry] = value
+    with pytest.raises(ValueError) as info:
+        Camera(4, 4, fov_x, c2w)
+    assert str(info.value) == message
+    tensor = XRayTensor(np.zeros((1, 8, 4, 4), dtype=np.float32), fov_x, c2w)
+    with pytest.raises(XRayDataError) as info:
+        tensor.validate()
+    assert str(info.value) == message
 
 
 
@@ -110,10 +137,12 @@ def test_camera_rejects_non_finite_translation(row, value):
     assert str(info.value) == f"non-finite c2w[{row}, 3] = {value!r}"
 
 def test_look_at_degenerate_cases():
-    with pytest.raises(ValueError):
-        look_at([0, 0, 0], [0, 0, 0])
-    with pytest.raises(ValueError, match="up"):
-        look_at([0, 1, 0], [0, 0, 0], up=[0, 1, 0])
+    with pytest.raises(ValueError, match=r"position \[0\.0, 0\.0, 0\.0\] coincides with the origin"):
+        look_at([0, 0, 0])
+    with pytest.raises(ValueError, match=r"position \[0\.0, -2\.0, 0\.0\] lies on the y axis.* up"):
+        look_at([0, -2, 0])
+    with pytest.raises(ValueError, match="parallel to the up vector"):
+        camera_from_spherical(30.0, 90.0)
 
 
 @pytest.mark.parametrize("width,height", [(256, 256), (200, 320), (320, 200), (1000, 7)])

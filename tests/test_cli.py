@@ -220,6 +220,16 @@ def test_usage_errors_exit_2(tmp_path, cube_obj, argv):
     assert not out.exists()
 
 
+@pytest.fixture
+def no_input_reads(monkeypatch):
+    """Make the CLI's mesh and tensor readers fail the test if called."""
+    def no_read(*args, **kwargs):
+        raise AssertionError("read an input before checking the options")
+
+    for name in ("load_mesh", "read_xray"):
+        monkeypatch.setattr(cli_mod, name, no_read)
+
+
 @pytest.mark.parametrize("argv, message", [
     (("encode", "{mesh}", "{out}", "--layers", "0"),
      "argument --layers: must be at least 1, got 0"),
@@ -266,24 +276,42 @@ def test_usage_errors_exit_2(tmp_path, cube_obj, argv):
      "argument --seed: must be at least 0, got -1"),
     (("views", "{mesh}", "--out-dir", "{out}", "--seed", "-1"),
      "argument --seed: must be at least 0, got -1"),
+    (("encode", "{mesh}", "{missing}/o.xray"),
+     "argument out_path: must be in an existing directory, got {missing}/o.xray"),
+    (("decode", "{out}", "{missing}/r.obj"),
+     "argument out_path: must be in an existing directory, got {missing}/r.obj"),
+    (("eval", "{mesh}", "{mesh}", "--csv", "{missing}/e.csv"),
+     "argument --csv: must be in an existing directory, got {missing}/e.csv"),
+    (("sweep", "{dir}", "--out", "{missing}/s.csv"),
+     "argument --out: must be in an existing directory, got {missing}/s.csv"),
+    (("sweep", "{dir}", "--out", "{out}", "--plot", "{missing}/s.svg"),
+     "argument --plot: must be in an existing directory, got {missing}/s.svg"),
 ], ids=["encode-layers", "encode-fov-negative", "encode-fov-nan", "sweep-fov", "sweep-layers-list",
         "eval-threshold-negative", "eval-threshold-nan", "decode-camera-frame",
         "decode-poisson-res", "sweep-poisson-res", "eval-samples", "sweep-samples", "sweep-views",
         "sweep-res-list", "views-num", "views-width", "encode-height", "encode-distance",
         "encode-distance-inf", "encode-azimuth-nan", "encode-elevation-inf", "eval-seed",
-        "sweep-seed", "views-seed"])
+        "sweep-seed", "views-seed", "encode-out-dir", "decode-out-dir", "eval-csv-dir",
+        "sweep-out-dir", "sweep-plot-dir"])
 def test_usage_errors_name_the_bad_value_before_reading_files(
-    tmp_path, cube_obj, capsys, monkeypatch, argv, message
+    tmp_path, cube_obj, capsys, no_input_reads, argv, message
 ):
-    def no_read(*args, **kwargs):
-        raise AssertionError("read an input before checking the options")
-
-    for name in ("load_mesh", "read_xray"):
-        monkeypatch.setattr(cli_mod, name, no_read)
-    out = tmp_path / "out"
-    argv = [a.format(mesh=cube_obj, dir=cube_obj.parent, out=out) for a in argv]
+    fields = dict(mesh=cube_obj, dir=cube_obj.parent, out=tmp_path / "out",
+                  missing=tmp_path / "missing")
+    argv = [a.format(**fields) for a in argv]
     assert run_cli(*argv) == 2
-    assert message in capsys.readouterr().err
+    assert message.format(**fields) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("elevation", ["90", "-90"])
+def test_straight_up_or_down_view_fails_before_reading_the_mesh(
+    tmp_path, capsys, no_input_reads, elevation
+):
+    out = tmp_path / "top.xray"
+    assert run_cli("encode", tmp_path / "missing.obj", out, "--elevation", elevation) == 1
+    err = capsys.readouterr().err
+    assert "lies on the y axis, so the view direction is parallel to the up vector" in err
+    assert not out.exists()
 
 
 def test_range_and_type_errors_share_argparse_format(tmp_path, cube_obj, capsys):

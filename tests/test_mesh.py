@@ -126,20 +126,12 @@ def test_rigid_transform_validation():
         RigidTransform(reflection, np.zeros(3))
     with pytest.raises(ValueError, match="scale"):
         RigidTransform(np.eye(3), np.zeros(3), scale=0.0)
-
-
-def test_rigid_transform_inverse_round_trip(rng):
-    angle = 0.7
-    rot = np.array(
-        [
-            [np.cos(angle), -np.sin(angle), 0],
-            [np.sin(angle), np.cos(angle), 0],
-            [0, 0, 1],
-        ]
-    )
-    t = RigidTransform(rot, [0.3, -0.2, 1.0], 2.5)
-    pts = rng.normal(size=(50, 3))
-    np.testing.assert_allclose(t.inverse().apply(t.apply(pts)), pts, atol=1e-12)
+    # Determinant 1 and within np.allclose's default rtol, but a stretch.
+    stretch = np.diag([1.0 + 4e-6, 1.0 / (1.0 + 4e-6), 1.0])
+    with pytest.raises(ValueError, match=r"orthonormal \(\|R R\^T - I\| reaches 8e-06\)"):
+        RigidTransform(stretch, np.zeros(3))
+    with pytest.raises(ValueError, match="orthonormal .* nan"):
+        RigidTransform(np.full((3, 3), np.nan), np.zeros(3))
 
 
 def test_fixtures_wound_outward():

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -92,9 +93,12 @@ def _flat_rays(camera):
 def _pinhole_grids():
     """Flattened ray grids of a sampled view, of a camera inside the cube,
     sphere and torus (in the torus's tube), and of a non-square frame."""
+    # At (0.3, 0.02, 0.01), facing along (0, -0.42, 0.89) with +y up.
+    c, s = np.array([0.89, 0.42]) / math.hypot(0.89, 0.42)
+    straddle = np.array([[-1.0, 0, 0, 0.3], [0, c, s, 0.02], [0, s, -c, 0.01], [0, 0, 0, 1]])
     cameras = [
         sample_views(7, 1, width=24, height=24)[0],
-        Camera(20, 20, 2.6, look_at((0.3, 0.02, 0.01), target=(0.3, -0.4, 0.9))),
+        Camera(20, 20, 2.6, straddle),
         Camera(37, 11, 1.1, look_at((0.5, 1.3, 0.8))),
     ]
     return [_flat_rays(camera) for camera in cameras]
