@@ -15,7 +15,6 @@ from .camera import (
     generate_rays,
     look_at,
     sample_view_angles,
-    sample_views,
 )
 from .codec import (
     PointCloud,
@@ -83,8 +82,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Camera", "camera_from_spherical", "generate_rays",
-    "look_at", "sample_view_angles", "sample_views", "DEFAULT_FOV_X",
-    "DEFAULT_DISTANCE",
+    "look_at", "sample_view_angles", "DEFAULT_FOV_X", "DEFAULT_DISTANCE",
     "PointCloud", "XRayTensor", "XRayDataError", "XRayFormatError",
     "encode", "decode_to_pointcloud", "pad_or_truncate", "read_xray",
     "write_xray", "storage_ratio",

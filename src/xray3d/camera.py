@@ -154,19 +154,3 @@ def sample_view_angles(seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     elevations = rng.uniform(0.0, 45.0, size=n)
     return azimuths, elevations
 
-
-def sample_views(
-    seed: int,
-    n: int,
-    width: int = 256,
-    height: int = 256,
-    fov_x: float | None = None,
-) -> list[Camera]:
-    """Draw n deterministic random views around the origin at
-    DEFAULT_DISTANCE, looking at the origin with up = +y (default field
-    of view as in camera_from_spherical)."""
-    azimuths, elevations = sample_view_angles(seed, n)
-    return [
-        camera_from_spherical(az, el, DEFAULT_DISTANCE, width, height, fov_x)
-        for az, el in zip(azimuths, elevations)
-    ]

@@ -28,8 +28,8 @@ from .codec import (
 )
 from .mesh import normalize_mesh
 from .meshio import load_mesh, save_mesh, save_pointcloud_ply
-from .metrics import evaluate_pair
-from .poisson import MAX_RESOLUTION, reconstruct
+from .metrics import DEFAULT_SAMPLES, DEFAULT_THRESHOLD, evaluate_pair
+from .poisson import DEFAULT_RESOLUTION, MAX_RESOLUTION, reconstruct
 from .raycast import build_bvh
 from .sweep import plot_sweep_svg, rows_to_csv, run_sweep
 
@@ -101,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="decode a .xray tensor to points or a mesh")
     p.add_argument("xray_path")
     p.add_argument("out_path", type=_out_path)
-    p.add_argument("--poisson-res", type=_ranged(int, 2, MAX_RESOLUTION), default=128)
+    p.add_argument("--poisson-res", type=_ranged(int, 2, MAX_RESOLUTION),
+                   default=DEFAULT_RESOLUTION)
     p.add_argument("--screening", type=float, default=0.0,
                    help="removed; only 0, the unscreened solve, is accepted")
     p.add_argument("--trim", type=float, default=0.0,
@@ -114,8 +115,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="chamfer/f-score between two meshes")
     p.add_argument("pred_path")
     p.add_argument("gt_path")
-    p.add_argument("--samples", type=_ranged(int, 1), default=16384)
-    p.add_argument("--threshold", type=_ranged(float, 0, open_range=True), default=0.1)
+    p.add_argument("--samples", type=_ranged(int, 1), default=DEFAULT_SAMPLES)
+    p.add_argument("--threshold", type=_ranged(float, 0, open_range=True),
+                   default=DEFAULT_THRESHOLD)
     p.add_argument("--seed", type=_ranged(int, 0), default=0)
     p.add_argument("--csv", type=_out_path, help="append one CSV row to this file")
     p.set_defaults(func=cmd_eval)
@@ -128,8 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--views", type=_ranged(int, 1), default=2)
     p.add_argument("--seed", type=_ranged(int, 0), default=0)
     p.add_argument("--poisson-res", type=_ranged(int, 2, MAX_RESOLUTION), default=64)
-    p.add_argument("--samples", type=_ranged(int, 1), default=16384)
-    p.add_argument("--threshold", type=_ranged(float, 0, open_range=True), default=0.1)
+    p.add_argument("--samples", type=_ranged(int, 1), default=DEFAULT_SAMPLES)
+    p.add_argument("--threshold", type=_ranged(float, 0, open_range=True),
+                   default=DEFAULT_THRESHOLD)
     p.add_argument("--fov", type=_ranged(float, 0, math.pi, open_range=True), default=DEFAULT_FOV_X,
                    help="horizontal fov, radians")
     p.add_argument("--plot", type=_out_path, help="also write an SVG line chart here")
@@ -174,8 +177,7 @@ def cmd_encode(args) -> int:
     mesh, _ = normalize_mesh(load_mesh(args.mesh_path))
     tensor = encode(mesh, camera, args.layers)
     write_xray(tensor, args.out_path)
-    occ = tensor.hit_mask().sum(axis=(1, 2))
-    used = int(np.max(np.nonzero(occ)[0])) + 1 if occ.any() else 0
+    used = np.count_nonzero(tensor.layer_occupancy())  # hits are prefix-dense
     print(f"wrote {args.out_path}: L={tensor.layers} H={tensor.height} W={tensor.width}")
     print(f"total hits: {tensor.total_hits()}, deepest layer used: {used}")
     _print_occupancy(tensor)

@@ -34,6 +34,12 @@ _CHANNEL_NAMES = ("hit", "depth", "normal", "normal", "normal", "color", "color"
 _POSE_TOL = 1e-6
 
 
+def _place(flags: np.ndarray, k: int = 0) -> str:
+    """Where the k-th set entry of an (L, H, W) flag array lies."""
+    layer, row, col = np.argwhere(flags)[k]
+    return f"at layer {layer}, pixel ({row}, {col})"
+
+
 class XRayFormatError(ValueError):
     """Malformed `.xray` file (bad magic, version, or payload size)."""
 
@@ -63,7 +69,12 @@ class PointCloud:
         if len(nrm):
             lengths = np.linalg.norm(nrm, axis=1)
             if np.abs(lengths - 1.0).max() > 1e-3:
-                raise ValueError("normals must be unit length (within 1e-3)")
+                i = np.argmax(np.abs(lengths - 1.0) > 1e-3)
+                raise ValueError(f"normals must be unit length (within 1e-3), "
+                                 f"got length {lengths[i]!s} at point {i}")
+        if len(col) and (col.min() < 0 or col.max() > 1):
+            i, k = np.argwhere((col < 0) | (col > 1))[0]
+            raise ValueError(f"colors must lie in [0, 1], got {col[i, k]!s} at point {i}")
         object.__setattr__(self, "positions", _frozen(pos))
         object.__setattr__(self, "normals", _frozen(nrm))
         object.__setattr__(self, "colors", _frozen(col))
@@ -139,25 +150,42 @@ class XRayTensor:
         return self.data[:, CH_HIT] > 0.5
 
     def validate(self) -> None:
-        """Check every tensor invariant; raises XRayDataError on violation."""
+        """Check every tensor invariant; raises XRayDataError naming the
+        first violating entry's layer, pixel and value. Each check is one
+        whole-array test; the entry is looked up only once a test fails."""
         mask = self._checked_hit_mask()
-        if self.layers > 1 and np.any(~mask[:-1] & mask[1:]):
-            raise XRayDataError("hit flags are not prefix-dense along layers")
+        gap = ~mask[:-1] & mask[1:]
+        if gap.any():
+            raise XRayDataError(f"hit flags are not prefix-dense: no hit {_place(gap)}, "
+                                "but a hit at the next layer")
         unhit = ~mask
-        if any(np.any((self.data[:, ch] != 0) & unhit) for ch in range(8)):
-            raise XRayDataError("non-zero channels at unhit layers")
+        for ch in range(8):
+            stray = (self.data[:, ch] != 0) & unhit
+            if stray.any():
+                value = self.data[:, ch][stray][0]
+                raise XRayDataError(f"non-zero {_CHANNEL_NAMES[ch]} {value!s} {_place(stray)}, "
+                                    "which is unhit")
         hits = self.data.transpose(0, 2, 3, 1)[mask]  # one 8-float record per hit
-        if np.any(hits[:, CH_DEPTH] <= 0):
-            raise XRayDataError("non-positive depth at a hit")
+        bad = hits[:, CH_DEPTH] <= 0
+        if bad.any():
+            i = np.argmax(bad)
+            raise XRayDataError(f"non-positive depth {hits[i, CH_DEPTH]!s} {_place(mask, i)}")
         depth = self.data[:, CH_DEPTH]
         both = mask[:-1] & mask[1:]
         if np.any(depth[1:][both] <= depth[:-1][both]):
-            raise XRayDataError("depths do not strictly increase with layer")
-        if len(hits) and np.abs(np.linalg.norm(hits[:, CH_NORMAL], axis=1) - 1.0).max() > 1e-3:
-            raise XRayDataError("hit normals are not unit length")
+            layer, row, col = np.argwhere(both & (depth[1:] <= depth[:-1]))[0]
+            near, far = depth[layer:layer + 2, row, col]
+            raise XRayDataError(f"depths do not strictly increase: {far!s} at layer {layer + 1} "
+                                f"after {near!s} at layer {layer}, pixel ({row}, {col})")
+        lengths = np.linalg.norm(hits[:, CH_NORMAL], axis=1)
+        if len(hits) and np.abs(lengths - 1.0).max() > 1e-3:
+            i = np.argmax(np.abs(lengths - 1.0) > 1e-3)
+            raise XRayDataError(f"hit normal of length {lengths[i]!s} is not unit length "
+                                f"(within 1e-3) {_place(mask, i)}")
         colors = hits[:, CH_COLOR]
         if len(colors) and (colors.min() < 0 or colors.max() > 1):
-            raise XRayDataError("hit colors outside [0, 1]")
+            i, k = np.argwhere((colors < 0) | (colors > 1))[0]
+            raise XRayDataError(f"color {colors[i, k]!s} outside [0, 1] {_place(mask, i)}")
 
     def total_hits(self) -> int:
         return int(self.hit_mask().sum())
@@ -229,7 +257,7 @@ def decode_to_pointcloud(x: XRayTensor, frame: str = "camera") -> PointCloud:
     layer and pixel, as does a hit whose normal is zero; a hit value
     other than 0/1 raises XRayDataError naming the value; a header
     camera that is not a valid pinhole pose raises XRayDataError naming
-    the field and its value.
+    the field and its value. PointCloud rejects a color outside [0, 1].
     """
     if frame not in ("camera", "world"):
         raise ValueError(f"unknown frame {frame!r}")

@@ -28,8 +28,10 @@ class NoiseSchedule:
         alphas = np.asarray(self.alphas, dtype=np.float64).reshape(-1)
         if alphas.size == 0:
             raise ValueError("schedule needs at least one step")
-        if np.any(alphas <= 0) or np.any(alphas > 1):
-            raise ValueError("every alpha must lie in (0, 1]")
+        bad = ~((alphas > 0) & (alphas <= 1))  # also nan
+        if bad.any():
+            t = np.argmax(bad) + 1
+            raise ValueError(f"every alpha must lie in (0, 1], got alpha_{t} = {alphas[t - 1]!s}")
         alphas = np.ascontiguousarray(alphas)
         alphas.setflags(write=False)
         object.__setattr__(self, "alphas", alphas)

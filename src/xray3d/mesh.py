@@ -27,8 +27,9 @@ class RigidTransform:
         error = np.abs(rot @ rot.T - np.eye(3)).max()
         if not error <= 1e-9:  # also rejects nan
             raise ValueError(f"rotation block is not orthonormal (|R R^T - I| reaches {error:.3g})")
-        if abs(np.linalg.det(rot) - 1.0) > 1e-9:
-            raise ValueError("rotation determinant must be +1")
+        det = np.linalg.det(rot)
+        if abs(det - 1.0) > 1e-9:
+            raise ValueError(f"rotation determinant must be +1, got {det:.6g}")
         if not self.scale > 0:
             raise ValueError("scale must be positive")
 
@@ -77,7 +78,8 @@ class TriangleMesh:
 
     def validate(self) -> None:
         if not np.all(np.isfinite(self.vertices)):
-            raise MeshError("non-finite vertex coordinates")
+            i, k = np.argwhere(~np.isfinite(self.vertices))[0]
+            raise MeshError(f"non-finite vertex coordinate {self.vertices[i, k]!s} at vertex {i}")
         if self.faces.size:
             if self.faces.min() < 0 or self.faces.max() >= len(self.vertices):
                 raise MeshError(
@@ -85,14 +87,18 @@ class TriangleMesh:
                     f"{len(self.vertices)} vertices)"
                 )
             f = self.faces
-            if np.any((f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 0] == f[:, 2])):
-                raise MeshError("degenerate face with repeated vertex index")
+            repeated = (f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 0] == f[:, 2])
+            if repeated.any():
+                i = np.argmax(repeated)
+                raise MeshError(f"degenerate face {i} with repeated vertex index {f[i].tolist()}")
         colors = self.vertex_colors
         if colors is not None:
             if len(colors) != len(self.vertices):
                 raise MeshError("vertex_colors length does not match vertex count")
             if colors.size and (colors.min() < -1e-9 or colors.max() > 1 + 1e-9):
-                raise MeshError("vertex colors must lie in [0, 1]")
+                i, k = np.argwhere((colors < -1e-9) | (colors > 1 + 1e-9))[0]
+                raise MeshError(f"vertex colors must lie in [0, 1], got {colors[i, k]!s} "
+                                f"at vertex {i}")
 
     @property
     def n_vertices(self) -> int:

@@ -67,17 +67,11 @@ class MetricReport:
     icp_iterations: int | None = None
     icp_converged: bool | None = None
 
-    def __str__(self) -> str:
-        return (
-            f"chamfer={self.chamfer:.6f} f_score@{self.threshold:g}={self.f_score:.4f} "
-            f"(precision={self.precision:.4f}, recall={self.recall:.4f})"
-        )
-
 
 @dataclass(frozen=True)
 class IcpResult:
     transform: RigidTransform
-    rmse: float
+    # Each pass's RMSE; when converged, the last is that at `transform`.
     rmse_history: np.ndarray = field(repr=False)
     # Whether the last pass met the tolerance, rather than the pass cap
     # ending the run.
@@ -85,7 +79,7 @@ class IcpResult:
     # When converged, each transformed source point's distance to its
     # nearest target, as the last pass measured them at `transform`. None
     # after the cap: the transform moved after its last query.
-    distances: np.ndarray | None = field(default=None, repr=False)
+    distances: np.ndarray | None = field(repr=False)
 
 
 def sample_surface(mesh: TriangleMesh, n: int, seed: int = 0) -> PointCloud:
@@ -119,8 +113,6 @@ def sample_surface(mesh: TriangleMesh, n: int, seed: int = 0) -> PointCloud:
 
 
 def _positions(obj) -> np.ndarray:
-    if isinstance(obj, PointCloud):
-        return obj.positions
     if isinstance(obj, NearestNeighborIndex):
         return obj.points
     return np.asarray(obj, dtype=np.float64).reshape(-1, 3)
@@ -263,8 +255,7 @@ def icp_align(src, dst) -> IcpResult:
         if converged:
             break
         transform = _kabsch(src, matched)
-    return IcpResult(transform, rmse, np.asarray(history), converged,
-                     dists if converged else None)
+    return IcpResult(transform, np.asarray(history), converged, dists if converged else None)
 
 
 def evaluate_pair(

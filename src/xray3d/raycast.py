@@ -67,10 +67,6 @@ class HitBatch:
     bary_v: np.ndarray
     layer: np.ndarray  # (n,) int64 rank along the ray: 0 for the nearest hit
 
-    def offsets(self, n_rays: int) -> np.ndarray:
-        """Prefix offsets: hits of ray r occupy [offsets[r], offsets[r+1])."""
-        return np.searchsorted(self.ray, np.arange(n_rays + 1))
-
 
 class BvhAccel:
     """Complete median-split BVH in heap order. Immutable; share freely.

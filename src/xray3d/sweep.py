@@ -47,7 +47,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import metrics
-from .camera import DEFAULT_FOV_X, sample_views
+from .camera import DEFAULT_FOV_X, camera_from_spherical, sample_view_angles
 from .codec import decode_to_pointcloud, encode, pad_or_truncate
 from .mesh import TriangleMesh, normalize_mesh
 # Not called here: bound while the benchmark's tracer wraps sweep.evaluate_pair by name.
@@ -181,8 +181,8 @@ def run_sweep(
     poisson_res: int = 64,
     screening: float = 0.0,
     trim: float = 0.0,
-    n_samples: int = 16384,
-    threshold: float = 0.1,
+    n_samples: int = metrics.DEFAULT_SAMPLES,
+    threshold: float = metrics.DEFAULT_THRESHOLD,
     fov_x: float = DEFAULT_FOV_X,
     max_workers: int | None = None,
 ) -> list[SweepRow]:
@@ -214,9 +214,11 @@ def run_sweep(
     if res_list[0] < 2:
         raise ValueError(f"resolutions must be at least 2, got {res_list[0]}")
     max_layers = layers_list[-1]
-    # Built first: the cameras check views and fov_x.
+    # Built first, as `xray3d views` builds them: the cameras check views and fov_x.
+    angles = list(zip(*sample_view_angles(seed, views)))
     cameras = {
-        res: sample_views(seed, views, width=res, height=res, fov_x=fov_x)
+        res: [camera_from_spherical(az, el, width=res, height=res, fov_x=fov_x)
+              for az, el in angles]
         for res in res_list
     }
 
@@ -243,7 +245,7 @@ def run_sweep(
             t0 = time.perf_counter()
             recon, _ = reconstruct(cloud, poisson_res)
             recon_ms = (time.perf_counter() - t0) * 1000.0
-            samples = metrics.sample_surface(recon, n_samples, seed)
+            samples = metrics.sample_surface(recon, n_samples, seed).positions
             report = metrics.chamfer_f_score(references[name].result(), samples, threshold)
             return SweepRow(name, view, layers, res, report.chamfer, report.f_score,
                             encode_ms, decode_ms, recon_ms)
@@ -265,7 +267,7 @@ def run_sweep(
             ]
         # Layers past the deepest hit are empty, so every cell at or above
         # it decodes the same cloud: compute once per distinct depth.
-        used = max(1, int(full.hit_mask().any(axis=(1, 2)).sum()))
+        used = max(1, np.count_nonzero(full.layer_occupancy()))
         cells, rows = {}, []
         for layers in layers_list:
             depth = min(layers, used)

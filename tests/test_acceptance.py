@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import box_surface_distance, closed_two_manifold, euler_characteristic
-from xray3d.camera import camera_from_spherical, sample_views
+from xray3d.camera import camera_from_spherical
 from xray3d.codec import (
     PointCloud,
     decode_to_pointcloud,

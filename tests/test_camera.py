@@ -10,13 +10,18 @@ from xray3d.camera import (
     generate_rays,
     look_at,
     sample_view_angles,
-    sample_views,
 )
 from xray3d.codec import XRayDataError, XRayTensor
 
 
 def _identity_camera(width, height, fov_x):
     return Camera(width, height, fov_x, np.eye(4))
+
+
+def _sampled_views(seed, n, width=256, height=256):
+    """n sampled views, built as `xray3d views` and the sweep build them."""
+    return [camera_from_spherical(az, el, width=width, height=height)
+            for az, el in zip(*sample_view_angles(seed, n))]
 
 
 def test_corner_pixel_direction_formula():
@@ -53,16 +58,16 @@ def test_directions_unit_length(size):
 
 
 def test_sample_views_deterministic():
-    a = sample_views(7, 8)
-    b = sample_views(7, 8)
+    a = _sampled_views(7, 8)
+    b = _sampled_views(7, 8)
     for ca, cb in zip(a, b):
         np.testing.assert_array_equal(ca.c2w, cb.c2w)
-    c = sample_views(8, 8)
+    c = _sampled_views(8, 8)
     assert any(not np.array_equal(ca.c2w, cc.c2w) for ca, cc in zip(a, c))
 
 
 def test_sample_views_distance_and_ranges():
-    cams = sample_views(3, 16)
+    cams = _sampled_views(3, 16)
     for cam in cams:
         assert np.linalg.norm(cam.position) == pytest.approx(1.2, abs=1e-9)
     az, el = sample_view_angles(3, 16)
@@ -79,7 +84,7 @@ def test_front_view_anchor_case():
 
 
 def test_sampled_views_central_ray_hits_origin():
-    for cam in sample_views(11, 6):
+    for cam in _sampled_views(11, 6):
         o = cam.position
         d = generate_rays(cam)[128, 128]
         # distance from the origin to the central ray line
@@ -153,4 +158,4 @@ def test_default_fov_spans_the_shorter_axis(width, height):
     # Half-extent of the shorter axis over the focal length, in pixels.
     half_tan = 0.5 * min(width, height) / camera.fx
     assert half_tan == pytest.approx(math.tan(0.5 * DEFAULT_FOV_X), rel=1e-12)
-    assert all(v.fov_x == camera.fov_x for v in sample_views(0, 2, width, height))
+    assert all(v.fov_x == camera.fov_x for v in _sampled_views(0, 2, width, height))

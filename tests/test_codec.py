@@ -384,11 +384,65 @@ def test_validate_catches_violations():
             XRayTensor(bad, x.fov_x, x.c2w).validate()
 
 
+def _every_pixel_hit_twice():
+    """A valid 2 x 8 x 3 x 4 tensor: every pixel hit at depths 0.5 and
+    0.9 with normal +z and grey color."""
+    data = np.zeros((2, 8, 3, 4), dtype=np.float32)
+    data[:, 0] = 1.0
+    data[0, 1], data[1, 1] = 0.5, 0.9
+    data[:, 4] = 1.0
+    data[:, 5:8] = 0.5
+    return data
+
+
+EVERY_CHANNEL = slice(None)
+
+
+@pytest.mark.parametrize("edits,message", [
+    ([((0, EVERY_CHANNEL, 1, 2), 0.0)],
+     "hit flags are not prefix-dense: no hit at layer 0, pixel (1, 2), but a hit at the next layer"),
+    ([((1, EVERY_CHANNEL, 2, 3), 0.0), ((1, 6, 2, 3), 0.25)],
+     "non-zero color 0.25 at layer 1, pixel (2, 3), which is unhit"),
+    ([((0, 1, 0, 1), -0.5)], "non-positive depth -0.5 at layer 0, pixel (0, 1)"),
+    ([((1, 1, 2, 0), 0.25)],
+     "depths do not strictly increase: 0.25 at layer 1 after 0.5 at layer 0, pixel (2, 0)"),
+    ([((1, 4, 0, 3), 2.0)],
+     "hit normal of length 2.0 is not unit length (within 1e-3) at layer 1, pixel (0, 3)"),
+    ([((0, 7, 0, 0), 1.5)], "color 1.5 outside [0, 1] at layer 0, pixel (0, 0)"),
+], ids=["prefix", "unhit", "depth", "order", "normal", "color"])
+def test_validate_names_the_entry_and_value(edits, message):
+    data = _every_pixel_hit_twice()
+    XRayTensor(data.copy(), 0.8, np.eye(4)).validate()
+    for index, value in edits:
+        data[index] = value
+    with pytest.raises(XRayDataError) as info:
+        XRayTensor(data, 0.8, np.eye(4)).validate()
+    assert str(info.value) == message
+
+
+def test_decode_rejects_a_color_outside_the_unit_range():
+    data = _every_pixel_hit_twice()
+    data[1, 5, 2, 1] = 1.5
+    # Points follow (layer, row, col) order: 12 pixels per layer, 4 per row.
+    with pytest.raises(ValueError) as info:
+        decode_to_pointcloud(XRayTensor(data, 0.8, np.eye(4)))
+    assert str(info.value) == f"colors must lie in [0, 1], got 1.5 at point {12 + 2 * 4 + 1}"
+
+
 def test_pointcloud_validation():
     with pytest.raises(ValueError, match="equal length"):
         PointCloud(np.zeros((2, 3)), np.zeros((1, 3)), np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="unit"):
-        PointCloud(np.zeros((1, 3)), np.array([[0.5, 0, 0]]), np.zeros((1, 3)))
+    with pytest.raises(ValueError) as info:
+        PointCloud(np.zeros((2, 3)), np.array([[0, 0, 1.0], [0.5, 0, 0]]), np.zeros((2, 3)))
+    assert str(info.value) == "normals must be unit length (within 1e-3), got length 0.5 at point 1"
+    normals = np.tile([0.0, 0.0, 1.0], (3, 1))
+    for value in (1.5, -0.25):
+        colors = np.full((3, 3), 0.5)
+        colors[2, 1] = value
+        with pytest.raises(ValueError) as info:
+            PointCloud(np.zeros((3, 3)), normals, colors)
+        assert str(info.value) == f"colors must lie in [0, 1], got {value} at point 2"
+    PointCloud(np.zeros((2, 3)), normals[:2], [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
 
 
 @pytest.mark.parametrize("channel,name", [(1, "depth"), (2, "normal"), (6, "color")])

@@ -32,6 +32,10 @@ def test_schedule_validation():
         NoiseSchedule([0.5, 0.0])
     with pytest.raises(ValueError):
         NoiseSchedule([1.1])
+    for bad in (0.0, 1.5, math.nan):
+        with pytest.raises(ValueError) as info:
+            NoiseSchedule([0.9, 0.8, bad])
+        assert str(info.value) == f"every alpha must lie in (0, 1], got alpha_3 = {bad}"
     sched = NoiseSchedule([0.9, 0.8, 1.0])
     assert sched.steps == 3
     with pytest.raises(ValueError):

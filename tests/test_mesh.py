@@ -23,6 +23,26 @@ def test_repeated_index_face_rejected():
         TriangleMesh(np.eye(3), [[0, 1, 1]])
 
 
+def _with(array, index, value):
+    array = np.array(array, dtype=np.float64)
+    array[index] = value
+    return array
+
+
+@pytest.mark.parametrize("faces,vertices,colors,message", [
+    ([[0, 1, 2], [2, 0, 2]], np.eye(3), None,
+     "degenerate face 1 with repeated vertex index [2, 0, 2]"),
+    ([[0, 1, 2]], _with(np.eye(3), (2, 1), np.inf), None,
+     "non-finite vertex coordinate inf at vertex 2"),
+    ([[0, 1, 2]], np.eye(3), _with(np.full((3, 3), 0.5), (1, 2), 1.25),
+     "vertex colors must lie in [0, 1], got 1.25 at vertex 1"),
+], ids=["repeated-index", "non-finite", "color"])
+def test_mesh_errors_name_the_entry_and_value(faces, vertices, colors, message):
+    with pytest.raises(MeshError) as info:
+        TriangleMesh(vertices, faces, colors)
+    assert str(info.value) == message
+
+
 def test_color_length_mismatch_rejected():
     with pytest.raises(MeshError):
         TriangleMesh(np.eye(3), [[0, 1, 2]], vertex_colors=np.zeros((2, 3)))
@@ -122,8 +142,9 @@ def test_rigid_transform_validation():
     with pytest.raises(ValueError, match="orthonormal"):
         RigidTransform(np.ones((3, 3)), np.zeros(3))
     reflection = np.diag([1.0, 1.0, -1.0])
-    with pytest.raises(ValueError, match="determinant"):
+    with pytest.raises(ValueError) as info:
         RigidTransform(reflection, np.zeros(3))
+    assert str(info.value) == "rotation determinant must be +1, got -1"
     with pytest.raises(ValueError, match="scale"):
         RigidTransform(np.eye(3), np.zeros(3), scale=0.0)
     # Determinant 1 and within np.allclose's default rtol, but a stretch.

@@ -184,7 +184,7 @@ def test_icp_identity():
     rng = np.random.default_rng(1)
     pts = rng.uniform(-0.5, 0.5, size=(200, 3))
     result = icp_align(pts, pts.copy())
-    assert result.rmse == pytest.approx(0.0, abs=1e-12)
+    assert result.rmse_history[-1] == pytest.approx(0.0, abs=1e-12)
     np.testing.assert_allclose(result.transform.rotation, np.eye(3), atol=1e-12)
     np.testing.assert_allclose(result.transform.translation, 0.0, atol=1e-12)
 
@@ -199,7 +199,7 @@ def test_icp_recovers_synthetic_transform():
     angle_err = np.arccos(np.clip((np.trace(got.rotation @ rot.T) - 1) / 2, -1, 1))
     assert angle_err < 1e-3
     np.testing.assert_allclose(got.translation, [0.05, 0, 0], atol=1e-4)
-    assert result.rmse < 1e-6
+    assert result.rmse_history[-1] < 1e-6
 
 
 def test_icp_rmse_non_increasing():

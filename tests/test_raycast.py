@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from xray3d import raycast
-from xray3d.camera import Camera, camera_from_spherical, generate_rays, look_at, sample_views
+from xray3d.camera import Camera, camera_from_spherical, generate_rays, look_at, sample_view_angles
 from xray3d.fixtures import cube
 from xray3d.mesh import MeshError, TriangleMesh, normalize_mesh, surface_attributes
 from xray3d.raycast import EPS_DUP, EPS_MIN, build_bvh, cast_rays
@@ -96,8 +96,9 @@ def _pinhole_grids():
     # At (0.3, 0.02, 0.01), facing along (0, -0.42, 0.89) with +y up.
     c, s = np.array([0.89, 0.42]) / math.hypot(0.89, 0.42)
     straddle = np.array([[-1.0, 0, 0, 0.3], [0, c, s, 0.02], [0, s, -c, 0.01], [0, 0, 0, 1]])
+    (azimuth,), (elevation,) = sample_view_angles(7, 1)
     cameras = [
-        sample_views(7, 1, width=24, height=24)[0],
+        camera_from_spherical(azimuth, elevation, width=24, height=24),
         Camera(20, 20, 2.6, straddle),
         Camera(37, 11, 1.1, look_at((0.5, 1.3, 0.8))),
     ]
@@ -125,7 +126,7 @@ def test_bvh_equals_brute_force(
     for origins, directions in [(origins, directions), *_pinhole_grids()]:
         n = len(origins)
         batch = cast_rays(accel, origins, directions, EVERY_HIT)
-        offsets = batch.offsets(n)
+        offsets = np.searchsorted(batch.ray, np.arange(n + 1))
         for i in range(n):
             got = [
                 (batch.depth[k], batch.face[k]) for k in range(offsets[i], offsets[i + 1])
@@ -160,7 +161,7 @@ def test_even_parity_from_outside(fixture, rng, cube_mesh, sphere_mesh):
     directions = targets - origins
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     batch = cast_rays(accel, origins, directions, EVERY_HIT)
-    offsets = batch.offsets(n)
+    offsets = np.searchsorted(batch.ray, np.arange(n + 1))
     checked = 0
     for i in range(n):
         sel = slice(offsets[i], offsets[i + 1])
@@ -327,7 +328,7 @@ def test_cast_across_chunks_matches_one_chunk(
 
     monkeypatch.setattr(raycast, "_RAY_CHUNK", n + 1)
     every = cast_rays(accel, origins, directions, EVERY_HIT)
-    offsets = every.offsets(n)
+    offsets = np.searchsorted(every.ray, np.arange(n + 1))
     assert np.setdiff1d(every.ray, stack_rays).size > n // 10
     for i in stack_rays:
         depth = every.depth[offsets[i]:offsets[i + 1]]

@@ -9,7 +9,7 @@ import pytest
 
 import xray3d.metrics as metrics_mod
 import xray3d.sweep as sweep_mod
-from xray3d.camera import DEFAULT_FOV_X, sample_views
+from xray3d.camera import DEFAULT_FOV_X, camera_from_spherical, sample_view_angles
 from xray3d.codec import decode_to_pointcloud, encode
 from xray3d.fixtures import cube, icosphere
 from xray3d.mesh import TriangleMesh, normalize_mesh
@@ -114,7 +114,9 @@ def score_by_hand(mesh, layers, res, view=0, views=1, seed=0, poisson_res=32, n_
     sweep runs: (reference samples, reconstruction samples, report)."""
     with sweep_mod._one_blas_thread():
         mesh = normalize_mesh(mesh)[0]
-        camera = sample_views(seed, views, width=res, height=res, fov_x=DEFAULT_FOV_X)[view]
+        azimuths, elevations = sample_view_angles(seed, views)
+        camera = camera_from_spherical(azimuths[view], elevations[view], width=res, height=res,
+                                       fov_x=DEFAULT_FOV_X)
         cloud = decode_to_pointcloud(encode(mesh, camera, layers), frame="world")
         recon, _ = reconstruct(cloud, poisson_res)
     ref = sample_surface(mesh, n_samples, seed).positions
