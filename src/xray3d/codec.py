@@ -40,6 +40,16 @@ def _place(flags: np.ndarray, k: int = 0) -> str:
     return f"at layer {layer}, pixel ({row}, {col})"
 
 
+def _bad_value(channel: int, value, where: str) -> str:
+    """Message for a bad value at `where`: non-finite, a hit value other
+    than 0 or 1, or else a non-zero value in an unhit slot."""
+    if not np.isfinite(value):
+        return f"non-finite {_CHANNEL_NAMES[channel]} {where}"
+    if channel == CH_HIT:
+        return f"corrupt hit channel (value {value!s} is neither 0 nor 1) {where}"
+    return f"non-zero {_CHANNEL_NAMES[channel]} {value!s} {where}, which is unhit"
+
+
 class XRayFormatError(ValueError):
     """Malformed `.xray` file (bad magic, version, or payload size)."""
 
@@ -121,71 +131,68 @@ class XRayTensor:
         c2w = self.c2w.astype(np.float64)
         # The stored pose is float32-quantized; project the rotation back
         # onto the nearest orthonormal matrix before ray generation. Only
-        # rounding is repaired here: _checked_hit_mask rejects anything larger.
+        # rounding is repaired here: _hit_records rejects anything larger.
         u, _, vt = np.linalg.svd(c2w[:3, :3])
         c2w[:3, :3] = u @ vt
         return Camera(self.width, self.height, self.fov_x, c2w)
 
-    def _checked_hit_mask(self) -> np.ndarray:
-        """Return the hit mask once the header camera is a valid pinhole pose
-        (Camera's rule, at the float32 tolerance _POSE_TOL), every value is
-        finite and every hit value is 0 or 1; otherwise raise XRayDataError
-        naming the field or entry and its value."""
+    def _hit_records(self) -> tuple[np.ndarray, np.ndarray]:
+        """Check the codec contract, all but unit normals; return the hit mask
+        and one 8-float record per hit in (layer, row, col) order. Contract: a
+        pinhole header pose (Camera's rule at the float32 tolerance _POSE_TOL),
+        zero unhit slots, finite hit records with hit value 1, prefix-dense hits,
+        positive and strictly increasing depths, colours in [0, 1]. XRayDataError
+        names the field, or the first bad entry's layer, pixel and value."""
         error = _pose_error(self.fov_x, self.c2w.astype(np.float64), _POSE_TOL)
         if error:
             raise XRayDataError(error)
-        if not np.isfinite(self.data).all():
-            layer, channel, row, col = np.argwhere(~np.isfinite(self.data))[0]
-            raise XRayDataError(
-                f"non-finite {_CHANNEL_NAMES[channel]} at layer {layer}, pixel ({row}, {col})"
-            )
-        hit = self.data[:, CH_HIT]
-        ok = (np.abs(hit) <= 1e-6) | (np.abs(hit - 1.0) <= 1e-6)
-        if not np.all(ok):
-            bad = hit[~ok].flat[0]
-            raise XRayDataError(f"corrupt hit channel (value {bad!s} is neither 0 nor 1)")
-        return hit > 0.5
-
-    def hit_mask(self) -> np.ndarray:
-        return self.data[:, CH_HIT] > 0.5
-
-    def validate(self) -> None:
-        """Check every tensor invariant; raises XRayDataError naming the
-        first violating entry's layer, pixel and value. Each check is one
-        whole-array test; the entry is looked up only once a test fails."""
-        mask = self._checked_hit_mask()
+        mask = self.hit_mask()
+        unhit = ~mask
+        for ch in range(8):  # NaN != 0, so this also finds a non-finite unhit value
+            stray = (self.data[:, ch] != 0) & unhit
+            if stray.any():
+                raise XRayDataError(_bad_value(ch, self.data[:, ch][stray][0], _place(stray)))
+        hits = self.data.transpose(0, 2, 3, 1)[mask]
+        bad = ~np.isfinite(hits)
+        bad[:, CH_HIT] = np.abs(hits[:, CH_HIT] - 1.0) > 1e-6  # true for +inf too
+        if bad.any():
+            i, ch = np.argwhere(bad)[0]
+            raise XRayDataError(_bad_value(ch, hits[i, ch], _place(mask, i)))
         gap = ~mask[:-1] & mask[1:]
         if gap.any():
             raise XRayDataError(f"hit flags are not prefix-dense: no hit {_place(gap)}, "
                                 "but a hit at the next layer")
-        unhit = ~mask
-        for ch in range(8):
-            stray = (self.data[:, ch] != 0) & unhit
-            if stray.any():
-                value = self.data[:, ch][stray][0]
-                raise XRayDataError(f"non-zero {_CHANNEL_NAMES[ch]} {value!s} {_place(stray)}, "
-                                    "which is unhit")
-        hits = self.data.transpose(0, 2, 3, 1)[mask]  # one 8-float record per hit
         bad = hits[:, CH_DEPTH] <= 0
         if bad.any():
             i = np.argmax(bad)
             raise XRayDataError(f"non-positive depth {hits[i, CH_DEPTH]!s} {_place(mask, i)}")
         depth = self.data[:, CH_DEPTH]
-        both = mask[:-1] & mask[1:]
-        if np.any(depth[1:][both] <= depth[:-1][both]):
-            layer, row, col = np.argwhere(both & (depth[1:] <= depth[:-1]))[0]
+        bad = mask[1:] & (depth[1:] <= depth[:-1])  # mask[1:] implies mask[:-1] once dense
+        if bad.any():
+            layer, row, col = np.argwhere(bad)[0]
             near, far = depth[layer:layer + 2, row, col]
             raise XRayDataError(f"depths do not strictly increase: {far!s} at layer {layer + 1} "
                                 f"after {near!s} at layer {layer}, pixel ({row}, {col})")
+        colors = hits[:, CH_COLOR]
+        bad = (colors < 0) | (colors > 1)
+        if bad.any():
+            i, k = np.argwhere(bad)[0]
+            raise XRayDataError(f"color {colors[i, k]!s} outside [0, 1] {_place(mask, i)}")
+        return mask, hits
+
+    def hit_mask(self) -> np.ndarray:
+        return self.data[:, CH_HIT] > 0.5
+
+    def validate(self) -> None:
+        """Check every tensor invariant, unit normals included; raises
+        XRayDataError naming the first violating entry's layer, pixel and value."""
+        mask, hits = self._hit_records()
         lengths = np.linalg.norm(hits[:, CH_NORMAL], axis=1)
-        if len(hits) and np.abs(lengths - 1.0).max() > 1e-3:
-            i = np.argmax(np.abs(lengths - 1.0) > 1e-3)
+        bad = np.abs(lengths - 1.0) > 1e-3
+        if bad.any():
+            i = np.argmax(bad)
             raise XRayDataError(f"hit normal of length {lengths[i]!s} is not unit length "
                                 f"(within 1e-3) {_place(mask, i)}")
-        colors = hits[:, CH_COLOR]
-        if len(colors) and (colors.min() < 0 or colors.max() > 1):
-            i, k = np.argwhere((colors < 0) | (colors > 1))[0]
-            raise XRayDataError(f"color {colors[i, k]!s} outside [0, 1] {_place(mask, i)}")
 
     def total_hits(self) -> int:
         return int(self.hit_mask().sum())
@@ -252,33 +259,26 @@ def decode_to_pointcloud(x: XRayTensor, frame: str = "camera") -> PointCloud:
 
     frame="camera" replays rays with an identity pose (points in camera
     coordinates, rays from the origin); frame="world" uses the stored
-    camera-to-world pose. Normals are renormalised to unit length.
-    Non-finite tensor values raise XRayDataError naming the channel,
-    layer and pixel, as does a hit whose normal is zero; a hit value
-    other than 0/1 raises XRayDataError naming the value; a header
-    camera that is not a valid pinhole pose raises XRayDataError naming
-    the field and its value. PointCloud rejects a color outside [0, 1].
+    camera-to-world pose. Every tensor that x.validate() rejects raises
+    its XRayDataError here too, except a hit normal of length other than
+    1, which is renormalised; a zero-length one names its layer and pixel.
     """
     if frame not in ("camera", "world"):
         raise ValueError(f"unknown frame {frame!r}")
-    mask = x._checked_hit_mask()
-    if not mask.any():
+    mask, hits = x._hit_records()
+    if not len(hits):
         empty = np.empty((0, 3))
         return PointCloud(empty, empty.copy(), empty.copy())
 
     camera = Camera(x.width, x.height, x.fov_x, np.eye(4)) if frame == "camera" else x.camera()
-    layer_idx, row_idx, col_idx = np.nonzero(mask)
-    hits = x.data.transpose(0, 2, 3, 1)[mask]  # one 8-float record per hit
+    _, row_idx, col_idx = np.nonzero(mask)
     depth = hits[:, CH_DEPTH].astype(np.float64)
     positions = camera.position + depth[:, None] * generate_rays(camera)[row_idx, col_idx]
 
     normals = hits[:, CH_NORMAL].astype(np.float64)
     lengths = np.linalg.norm(normals, axis=1, keepdims=True)
     if not lengths.all():
-        i = np.argmin(lengths)
-        raise XRayDataError(
-            f"zero-length normal at layer {layer_idx[i]}, pixel ({row_idx[i]}, {col_idx[i]})"
-        )
+        raise XRayDataError(f"zero-length normal {_place(mask, np.argmin(lengths))}")
     normals /= lengths
     colors = hits[:, CH_COLOR].astype(np.float64)
     return PointCloud(positions, normals, colors)

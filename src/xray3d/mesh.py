@@ -43,7 +43,9 @@ class RigidTransform:
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
+    """A read-only view of arr (of the caller's own array when it is
+    already contiguous), so the caller's array keeps its write flag."""
+    arr = np.ascontiguousarray(arr).view()
     arr.setflags(write=False)
     return arr
 

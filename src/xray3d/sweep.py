@@ -240,8 +240,6 @@ def run_sweep(
             t0 = time.perf_counter()
             cloud = decode_to_pointcloud(pad_or_truncate(full, layers), frame="world")
             decode_ms = (time.perf_counter() - t0) * 1000.0
-            if len(cloud) == 0:
-                raise ValueError("empty point cloud")
             t0 = time.perf_counter()
             recon, _ = reconstruct(cloud, poisson_res)
             recon_ms = (time.perf_counter() - t0) * 1000.0

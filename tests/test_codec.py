@@ -231,13 +231,16 @@ def test_decode_corrupt_hit_channel():
 
 
 def test_validate_and_decode_name_the_bad_hit_value():
-    data = np.zeros((1, 8, 2, 2), dtype=np.float32)
-    data[0, 0, 1, 0] = 0.7
-    x = XRayTensor(data, 0.8, np.eye(4))
-    for check in (x.validate, lambda: decode_to_pointcloud(x)):
-        with pytest.raises(XRayDataError) as info:
-            check()
-        assert str(info.value) == "corrupt hit channel (value 0.7 is neither 0 nor 1)"
+    # 0.7 reads as a hit and 0.25 as no hit; either is a corrupt hit value.
+    for value in (0.7, 0.25):
+        data = np.zeros((1, 8, 2, 2), dtype=np.float32)
+        data[0, 0, 1, 0] = value
+        x = XRayTensor(data, 0.8, np.eye(4))
+        for check in (x.validate, lambda: decode_to_pointcloud(x)):
+            with pytest.raises(XRayDataError) as info:
+                check()
+            assert str(info.value) == (f"corrupt hit channel (value {value} is neither 0 nor 1) "
+                                       "at layer 0, pixel (1, 0)")
 
 
 def test_decode_zero_normal_names_its_pixel():
@@ -423,10 +426,11 @@ def test_validate_names_the_entry_and_value(edits, message):
 def test_decode_rejects_a_color_outside_the_unit_range():
     data = _every_pixel_hit_twice()
     data[1, 5, 2, 1] = 1.5
-    # Points follow (layer, row, col) order: 12 pixels per layer, 4 per row.
-    with pytest.raises(ValueError) as info:
-        decode_to_pointcloud(XRayTensor(data, 0.8, np.eye(4)))
-    assert str(info.value) == f"colors must lie in [0, 1], got 1.5 at point {12 + 2 * 4 + 1}"
+    x = XRayTensor(data, 0.8, np.eye(4))
+    for check in (x.validate, lambda: decode_to_pointcloud(x)):
+        with pytest.raises(XRayDataError) as info:
+            check()
+        assert str(info.value) == "color 1.5 outside [0, 1] at layer 1, pixel (2, 1)"
 
 
 def test_pointcloud_validation():
@@ -445,22 +449,51 @@ def test_pointcloud_validation():
     PointCloud(np.zeros((2, 3)), normals[:2], [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
 
 
-@pytest.mark.parametrize("channel,name", [(1, "depth"), (2, "normal"), (6, "color")])
-def test_validate_rejects_non_finite(channel, name):
-    x = encode(cube(), front_camera(8), 2)
-    bad = _tweak(x.data, 0, channel, 4, 4, np.nan)
-    with pytest.raises(XRayDataError, match=f"non-finite {name} at layer 0, pixel \\(4, 4\\)"):
-        XRayTensor(bad, x.fov_x, x.c2w).validate()
+def test_constructors_leave_the_callers_arrays_writable():
+    data = np.zeros((1, 8, 2, 2), dtype=np.float32)
+    c2w = np.eye(4)
+    positions, colors = np.zeros((2, 3)), np.ones((2, 3))
+    normals = np.tile([0.0, 0.0, 1.0], (2, 1))
+    vertices, faces = np.eye(3), np.array([[0, 1, 2]], dtype=np.int64)
+    cloud = PointCloud(positions, normals, colors)
+    mesh = TriangleMesh(vertices, faces)
+    tensor = XRayTensor(data, 0.8, c2w)
+    held = [(data, tensor.data), (c2w, Camera(2, 2, 0.8, c2w).c2w),
+            (positions, cloud.positions), (normals, cloud.normals), (colors, cloud.colors),
+            (vertices, mesh.vertices), (faces, mesh.faces)]
+    for caller, kept in held:
+        assert caller.flags.writeable and not kept.flags.writeable
+    assert np.shares_memory(data, tensor.data)  # held as a view, not a copy
 
 
-@pytest.mark.parametrize("name", ["depth", "normal", "color"])
-def test_decode_rejects_non_finite(name):
-    channel = {"depth": 1, "normal": 2, "color": 6}[name]
+def _non_finite_cases(channel, name):
+    """A two-layer cube tensor with one NaN or +-inf in `channel`, in one of
+    two hit slots or two unhit ones, each with the message that names it."""
     x = encode(cube(), front_camera(8), 2)
     assert x.hit_mask()[0, 4, 4]
-    bad = XRayTensor(_tweak(x.data, 0, channel, 4, 4, np.nan), x.fov_x, x.c2w)
-    with pytest.raises(XRayDataError, match=f"non-finite {name} at layer 0, pixel \\(4, 4\\)"):
-        decode_to_pointcloud(bad, frame="world")
+    hit_slots = np.argwhere(x.hit_mask())
+    unhit_slots = np.argwhere(~x.hit_mask())
+    for value in (np.nan, np.inf, -np.inf):
+        for layer, row, col in (hit_slots[0], (0, 4, 4), unhit_slots[0], unhit_slots[-1]):
+            bad = XRayTensor(_tweak(x.data, layer, channel, row, col, value), x.fov_x, x.c2w)
+            yield bad, f"non-finite {name} at layer {layer}, pixel ({row}, {col})"
+
+
+@pytest.mark.parametrize("channel,name", [(1, "depth"), (2, "normal"), (6, "color"), (0, "hit")])
+def test_validate_rejects_non_finite(channel, name):
+    for bad, message in _non_finite_cases(channel, name):
+        with pytest.raises(XRayDataError) as info:
+            bad.validate()
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name", ["depth", "normal", "color", "hit"])
+def test_decode_rejects_non_finite(name):
+    channel = {"depth": 1, "normal": 2, "color": 6, "hit": 0}[name]
+    for bad, message in _non_finite_cases(channel, name):
+        with pytest.raises(XRayDataError) as info:
+            decode_to_pointcloud(bad, frame="world")
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("name", ["positions", "normals", "colors"])

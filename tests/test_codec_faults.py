@@ -48,6 +48,15 @@ def _reread(raw: bytes, tmp_path_factory):
     return read_xray(path)
 
 
+def _with_values(raw: bytes, edits) -> bytes:
+    """raw with each (layer, channel, row, col) payload entry set to its value."""
+    raw = bytearray(raw)
+    for index, value in edits.items():
+        offset = HEADER.size + 4 * np.ravel_multi_index(index, SHAPE)
+        raw[offset:offset + 4] = struct.pack("<f", value)
+    return bytes(raw)
+
+
 def _assert_contents_rejected(tensor, message):
     """Both content boundaries name the fault with the same message."""
     for check in (tensor.validate, lambda: decode_to_pointcloud(tensor, frame="world")):
@@ -82,13 +91,78 @@ def _with_header(raw: bytes, **changes) -> bytes:
 def test_non_finite_payload_value_is_named(
     valid_file, tmp_path_factory, channel, layer, row, col, value
 ):
-    offset = HEADER.size + 4 * np.ravel_multi_index((layer, channel, row, col), SHAPE)
-    raw = bytearray(valid_file)
-    raw[offset:offset + 4] = struct.pack("<f", value)
-    tensor = _reread(bytes(raw), tmp_path_factory)
+    tensor = _reread(_with_values(valid_file, {(layer, channel, row, col): value}),
+                     tmp_path_factory)
     _assert_contents_rejected(
         tensor, f"non-finite {CHANNELS[channel]} at layer {layer}, pixel ({row}, {col})"
     )
+
+
+FINITE = st.floats(width=32, allow_nan=False, allow_infinity=False)
+
+
+@pytest.mark.parametrize("fault", ["gap", "unhit", "depth", "order", "color", "hit"])
+@given(data=st.data())
+@SETTINGS
+def test_contract_fault_is_named_alike_by_validate_and_decode(
+    valid_file, tmp_path_factory, fault, data
+):
+    payload = np.frombuffer(valid_file, dtype="<f4", offset=HEADER.size).reshape(SHAPE)
+    hit = payload[:, 0] == 1
+    front = np.argwhere(hit[1:])  # the slots that have a hit behind them
+    slots = {"gap": front, "order": front + [1, 0, 0], "unhit": np.argwhere(~hit),
+             "hit": np.argwhere(np.ones_like(hit))}.get(fault, np.argwhere(hit))
+    layer, row, col = data.draw(st.sampled_from(slots.tolist()))
+    place = f"at layer {layer}, pixel ({row}, {col})"
+    if fault == "gap":  # empty the slot in front of a hit
+        edits = {(layer, channel, row, col): 0.0 for channel in range(8)}
+        message = f"hit flags are not prefix-dense: no hit {place}, but a hit at the next layer"
+    elif fault == "unhit":
+        channel = data.draw(st.integers(1, 7))
+        value = np.float32(data.draw(FINITE.filter(lambda v: v != 0)))
+        edits = {(layer, channel, row, col): value}
+        message = f"non-zero {CHANNELS[channel]} {value!s} {place}, which is unhit"
+    elif fault == "depth":
+        value = np.float32(data.draw(FINITE.filter(lambda v: v <= 0)))
+        edits = {(layer, 1, row, col): value}
+        message = f"non-positive depth {value!s} {place}"
+    elif fault == "order":  # the depth behind a hit, moved to or in front of it
+        near = payload[layer - 1, 1, row, col]
+        value = np.float32(data.draw(st.floats(0.0, float(near), width=32, exclude_min=True)))
+        edits = {(layer, 1, row, col): value}
+        message = (f"depths do not strictly increase: {value!s} at layer {layer} "
+                   f"after {near!s} at layer {layer - 1}, pixel ({row}, {col})")
+    elif fault == "color":
+        channel = data.draw(st.integers(5, 7))
+        value = np.float32(data.draw(FINITE.filter(lambda v: not 0 <= v <= 1)))
+        edits = {(layer, channel, row, col): value}
+        message = f"color {value!s} outside [0, 1] {place}"
+    else:  # a hit value other than 0 or 1, in a hit slot or an unhit one
+        value = np.float32(data.draw(FINITE.filter(lambda v: v != 0 and abs(v - 1) > 1e-6)))
+        edits = {(layer, 0, row, col): value}
+        message = f"corrupt hit channel (value {value!s} is neither 0 nor 1) {place}"
+    _assert_contents_rejected(_reread(_with_values(valid_file, edits), tmp_path_factory), message)
+
+
+@given(data=st.data(), scale=st.floats(0.01, 100).filter(lambda s: abs(s - 1) > 0.01))
+@SETTINGS
+def test_non_unit_normal_is_named_by_validate_and_renormalised_by_decode(
+    valid_file, tmp_path_factory, data, scale
+):
+    payload = np.frombuffer(valid_file, dtype="<f4", offset=HEADER.size).reshape(SHAPE)
+    layer, row, col = data.draw(st.sampled_from(np.argwhere(payload[:, 0] == 1).tolist()))
+    normal = (payload[layer, 2:5, row, col] * scale).astype(np.float32)
+    edits = {(layer, 2 + k, row, col): normal[k] for k in range(3)}
+    tensor = _reread(_with_values(valid_file, edits), tmp_path_factory)
+    with pytest.raises(XRayDataError) as info:
+        tensor.validate()
+    length, rest = str(info.value).removeprefix("hit normal of length ").split(" ", 1)
+    assert float(length) == pytest.approx(np.linalg.norm(normal.astype(np.float64)), rel=1e-6)
+    assert rest == f"is not unit length (within 1e-3) at layer {layer}, pixel ({row}, {col})"
+    cloud = decode_to_pointcloud(tensor, frame="world")
+    valid = decode_to_pointcloud(_reread(valid_file, tmp_path_factory), frame="world")
+    np.testing.assert_array_equal(cloud.positions, valid.positions)
+    np.testing.assert_allclose(cloud.normals, valid.normals, atol=1e-6)
 
 
 @given(cut=st.integers(0, 4 * math.prod(SHAPE) + HEADER.size - 1))

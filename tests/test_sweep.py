@@ -207,7 +207,7 @@ def test_mesh_without_hits_records_every_cell():
     rows = run_sweep({"line": line}, layers_list=[1, 3, 12], res_list=[16], views=2,
                      poisson_res=16, n_samples=256, max_workers=1)
     assert [(r.view, r.layers) for r in rows] == [(v, n) for v in (0, 1) for n in (1, 3, 12)]
-    assert all(r.error == "empty point cloud" and np.isnan(r.chamfer) for r in rows)
+    assert all(r.error == "cannot splat an empty point cloud" and np.isnan(r.chamfer) for r in rows)
 
 
 @pytest.mark.parametrize("env, message", [
