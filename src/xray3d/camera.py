@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import _frozen
+from .mesh import _frozen, _rotation_error
 
 # Field of view (radians) of the shorter image axis paired with a view
 # distance of 1.2 so that a normalized mesh (unit bounding box, bounding
@@ -28,9 +28,9 @@ DEFAULT_DISTANCE = 1.2
 
 def _pose_error(fov_x: float, c2w: np.ndarray, tol: float) -> str | None:
     """The one rule for a valid pinhole pose: fov_x in (0, pi), a finite
-    4x4 c2w whose last row is exactly (0, 0, 0, 1), and a rotation block
-    R with every entry of |R R^T - I| at most tol. Returns a message
-    naming the first violating value, or None for a valid pose."""
+    4x4 c2w whose last row is exactly (0, 0, 0, 1), and a proper rotation
+    block (mesh._rotation_error at tol). Returns a message naming the first
+    violating value, or None for a valid pose."""
     if not 0.0 < fov_x < math.pi:
         return f"fov_x must lie in (0, pi), got {fov_x!r}"
     bad = np.argwhere(~np.isfinite(c2w))
@@ -39,12 +39,8 @@ def _pose_error(fov_x: float, c2w: np.ndarray, tol: float) -> str | None:
         return f"non-finite c2w[{row}, {col}] = {float(c2w[row, col])!r}"
     if not np.array_equal(c2w[3], [0.0, 0.0, 0.0, 1.0]):
         return f"c2w last row {c2w[3].tolist()} is not (0, 0, 0, 1)"
-    rot = c2w[:3, :3]
-    error = np.abs(rot @ rot.T - np.eye(3)).max()
-    if error > tol:
-        return (f"c2w rotation {np.round(rot, 6).tolist()} is not orthonormal "
-                f"(|R R^T - I| reaches {error:.3g})")
-    return None
+    error = _rotation_error(c2w[:3, :3], tol)
+    return error and f"c2w {error}"
 
 
 @dataclass(frozen=True)

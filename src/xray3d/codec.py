@@ -266,10 +266,6 @@ def decode_to_pointcloud(x: XRayTensor, frame: str = "camera") -> PointCloud:
     if frame not in ("camera", "world"):
         raise ValueError(f"unknown frame {frame!r}")
     mask, hits = x._hit_records()
-    if not len(hits):
-        empty = np.empty((0, 3))
-        return PointCloud(empty, empty.copy(), empty.copy())
-
     camera = Camera(x.width, x.height, x.fov_x, np.eye(4)) if frame == "camera" else x.camera()
     _, row_idx, col_idx = np.nonzero(mask)
     depth = hits[:, CH_DEPTH].astype(np.float64)

@@ -15,6 +15,8 @@ from typing import Callable
 
 import numpy as np
 
+from .mesh import _frozen
+
 NoisePredictor = Callable[[np.ndarray, int], np.ndarray]
 
 
@@ -32,9 +34,7 @@ class NoiseSchedule:
         if bad.any():
             t = np.argmax(bad) + 1
             raise ValueError(f"every alpha must lie in (0, 1], got alpha_{t} = {alphas[t - 1]!s}")
-        alphas = np.ascontiguousarray(alphas)
-        alphas.setflags(write=False)
-        object.__setattr__(self, "alphas", alphas)
+        object.__setattr__(self, "alphas", _frozen(alphas))
 
     @property
     def steps(self) -> int:

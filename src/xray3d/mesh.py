@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,9 +11,22 @@ class MeshError(ValueError):
     """Invalid mesh data (bad indices, degenerate faces, empty input)."""
 
 
+def _rotation_error(rot: np.ndarray, tol: float) -> str | None:
+    """The one rule for a rotation: every entry of |R R^T - I| at most tol
+    (NaN fails) and a positive determinant, so no reflection. Returns a
+    message naming the matrix or its determinant, or None for a rotation."""
+    error = np.abs(rot @ rot.T - np.eye(3)).max()
+    if not error <= tol:
+        return (f"rotation {np.round(rot, 6).tolist()} is not orthonormal "
+                f"(|R R^T - I| reaches {error:.3g})")
+    det = np.linalg.det(rot)
+    return None if det > 0 else f"rotation determinant must be +1, got {det:.6g}"
+
+
 @dataclass(frozen=True)
 class RigidTransform:
-    """Uniform-scale rigid map p -> scale * (rotation @ p) + translation."""
+    """Uniform-scale rigid map p -> scale * (rotation @ p) + translation: a
+    proper rotation (_rotation_error), finite translation, finite scale > 0."""
 
     rotation: np.ndarray
     translation: np.ndarray
@@ -24,14 +37,12 @@ class RigidTransform:
         tr = np.asarray(self.translation, dtype=np.float64).reshape(3)
         object.__setattr__(self, "rotation", _frozen(rot))
         object.__setattr__(self, "translation", _frozen(tr))
-        error = np.abs(rot @ rot.T - np.eye(3)).max()
-        if not error <= 1e-9:  # also rejects nan
-            raise ValueError(f"rotation block is not orthonormal (|R R^T - I| reaches {error:.3g})")
-        det = np.linalg.det(rot)
-        if abs(det - 1.0) > 1e-9:
-            raise ValueError(f"rotation determinant must be +1, got {det:.6g}")
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
+        if error := _rotation_error(rot, 1e-9):
+            raise ValueError(error)
+        if not np.isfinite(tr).all():
+            raise ValueError(f"non-finite translation {tr.tolist()}")
+        if not 0 < self.scale < np.inf:  # also rejects nan
+            raise ValueError(f"scale must be finite and positive, got {self.scale!r}")
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
@@ -55,14 +66,15 @@ def _ramp(sizes: np.ndarray) -> np.ndarray:
     return np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TriangleMesh:
     """Indexed triangle soup with optional per-vertex colors.
 
-    Arrays are frozen after construction; all operations return new meshes.
-    Colors are RGB in [0, 1]. Faces must index valid vertices and use three
-    distinct indices each. A mesh carries no normals: its surface normal is
-    the winding-defined face normal (face_normals).
+    Frozen: each field is set and checked once, when the mesh is built, and
+    its arrays are read-only; all operations return new meshes. Colors are
+    RGB in [0, 1]. Faces must index valid vertices and use three distinct
+    indices each. A mesh carries no normals: its surface normal is the
+    winding-defined face normal (face_normals).
     """
 
     vertices: np.ndarray
@@ -70,37 +82,32 @@ class TriangleMesh:
     vertex_colors: np.ndarray | None = None
 
     def __post_init__(self):
-        self.vertices = _frozen(np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3))
-        self.faces = _frozen(np.asarray(self.faces, dtype=np.int64).reshape(-1, 3))
-        if self.vertex_colors is not None:
-            self.vertex_colors = _frozen(
-                np.asarray(self.vertex_colors, dtype=np.float64).reshape(-1, 3)
-            )
-        self.validate()
-
-    def validate(self) -> None:
-        if not np.all(np.isfinite(self.vertices)):
-            i, k = np.argwhere(~np.isfinite(self.vertices))[0]
-            raise MeshError(f"non-finite vertex coordinate {self.vertices[i, k]!s} at vertex {i}")
-        if self.faces.size:
-            if self.faces.min() < 0 or self.faces.max() >= len(self.vertices):
-                raise MeshError(
-                    f"face index out of range (max {self.faces.max()}, "
-                    f"{len(self.vertices)} vertices)"
-                )
-            f = self.faces
+        vertices = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
+        f = np.asarray(self.faces, dtype=np.int64).reshape(-1, 3)
+        colors = self.vertex_colors
+        if colors is not None:
+            colors = _frozen(np.asarray(colors, dtype=np.float64).reshape(-1, 3))
+        if not np.all(np.isfinite(vertices)):
+            i, k = np.argwhere(~np.isfinite(vertices))[0]
+            raise MeshError(f"non-finite vertex coordinate {vertices[i, k]!s} at vertex {i}")
+        if f.size:
+            if f.min() < 0 or f.max() >= len(vertices):
+                raise MeshError(f"face index out of range (max {f.max()}, "
+                                f"{len(vertices)} vertices)")
             repeated = (f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 0] == f[:, 2])
             if repeated.any():
                 i = np.argmax(repeated)
                 raise MeshError(f"degenerate face {i} with repeated vertex index {f[i].tolist()}")
-        colors = self.vertex_colors
         if colors is not None:
-            if len(colors) != len(self.vertices):
+            if len(colors) != len(vertices):
                 raise MeshError("vertex_colors length does not match vertex count")
             if colors.size and (colors.min() < -1e-9 or colors.max() > 1 + 1e-9):
                 i, k = np.argwhere((colors < -1e-9) | (colors > 1 + 1e-9))[0]
                 raise MeshError(f"vertex colors must lie in [0, 1], got {colors[i, k]!s} "
                                 f"at vertex {i}")
+        object.__setattr__(self, "vertices", _frozen(vertices))
+        object.__setattr__(self, "faces", _frozen(f))
+        object.__setattr__(self, "vertex_colors", colors)
 
     @property
     def n_vertices(self) -> int:

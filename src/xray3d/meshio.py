@@ -300,6 +300,9 @@ def _parse_ply(path: Path) -> dict[str, dict]:
                     for prop, count_dt, dt in props:
                         n = 1
                         if count_dt:
+                            if text and not data[pos].is_integer():  # nan and inf too
+                                raise ValueError(f"element {name} row {len(ends)}: "
+                                                 f"non-integer list count {data[pos]!s}")
                             n = int(data[pos]) if text else int.from_bytes(
                                 body[pos:pos + count_dt.itemsize], "little",
                                 signed=count_dt.kind == "i")
@@ -357,7 +360,9 @@ def _load_ply(path: Path) -> TriangleMesh:
     positions, _, colors = _ply_vertices(path, parsed)
     face = parsed.get("face", {})
     ids = face.get("vertex_indices", face.get("vertex_index"))
-    faces = _fan(ids[0].astype(np.int64), ids[1]) if isinstance(ids, tuple) else []
+    faces = _fan(*ids) if isinstance(ids, tuple) else []
+    if (bad := ~np.isfinite(faces) | (faces != np.trunc(faces))).any():  # ASCII or float lists
+        raise MeshIOError(f"{path}: face {faces[bad.any(1)][0].tolist()} has a non-integer index")
     if not len(faces):
         raise MeshIOError(f"{path}: no faces (use load_pointcloud_ply for point sets)")
     return TriangleMesh(positions, faces, colors)

@@ -117,7 +117,8 @@ def test_camera_validation():
     (0.8, (3, 0), 0.5, "c2w last row [0.5, 0.0, 0.0, 1.0] is not (0, 0, 0, 1)"),
     (0.8, (1, 1), 3.0, "c2w rotation [[1.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 1.0]] "
                        "is not orthonormal (|R R^T - I| reaches 8)"),
-], ids=["fov-nan", "fov-negative", "c2w-inf", "last-row", "rotation"])
+    (0.8, (0, 0), -1.0, "c2w rotation determinant must be +1, got -1"),
+], ids=["fov-nan", "fov-negative", "c2w-inf", "last-row", "rotation", "reflection"])
 def test_camera_and_tensor_header_share_the_pose_rule(fov_x, entry, value, message):
     c2w = np.eye(4)
     if entry is not None:

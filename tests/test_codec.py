@@ -220,6 +220,10 @@ def test_decode_camera_frame_relates_by_pose():
 def test_decode_all_zero_empty():
     x = XRayTensor(np.zeros((2, 8, 4, 4), dtype=np.float32), 0.8, np.eye(4))
     assert len(decode_to_pointcloud(x)) == 0
+    for frame in ("camera", "world"):
+        cloud = decode_to_pointcloud(x, frame=frame)
+        for arr in (cloud.positions, cloud.normals, cloud.colors):
+            assert arr.shape == (0, 3) and arr.dtype == np.float64
 
 
 def test_decode_corrupt_hit_channel():

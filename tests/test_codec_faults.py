@@ -58,8 +58,10 @@ def _with_values(raw: bytes, edits) -> bytes:
 
 
 def _assert_contents_rejected(tensor, message):
-    """Both content boundaries name the fault with the same message."""
-    for check in (tensor.validate, lambda: decode_to_pointcloud(tensor, frame="world")):
+    """Both content boundaries, decode in either frame, name the fault with
+    the same message."""
+    for check in (tensor.validate, lambda: decode_to_pointcloud(tensor, frame="camera"),
+                  lambda: decode_to_pointcloud(tensor, frame="world")):
         with pytest.raises(XRayDataError) as info:
             check()
         assert str(info.value) == message
@@ -264,3 +266,14 @@ def test_bad_c2w_entry_is_named(valid_file, tmp_path_factory, row, col, value):
             assert reach != str(info.value) and float(reach.rstrip(")")) > 1e-6
         return
     _assert_contents_rejected(tensor, message)
+
+
+@pytest.mark.parametrize("col", [0, 1, 2])
+def test_mirrored_c2w_is_named(valid_file, tmp_path_factory, col):
+    # One rotation column negated: still orthonormal, but a reflection, so
+    # the decoded cloud would be the mirror image of the surface.
+    fields = list(HEADER.unpack_from(valid_file))
+    for row in range(3):
+        fields[6 + 4 * row + col] *= -1
+    tensor = _reread(HEADER.pack(*fields) + valid_file[HEADER.size:], tmp_path_factory)
+    _assert_contents_rejected(tensor, "c2w rotation determinant must be +1, got -1")

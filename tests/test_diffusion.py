@@ -44,6 +44,12 @@ def test_schedule_validation():
         sched.alpha(4)
 
 
+def test_schedule_leaves_the_callers_alphas_writable():
+    alphas = np.array([0.9, 0.8, 1.0])
+    sched = NoiseSchedule(alphas)
+    assert alphas.flags.writeable and not sched.alphas.flags.writeable
+
+
 @given(small_tensor())
 @settings(max_examples=50, deadline=None)
 def test_forward_identity_at_alpha_one(x):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,18 @@ def test_color_length_mismatch_rejected():
 def test_mesh_arrays_frozen(cube_mesh):
     with pytest.raises(ValueError):
         cube_mesh.vertices[0, 0] = 9.0
+
+
+@pytest.mark.parametrize("field,value", [
+    ("vertices", np.zeros((8, 3))),
+    ("faces", [[0, 0, 99]]),
+    ("vertex_colors", np.ones((8, 3))),
+])
+def test_mesh_fields_cannot_be_reassigned(cube_mesh, field, value):
+    # A mesh is checked once, when it is built, so no field may change after.
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cube_mesh, field, value)
+    assert not hasattr(TriangleMesh, "validate")
 
 
 def test_normalize_shifted_cube():
@@ -153,6 +167,14 @@ def test_rigid_transform_validation():
         RigidTransform(stretch, np.zeros(3))
     with pytest.raises(ValueError, match="orthonormal .* nan"):
         RigidTransform(np.full((3, 3), np.nan), np.zeros(3))
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError) as info:
+            RigidTransform(np.eye(3), [0.0, value, 0.0])
+        assert str(info.value) == f"non-finite translation [0.0, {value!r}, 0.0]"
+    for scale in (np.nan, np.inf):
+        with pytest.raises(ValueError) as info:
+            RigidTransform(np.eye(3), np.zeros(3), scale=scale)
+        assert str(info.value) == f"scale must be finite and positive, got {scale!r}"
 
 
 def test_fixtures_wound_outward():

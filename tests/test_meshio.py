@@ -558,6 +558,42 @@ def test_ply_ascii_surplus_value_rejected(tmp_path, body, message):
         load_mesh(path)
 
 
+@pytest.mark.parametrize("face_rows, message", [
+    ("3 0 1.7 2\n", "{path}: face [0.0, 1.7, 2.0] has a non-integer index"),
+    ("3 0 nan 2\n", "{path}: face [0.0, nan, 2.0] has a non-integer index"),
+    ("3 0 1 2\n3.5 2 1 0\n", "failed to parse {path}: element face row 1: "
+                               "non-integer list count 3.5"),
+    ("3 0 1 2\ninf 2 1 0\n", "failed to parse {path}: element face row 1: "
+                               "non-integer list count inf"),
+], ids=["fractional-index", "nan-index", "fractional-count", "inf-count"])
+def test_ply_ascii_face_numbers_must_be_whole(tmp_path, face_rows, message):
+    # ASCII values are read as floats; a truncating cast would load 1.7 as 1.
+    path = tmp_path / "fraction.ply"
+    rows = face_rows.count("\n")
+    path.write_text(_ASCII_TRIANGLE_HEADER.replace("element face 1", f"element face {rows}")
+                    + "0 0 0\n1 0 0\n0 1 0\n" + face_rows)
+    with pytest.raises(MeshIOError) as info:
+        load_mesh(path)
+    assert str(info.value) == message.format(path=path)
+
+
+def test_ply_binary_float_face_index_must_be_whole(tmp_path):
+    path = tmp_path / "float_list.ply"
+    header = (
+        "ply\nformat binary_little_endian 1.0\n"
+        "element vertex 3\nproperty float x\nproperty float y\nproperty float z\n"
+        "element face 1\nproperty list uchar float vertex_indices\n"
+        "end_header\n"
+    )
+    body = struct.pack("<9f", 0, 0, 0, 1, 0, 0, 0, 1, 0) + struct.pack("<B3f", 3, 0, 1.5, 2)
+    path.write_bytes(header.encode("ascii") + body)
+    with pytest.raises(MeshIOError) as info:
+        load_mesh(path)
+    assert str(info.value) == f"{path}: face [0.0, 1.5, 2.0] has a non-integer index"
+    path.write_bytes(header.encode("ascii") + body[:-8] + struct.pack("<2f", 1, 2))
+    np.testing.assert_array_equal(load_mesh(path).faces, [[0, 1, 2]])
+
+
 @pytest.mark.parametrize("good, bad, lineno", [
     ("format ascii 1.0", "format", 2),
     ("property list uchar int vertex_indices", "property list uchar", 8),
