@@ -300,12 +300,14 @@ def _parse_ply(path: Path) -> dict[str, dict]:
                     for prop, count_dt, dt in props:
                         n = 1
                         if count_dt:
-                            if text and not data[pos].is_integer():  # nan and inf too
+                            if pos + width(count_dt) > len(data):
+                                raise ValueError(f"element {name}: truncated data")
+                            c = data[pos] if text else np.frombuffer(body, count_dt, 1, pos)[0]
+                            if not c.is_integer() or c < 0:  # nan and inf too
                                 raise ValueError(f"element {name} row {len(ends)}: "
-                                                 f"non-integer list count {data[pos]!s}")
-                            n = int(data[pos]) if text else int.from_bytes(
-                                body[pos:pos + count_dt.itemsize], "little",
-                                signed=count_dt.kind == "i")
+                                                 f"{'negative' if c < 0 else 'non-integer'} "
+                                                 f"list count {c!s}")
+                            n = int(c)
                             pos += width(count_dt)
                             sizes[prop].append(n)
                         starts[prop].append(pos)

@@ -594,6 +594,31 @@ def test_ply_binary_float_face_index_must_be_whole(tmp_path):
     np.testing.assert_array_equal(load_mesh(path).faces, [[0, 1, 2]])
 
 
+@pytest.mark.parametrize("fmt, count, message", [
+    ("binary_little_endian", 3.0, None),
+    ("binary_little_endian", 2.5, "non-integer list count 2.5"),
+    ("binary_little_endian", -1.0, "negative list count -1.0"),
+    ("ascii", -1, "negative list count -1.0"),
+], ids=["binary-whole", "binary-fraction", "binary-negative", "ascii-negative"])
+def test_ply_list_count_must_be_whole_and_non_negative(tmp_path, fmt, count, message):
+    # A binary count is read with its declared type: a float 3.0 is three
+    # indices, not the integer 1077936128 that its bytes spell.
+    path = tmp_path / "count.ply"
+    header = _ASCII_TRIANGLE_HEADER.replace("ascii", fmt)
+    if fmt == "ascii":
+        data = (header + f"0 0 0\n1 0 0\n0 1 0\n{count} 0 1 2\n").encode("ascii")
+    else:
+        header = header.replace("list uchar int", "list float int")
+        data = (header.encode("ascii") + struct.pack("<9f", 0, 0, 0, 1, 0, 0, 0, 1, 0)
+                + struct.pack("<f3i", count, 0, 1, 2))
+    path.write_bytes(data)
+    if message is None:
+        np.testing.assert_array_equal(load_mesh(path).faces, [[0, 1, 2]])
+        return
+    with pytest.raises(MeshIOError) as info:
+        load_mesh(path)
+    assert str(info.value) == f"failed to parse {path}: element face row 0: {message}"
+
 @pytest.mark.parametrize("good, bad, lineno", [
     ("format ascii 1.0", "format", 2),
     ("property list uchar int vertex_indices", "property list uchar", 8),
