@@ -24,6 +24,7 @@ from .mesh import _frozen, _rotation_error
 # a margin. It is the horizontal field of view of a square frame.
 DEFAULT_FOV_X = 2.0 * math.asin(0.875 / 1.2)
 DEFAULT_DISTANCE = 1.2
+DEFAULT_FRAME_SIZE = 256  # pixels per side
 
 
 def _pose_error(fov_x: float, c2w: np.ndarray, tol: float) -> str | None:
@@ -117,8 +118,8 @@ def camera_from_spherical(
     azimuth_deg: float,
     elevation_deg: float,
     distance: float = DEFAULT_DISTANCE,
-    width: int = 256,
-    height: int = 256,
+    width: int = DEFAULT_FRAME_SIZE,
+    height: int = DEFAULT_FRAME_SIZE,
     fov_x: float | None = None,
 ) -> Camera:
     """Camera on a sphere around the origin, looking inward.

@@ -16,6 +16,7 @@ import numpy as np
 from .camera import (
     DEFAULT_DISTANCE,
     DEFAULT_FOV_X,
+    DEFAULT_FRAME_SIZE,
     camera_from_spherical,
     sample_view_angles,
 )
@@ -31,7 +32,7 @@ from .meshio import load_mesh, save_mesh, save_pointcloud_ply
 from .metrics import DEFAULT_SAMPLES, DEFAULT_THRESHOLD, evaluate_pair
 from .poisson import DEFAULT_RESOLUTION, MAX_RESOLUTION, reconstruct
 from .raycast import build_bvh
-from .sweep import plot_sweep_svg, rows_to_csv, run_sweep
+from .sweep import DEFAULT_VIEWS, plot_sweep_svg, rows_to_csv, run_sweep
 
 
 def _ranged(convert, low, high=math.inf, *, open_range=False):
@@ -82,13 +83,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Layered surface tensor codec for triangle meshes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    frame = argparse.ArgumentParser(add_help=False)  # the tensor shape, shared by encode and views
+    frame.add_argument("--width", type=_ranged(int, 1), default=DEFAULT_FRAME_SIZE)
+    frame.add_argument("--height", type=_ranged(int, 1), default=DEFAULT_FRAME_SIZE)
+    frame.add_argument("--layers", type=_ranged(int, 1), default=8)
 
-    p = sub.add_parser("encode", help="encode a mesh into a .xray tensor")
+    p = sub.add_parser("encode", parents=[frame], help="encode a mesh into a .xray tensor")
     p.add_argument("mesh_path")
     p.add_argument("out_path", type=_out_path)
-    p.add_argument("--width", type=_ranged(int, 1), default=256)
-    p.add_argument("--height", type=_ranged(int, 1), default=256)
-    p.add_argument("--layers", type=_ranged(int, 1), default=8)
     p.add_argument("--azimuth", type=_ranged(float, -math.inf, open_range=True), default=0.0,
                    help="degrees about +y")
     p.add_argument("--elevation", type=_ranged(float, -math.inf, open_range=True), default=0.0,
@@ -102,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("xray_path")
     p.add_argument("out_path", type=_out_path)
     p.add_argument("--poisson-res", type=_ranged(int, 2, MAX_RESOLUTION),
-                   default=DEFAULT_RESOLUTION)
+                   default=DEFAULT_RESOLUTION, help="grid nodes per axis (default: %(default)s)")
     p.add_argument("--screening", type=float, default=0.0,
                    help="removed; only 0, the unscreened solve, is accepted")
     p.add_argument("--trim", type=float, default=0.0,
@@ -127,9 +129,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layers-list", type=_int_list(1), default="1,2,3,4,5,6,7,8,9,10,11,12")
     p.add_argument("--res-list", type=_int_list(2), default="32,64,128,256,512,1024")
     p.add_argument("--out", type=_out_path, default="sweep.csv")
-    p.add_argument("--views", type=_ranged(int, 1), default=2)
+    p.add_argument("--views", type=_ranged(int, 1), default=DEFAULT_VIEWS)
     p.add_argument("--seed", type=_ranged(int, 0), default=0)
-    p.add_argument("--poisson-res", type=_ranged(int, 2, MAX_RESOLUTION), default=64)
+    p.add_argument("--poisson-res", type=_ranged(int, 2, MAX_RESOLUTION),
+                   default=DEFAULT_RESOLUTION, help="grid nodes per axis (default: %(default)s)")
     p.add_argument("--samples", type=_ranged(int, 1), default=DEFAULT_SAMPLES)
     p.add_argument("--threshold", type=_ranged(float, 0, open_range=True),
                    default=DEFAULT_THRESHOLD)
@@ -140,14 +143,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="zero the timing columns for byte-stable output")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("views", help="encode several sampled views of one mesh")
+    p = sub.add_parser("views", parents=[frame], help="encode several sampled views of one mesh")
     p.add_argument("mesh_path")
     p.add_argument("--num", type=_ranged(int, 1), default=8)
     p.add_argument("--seed", type=_ranged(int, 0), default=0)
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--width", type=_ranged(int, 1), default=256)
-    p.add_argument("--height", type=_ranged(int, 1), default=256)
-    p.add_argument("--layers", type=_ranged(int, 1), default=8)
     p.set_defaults(func=cmd_views)
 
     p = sub.add_parser("info", help="print header and occupancy of a .xray file")

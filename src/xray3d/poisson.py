@@ -47,7 +47,7 @@ from .mesh import TriangleMesh
 
 DOMAIN_LO = -0.6
 DOMAIN_HI = 0.6
-DEFAULT_RESOLUTION = 128
+DEFAULT_RESOLUTION = 48  # finer grids outresolve the hits of a 256^2 frame and join close walls
 MAX_RESOLUTION = 256
 # Nodes per slab of the slab-wise passes (normalisation, divergence): 32
 # planes at 128^3, 8 at 256^3, so each slab's float64 temporaries stay

@@ -52,12 +52,13 @@ from .codec import decode_to_pointcloud, encode, pad_or_truncate
 from .mesh import TriangleMesh, normalize_mesh
 # Not called here: bound while the benchmark's tracer wraps sweep.evaluate_pair by name.
 from .metrics import evaluate_pair  # noqa: F401
-from .poisson import MAX_RESOLUTION, reconstruct
+from .poisson import DEFAULT_RESOLUTION, MAX_RESOLUTION, reconstruct
 from .raycast import build_bvh
 
 CSV_HEADER = "mesh,view,layers,resolution,chamfer,f_score,encode_ms,decode_ms,recon_ms,error"
 
 THREADS_ENV = "XRAY_THREADS"
+DEFAULT_VIEWS = 2
 
 
 @dataclass(frozen=True)
@@ -176,9 +177,9 @@ def run_sweep(
     meshes: dict[str, TriangleMesh],
     layers_list: list[int],
     res_list: list[int],
-    views: int = 2,
+    views: int = DEFAULT_VIEWS,
     seed: int = 0,
-    poisson_res: int = 64,
+    poisson_res: int = DEFAULT_RESOLUTION,
     screening: float = 0.0,
     trim: float = 0.0,
     n_samples: int = metrics.DEFAULT_SAMPLES,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from xray3d.fixtures import cube, icosphere, nested_cubes, torus
 
@@ -42,6 +44,18 @@ def closed_two_manifold(mesh) -> bool:
             key = (min(a, b), max(a, b))
             counts[key] = counts.get(key, 0) + 1
     return bool(counts) and all(c == 2 for c in counts.values())
+
+
+def components(mesh) -> int:
+    """Connected components of the faces: the shells of a closed mesh.
+    Two faces are connected when they share a vertex; vertices that no
+    face uses are not counted."""
+    faces = np.asarray(mesh.faces)
+    used, index = np.unique(faces, return_inverse=True)
+    ring = index.reshape(faces.shape)
+    starts, ends = ring.ravel(), np.roll(ring, 1, axis=1).ravel()
+    graph = coo_matrix((np.ones(starts.size), (starts, ends)), shape=(used.size, used.size))
+    return int(connected_components(graph, directed=False)[0])
 
 
 def euler_characteristic(mesh) -> int:

@@ -1,10 +1,17 @@
+import inspect
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import xray3d
 from xray3d import cli as cli_mod
-from xray3d.camera import DEFAULT_FOV_X
+from xray3d import poisson, sweep
+from xray3d.camera import DEFAULT_FOV_X, camera_from_spherical
 from xray3d.cli import main
 from xray3d.codec import XRayTensor, read_xray, write_xray
 from xray3d.fixtures import cube, icosphere
@@ -42,6 +49,25 @@ def run_cli(*argv) -> int:
         return main([str(a) for a in argv])
     except SystemExit as exc:
         return int(exc.code)
+
+
+def run_process(cwd, *argv) -> subprocess.CompletedProcess:
+    """Run `python -m xray3d.cli` as its own process in cwd, importing the
+    package from the same source tree as these tests."""
+    src = Path(xray3d.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "xray3d.cli", *map(str, argv)], cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+    )
+
+
+@pytest.fixture(scope="module")
+def ico_xray(tmp_path_factory):
+    """The default encode of a PLY icosphere."""
+    folder = tmp_path_factory.mktemp("ico")
+    save_mesh(icosphere(2), folder / "ico.ply")
+    assert run_cli("encode", folder / "ico.ply", folder / "ico.xray") == 0
+    return folder / "ico.xray"
 
 
 def test_encode_writes_file_and_stats(tmp_path, cube_obj, capsys):
@@ -116,6 +142,39 @@ def test_decode_accepts_zero_trim(tmp_path, cube_obj):
     assert run_cli("decode", xray, plain, "--poisson-res", "32") == 0
     assert run_cli("decode", xray, zero, "--poisson-res", "32", "--trim", "0") == 0
     assert zero.read_bytes() == plain.read_bytes() and load_mesh(zero).n_faces > 0
+
+
+def test_decode_process_takes_zero_trim_and_refuses_the_removed_flags(tmp_path, ico_xray):
+    """--trim 0 is the benchmark's spelling; the removed values exit 2."""
+    done = run_process(tmp_path, "decode", ico_xray, "t.obj", "--poisson-res", "64", "--trim", "0")
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "t.obj").exists()
+    for bad in (["--trim", "0.01"], ["--screening", "0.5"]):
+        assert run_process(tmp_path, "decode", ico_xray, "s.obj", *bad).returncode == 2, bad
+
+
+def _negative_depth(x: XRayTensor) -> XRayTensor:
+    data = x.data.copy()
+    layer, row, col = np.argwhere(data[:, 0] > 0.5)[0]
+    data[layer, 1, row, col] = -0.5
+    return XRayTensor(data, x.fov_x, x.c2w)
+
+
+def _mirrored_pose(x: XRayTensor) -> XRayTensor:
+    c2w = x.c2w.copy()
+    c2w[:3, 0] *= -1
+    return XRayTensor(x.data, x.fov_x, c2w)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_negative_depth, "non-positive depth -0.5 at layer"),
+    (_mirrored_pose, "determinant must be +1"),
+])
+def test_decode_process_refuses_a_bad_tensor_writing_nothing(tmp_path, ico_xray, corrupt, message):
+    write_xray(corrupt(read_xray(ico_xray)), tmp_path / "bad.xray")
+    done = run_process(tmp_path, "decode", "--points-only", "bad.xray", "bad.ply")
+    assert done.returncode == 1 and message in done.stderr, done.stderr
+    assert not (tmp_path / "bad.ply").exists()
 
 
 def test_decode_empty_tensor_errors(tmp_path, capsys):
@@ -412,3 +471,25 @@ def test_sweep_plot_and_usage_errors(tmp_path, cube_obj):
 
 def test_unknown_command_exit_2():
     assert run_cli("frobnicate") == 2
+
+
+def test_poisson_resolution_has_one_default():
+    parser = cli_mod.build_parser()
+    assert {
+        inspect.signature(poisson.reconstruct).parameters["resolution"].default,
+        inspect.signature(sweep.run_sweep).parameters["poisson_res"].default,
+        parser.parse_args(["decode", "in.xray", "out.obj"]).poisson_res,
+        parser.parse_args(["sweep", "meshes"]).poisson_res,
+    } == {poisson.DEFAULT_RESOLUTION}
+
+
+def test_frame_size_layer_and_view_defaults_agree():
+    parser = cli_mod.build_parser()
+    encoded = parser.parse_args(["encode", "m.obj", "o.xray"])
+    viewed = parser.parse_args(["views", "m.obj"])
+    camera = camera_from_spherical(0.0, 0.0)
+    assert {camera.width, camera.height, encoded.width, encoded.height,
+            viewed.width, viewed.height} == {256}
+    assert encoded.layers == viewed.layers == 8
+    assert (parser.parse_args(["sweep", "meshes"]).views
+            == inspect.signature(sweep.run_sweep).parameters["views"].default == 2)

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy.ndimage import map_coordinates
 
-from conftest import closed_two_manifold, euler_characteristic
+from conftest import closed_two_manifold, components, euler_characteristic
 from xray3d import poisson
-from xray3d.codec import PointCloud
+from xray3d.camera import DEFAULT_FOV_X, camera_from_spherical, sample_view_angles
+from xray3d.codec import PointCloud, decode_to_pointcloud, encode
+from xray3d.fixtures import standard_suite
 from xray3d.mcubes import marching_cubes
 from xray3d.mesh import face_normals, normalize_mesh
 from xray3d.metrics import sample_surface
@@ -611,3 +613,18 @@ def test_reconstruct_rotation_equivariance():
 
     d, _ = cKDTree(mesh_b.vertices).query(want)
     assert d.max() < 1e-6
+
+
+@pytest.mark.parametrize("name", sorted(standard_suite()))
+def test_default_resolution_keeps_every_shell(name):
+    """At the default resolution each fixture, encoded from the sweep's
+    two views (256^2, 12 layers), comes back with as many shells as it
+    was built with. Chamfer cannot see this: a finer grid outresolves the
+    hits and joins the nested cubes' cavity wall to their outer wall."""
+    mesh = normalize_mesh(standard_suite()[name])[0]
+    shells = 3 if name == "nested_cubes" else 1
+    for az, el in zip(*sample_view_angles(0, 2)):
+        camera = camera_from_spherical(az, el, width=256, height=256, fov_x=DEFAULT_FOV_X)
+        cloud = decode_to_pointcloud(encode(mesh, camera, 12), frame="world")
+        recon, _ = reconstruct(cloud)
+        assert components(recon) == shells, (az, el)
