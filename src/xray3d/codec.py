@@ -73,9 +73,9 @@ class PointCloud:
         if not (len(pos) == len(nrm) == len(col)):
             raise ValueError("positions, normals, and colors must have equal length")
         for name, arr in (("positions", pos), ("normals", nrm), ("colors", col)):
-            bad = np.argwhere(~np.isfinite(arr))
-            if len(bad):
-                raise ValueError(f"non-finite {name} at point {bad[0, 0]}")
+            if not np.isfinite(arr).all():  # locate the entry only once one is bad
+                i = np.argwhere(~np.isfinite(arr))[0, 0]
+                raise ValueError(f"non-finite {name} at point {i}")
         if len(nrm):
             lengths = np.linalg.norm(nrm, axis=1)
             if np.abs(lengths - 1.0).max() > 1e-3:
@@ -230,9 +230,8 @@ def encode(
     normal, color = surface_attributes(mesh, batch.face, batch.bary_u, batch.bary_v)
     data[layer, CH_HIT, row, col] = 1.0
     data[layer, CH_DEPTH, row, col] = batch.depth
-    for k in range(3):
-        data[layer, 2 + k, row, col] = normal[:, k]
-        data[layer, 5 + k, row, col] = color[:, k]
+    data[layer, CH_NORMAL, row, col] = normal
+    data[layer, CH_COLOR, row, col] = color
     return XRayTensor(data, camera.fov_x, camera.c2w)
 
 

@@ -109,8 +109,8 @@ def upsampler_loss(
     h_up = np.asarray(h_up, dtype=np.float64)
     _check_shapes(x_gt, x_up, "upsampler_loss x")
     _check_shapes(h_gt, h_up, "upsampler_loss h")
-    if np.any(h_gt < 0) or np.any(h_gt > 1):
-        raise ValueError("hit values must lie in [0, 1]")
+    if (outside := (h_gt < 0) | (h_gt > 1)).any():
+        raise ValueError(f"hit values must lie in [0, 1], got {float(h_gt[outside][0])!r}")
     binary = (np.abs(h_gt) <= 1e-6) | (np.abs(h_gt - 1.0) <= 1e-6)
     if not np.all(binary):
         raise ValueError(f"hit mask contains fractional value {float(h_gt[~binary].flat[0])!r}")

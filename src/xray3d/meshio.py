@@ -378,9 +378,13 @@ def load_pointcloud_ply(path) -> PointCloud:
         raise MeshIOError(f"{path}: point cloud PLY lacks normals")
     if colors is None:
         colors = np.ones_like(positions)
-    lengths = np.linalg.norm(normals, axis=1, keepdims=True)
-    normals = np.where(lengths > 1e-12, normals / np.maximum(lengths, 1e-12), 0.0)
-    return PointCloud(positions, normals, colors)
+    lengths = np.linalg.norm(normals, axis=1)
+    bad = ~(np.isfinite(positions).all(axis=1) & np.isfinite(lengths) & (lengths > 1e-12))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise MeshIOError(f"{path}: point {i} has position {positions[i].tolist()} and normal "
+                          f"{normals[i].tolist()}; both must be finite and the normal non-zero")
+    return PointCloud(positions, normals / lengths[:, None], colors)
 
 
 def save_pointcloud_ply(cloud: PointCloud, path) -> None:

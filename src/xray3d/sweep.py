@@ -50,7 +50,8 @@ from . import metrics
 from .camera import DEFAULT_FOV_X, camera_from_spherical, sample_view_angles
 from .codec import decode_to_pointcloud, encode, pad_or_truncate
 from .mesh import TriangleMesh, normalize_mesh
-# Not called here: bound while the benchmark's tracer wraps sweep.evaluate_pair by name.
+# Not called here: bound while the benchmark's tracer wraps sweep.evaluate_pair by name
+# (guarded by tests/test_bench_wrappers.py).
 from .metrics import evaluate_pair  # noqa: F401
 from .poisson import DEFAULT_RESOLUTION, MAX_RESOLUTION, reconstruct
 from .raycast import build_bvh

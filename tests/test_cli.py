@@ -63,10 +63,12 @@ def run_process(cwd, *argv) -> subprocess.CompletedProcess:
 
 @pytest.fixture(scope="module")
 def ico_xray(tmp_path_factory):
-    """The default encode of a PLY icosphere."""
+    """The default encode of a PLY icosphere, run as a process; the mesh
+    lies beside it as ico.ply."""
     folder = tmp_path_factory.mktemp("ico")
     save_mesh(icosphere(2), folder / "ico.ply")
-    assert run_cli("encode", folder / "ico.ply", folder / "ico.xray") == 0
+    done = run_process(folder, "encode", "ico.ply", "ico.xray")
+    assert done.returncode == 0, done.stderr
     return folder / "ico.xray"
 
 
@@ -175,6 +177,76 @@ def test_decode_process_refuses_a_bad_tensor_writing_nothing(tmp_path, ico_xray,
     done = run_process(tmp_path, "decode", "--points-only", "bad.xray", "bad.ply")
     assert done.returncode == 1 and message in done.stderr, done.stderr
     assert not (tmp_path / "bad.ply").exists()
+
+
+def test_process_round_trip_writes_a_cloud_and_a_mesh(tmp_path, ico_xray):
+    """PLY mesh in; a PLY cloud with one point per hit and an OBJ mesh out,
+    and `eval` scores that mesh against the input."""
+    done = run_process(tmp_path, "decode", "--points-only", ico_xray, "pts.ply")
+    assert done.returncode == 0, done.stderr
+    assert len(load_pointcloud_ply(tmp_path / "pts.ply")) == read_xray(ico_xray).total_hits()
+    done = run_process(tmp_path, "decode", ico_xray, "recon.obj", "--poisson-res", "64")
+    assert done.returncode == 0, done.stderr
+    assert load_mesh(tmp_path / "recon.obj").n_faces > 0
+    done = run_process(tmp_path, "eval", "recon.obj", ico_xray.parent / "ico.ply")
+    assert done.returncode == 0, done.stderr
+
+
+def test_process_wide_frame_is_not_clipped_and_deep_tensor_reports_its_layers(
+    tmp_path, ico_xray
+):
+    mesh = ico_xray.parent / "ico.ply"
+    done = run_process(tmp_path, "encode", mesh, "wide.xray", "--width", "160", "--height", "96")
+    assert done.returncode == 0, done.stderr
+    wide = read_xray(tmp_path / "wide.xray")
+    hit = wide.hit_mask()[0]
+    border = [hit[0], hit[-1], hit[:, 0], hit[:, -1]]
+    assert hit.shape == (96, 160)
+    assert hit.any() and not any(b.any() for b in border), "default camera clips a 160x96 frame"
+    # The icosphere fits either way; what keeps any normalized mesh in
+    # frame is that the shorter, vertical axis spans DEFAULT_FOV_X.
+    assert math.tan(0.5 * wide.fov_x) * 96 / 160 == pytest.approx(math.tan(0.5 * DEFAULT_FOV_X))
+    done = run_process(tmp_path, "encode", mesh, "deep.xray", "--layers", "80")
+    assert done.returncode == 0, done.stderr
+    done = run_process(tmp_path, "info", "deep.xray")
+    assert done.returncode == 0 and "layers: 80" in done.stdout.splitlines(), done.stdout
+
+
+def test_process_obj_normal_records_change_nothing(tmp_path):
+    """An OBJ with `vn` records and `f a//a` corners encodes to the bytes
+    of the same OBJ without them."""
+    mesh = icosphere(2)
+    v = "".join("v %r %r %r\n" % tuple(row) for row in mesh.vertices.tolist())
+    vn = "".join("vn %r %r %r\n" % tuple(row) for row in mesh.vertices.tolist())
+    faces = (mesh.faces + 1).tolist()
+    corners = "".join("f %d//%d %d//%d %d//%d\n" % (a, a, b, b, c, c) for a, b, c in faces)
+    with open(tmp_path / "ico_vn.obj", "w") as fh:
+        fh.write(v + vn + corners)
+    with open(tmp_path / "ico_bare.obj", "w") as fh:
+        fh.write(v + "".join("f %d %d %d\n" % tuple(f) for f in faces))
+    for name in ("ico_vn", "ico_bare"):
+        done = run_process(tmp_path, "encode", f"{name}.obj", f"{name}.xray")
+        assert done.returncode == 0, done.stderr
+    assert (tmp_path / "ico_vn.xray").read_bytes() == (tmp_path / "ico_bare.xray").read_bytes()
+
+
+def test_process_refuses_bad_options_before_reading_inputs(tmp_path, ico_xray):
+    """A zero layer count exits 2 naming the flag and value; a straight-down
+    view exits 1 with the camera's error before the missing mesh is read;
+    an output in a missing directory exits 2 before anything is decoded.
+    None of them writes its output."""
+    done = run_process(tmp_path, "encode", ico_xray.parent / "ico.ply", "bad.xray", "--layers", "0")
+    assert done.returncode == 2, done.stderr
+    assert "argument --layers" in done.stderr and "got 0" in done.stderr, done.stderr
+    assert not (tmp_path / "bad.xray").exists()
+    done = run_process(tmp_path, "encode", "missing.obj", "top.xray", "--elevation", "90")
+    assert done.returncode == 1 and "parallel to the up vector" in done.stderr, done.stderr
+    assert "missing.obj" not in done.stderr and not (tmp_path / "top.xray").exists()
+    out = tmp_path / "missing" / "r.obj"
+    done = run_process(tmp_path, "decode", ico_xray, out)
+    assert done.returncode == 2, done.stderr
+    assert f"argument out_path: must be in an existing directory, got {out}" in done.stderr
+    assert "decoded" not in done.stdout
 
 
 def test_decode_empty_tensor_errors(tmp_path, capsys):

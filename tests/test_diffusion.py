@@ -177,6 +177,15 @@ def test_upsampler_strict_rejects_fractional_mask():
         upsampler_loss(x_gt, x_up, h_frac, h_up)
 
 
+@pytest.mark.parametrize("value", [1.5, -0.25])
+def test_upsampler_names_a_hit_value_outside_the_unit_interval(value):
+    x_gt, x_up, h_gt, h_up = _random_case(3)
+    h_bad = h_gt.copy()
+    h_bad[1, 0, 2, 3] = value
+    with pytest.raises(ValueError, match=rf"hit values must lie in \[0, 1\], got {value}$"):
+        upsampler_loss(x_gt, x_up, h_bad, h_up)
+
+
 def test_upsampler_mask_range_checked():
     x_gt, x_up, h_gt, h_up = _random_case(4)
     with pytest.raises(ValueError, match="\\[0, 1\\]"):

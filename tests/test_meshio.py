@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import struct
 import tracemalloc
 
@@ -693,6 +694,23 @@ def test_pointcloud_ply_ascii_load(tmp_path):
     )
     np.testing.assert_allclose(cloud.normals, [[0, 0, 1], [0.6, 0.8, 0], [0, -1, 0]], atol=1e-12)
     np.testing.assert_allclose(cloud.colors, [[1, 0, 0.2], [0, 1, 0], [0, 0, 1]], atol=1e-12)
+
+
+@pytest.mark.parametrize("row, point", [
+    ("0 0 0 nan 0 1", "position [0.0, 0.0, 0.0] and normal [nan, 0.0, 1.0]"),
+    ("0 0 0 0 0 0", "position [0.0, 0.0, 0.0] and normal [0.0, 0.0, 0.0]"),
+    ("nan 0 0 0 0 1", "position [nan, 0.0, 0.0] and normal [0.0, 0.0, 1.0]"),
+], ids=["nan-normal", "zero-normal", "nan-position"])
+def test_pointcloud_ply_names_the_file_point_and_bad_value(tmp_path, row, point):
+    path = tmp_path / "cloud.ply"
+    path.write_text(
+        "ply\nformat ascii 1.0\nelement vertex 3\n"
+        "property float x\nproperty float y\nproperty float z\n"
+        "property float nx\nproperty float ny\nproperty float nz\n"
+        f"end_header\n0 0 0 0 0 1\n1 0 0 0 1 0\n{row}\n"
+    )
+    with pytest.raises(MeshIOError, match=re.escape(f"{path}: point 2 has {point}")):
+        load_pointcloud_ply(path)
 
 
 def test_pointcloud_ply_not_a_mesh(tmp_path):

@@ -244,22 +244,20 @@ def test_worker_count_counts_the_cpus_the_process_may_use(monkeypatch):
     assert worker_count() == 1
 
 
-needs_openblas = pytest.mark.skipif(
-    sweep_mod._numpy_openblas() is None, reason="numpy bundles no OpenBLAS here"
-)
-
-
 @pytest.fixture
 def blas_threads():
     """(get, set) of numpy's OpenBLAS thread count; the caller's count is
-    restored after the test."""
-    get, set_ = sweep_mod._numpy_openblas()
+    restored after the test. Fails, rather than skips, where no OpenBLAS
+    is found, since the sweep's one-thread hold then silently does nothing."""
+    blas = sweep_mod._numpy_openblas()
+    assert blas is not None, (
+        "no OpenBLAS found in numpy's wheel: run_sweep's one-thread hold does nothing here")
+    get, set_ = blas
     before = get()
     yield get, set_
     set_(before)
 
 
-@needs_openblas
 def test_one_blas_thread_restores_the_callers_count(blas_threads):
     get, set_ = blas_threads
     for caller in (2, 1, 3):
@@ -276,7 +274,6 @@ def test_one_blas_thread_restores_the_callers_count(blas_threads):
         assert get() == caller
 
 
-@needs_openblas
 def test_concurrent_holds_restore_the_callers_count(blas_threads):
     # More threads than cores enter and leave the hold with a short switch
     # interval: every holder sees one thread, and the last one out
@@ -305,7 +302,6 @@ def test_concurrent_holds_restore_the_callers_count(blas_threads):
     assert get() == 2
 
 
-@needs_openblas
 def test_rows_depend_on_neither_pool_size_nor_caller_blas_threads(blas_threads, monkeypatch):
     get, set_ = blas_threads
     inside = []
@@ -328,6 +324,21 @@ def test_rows_depend_on_neither_pool_size_nor_caller_blas_threads(blas_threads, 
             texts.add(rows_to_csv(rows, timings=False))
     assert len(texts) == 1
     assert inside and set(inside) == {1}
+
+
+def test_sweep_holds_numpy_openblas_on_one_thread(blas_threads, monkeypatch):
+    """A sweep called as a user calls it, at the default pool size."""
+    get, _ = blas_threads
+    inside, real_reconstruct = [], sweep_mod.reconstruct
+
+    def recording(*args, **kwargs):
+        inside.append(get())
+        return real_reconstruct(*args, **kwargs)
+
+    monkeypatch.setattr(sweep_mod, "reconstruct", recording)
+    before = get()
+    run_sweep({"cube": cube()}, [2], [32], views=1, poisson_res=32, n_samples=1024)
+    assert set(inside) == {1} and get() == before
 
 
 def test_sweep_without_openblas_gives_the_same_rows(monkeypatch):
