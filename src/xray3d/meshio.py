@@ -354,6 +354,9 @@ def _ply_vertices(path: Path, parsed) -> tuple[np.ndarray, np.ndarray | None, np
     if positions is None or not len(positions):
         raise MeshIOError(f"{path}: no vertex element with x/y/z")
     colors = stack("red", "green", "blue")
+    if colors is not None and (bad := ~((colors >= 0) & (colors <= 255))).any():
+        i, k = np.argwhere(bad)[0]
+        raise MeshIOError(f"{path}: point {i} has colour {colors[i, k]!s}, outside [0, 255]")
     return positions, stack("nx", "ny", "nz"), None if colors is None else colors / 255.0
 
 

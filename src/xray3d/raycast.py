@@ -1,16 +1,20 @@
-"""BVH-accelerated multi-hit ray casting over triangle meshes.
+"""BVH-accelerated multi-hit casting of a ray fan over triangle meshes.
 
-Each ray's nearest `max_hits` intersections are returned sorted by
-distance and ranked along the ray: the codec records each crossing as
-one layer, and its layer count is the cast's only depth limit. The tree
-is a complete binary median-split BVH in heap order: node i has children
-2i+1 and 2i+2, the 2^depth leaves are nodes 2^depth - 1 onward, and
-`leaf_bounds` holds each leaf's slice of the sorted triangles. Building
-it takes one numpy pass per level. Casting is wavefront-vectorized: a
-frontier of (ray, node) pairs descends one level per pass, then one pass
-tests the leaves' triangles, so a full pixel grid costs a handful of
-numpy passes. Every mesh, down to a single triangle (a tree of one leaf
-at the root), is cast through the tree.
+Every ray of a cast starts at one origin, as an encode's rays start at
+the camera centre. Each ray's nearest `max_hits` intersections are
+returned sorted by distance and ranked along the ray: the codec records
+each crossing as one layer, and its layer count is the cast's only depth
+limit. The tree is a complete binary median-split BVH in heap order:
+node i has children 2i+1 and 2i+2, the 2^depth leaves are nodes
+2^depth - 1 onward, and `leaf_bounds` holds each leaf's slice of the
+sorted triangles. Building it takes one numpy pass per level. Casting is
+wavefront-vectorized, and each origin term is computed once per cast:
+the node boxes are taken relative to the origin, and Moller-Trumbore's
+s = o - v0, q = s x e1 and e2 . q are kept per triangle. A frontier of
+(ray, node) pairs descends two levels per pass, then one pass tests the
+leaves' triangles, so a full pixel grid costs a handful of numpy passes.
+Every mesh, down to a single triangle (a tree of one leaf at the root),
+is cast through the tree.
 
 The rays are cast in cache-sized blocks of consecutive rays, each
 traced, sorted, merged and capped on its own. A block's frontier and
@@ -32,27 +36,27 @@ EPS_DUP = 1e-6  # merge coincident hits (shared edge/vertex double-counts)
 
 _LEAF_SIZE = 4
 # Rays per cast block. Cast as one block, a 256^2 image of these meshes
-# peaks at 29-101 MB of frontier and kernel arrays (tracemalloc), far past
-# the L2 cache; 2^12-ray blocks peak at 8-16 MB, result included. Much
+# peaks at 24-75 MB of frontier and kernel arrays (tracemalloc), far past
+# the L2 cache; 2^12-ray blocks peak at 7-15 MB, result included. Much
 # smaller blocks pay numpy's per-call overhead once per tree level and
 # block. Per-view cast time (ms, median of 5 rounds over 3 sampled views of
-# each normalized mesh; 2-CPU Xeon, 4 MB L2 per core):
+# each normalized mesh, 12 layers; 2-CPU Xeon, 4 MB L2 per core):
 #
 #   mesh (faces)           res   2^10 2^11 2^12 2^13 2^14 2^15 2^16 | 2^18
-#   cube (12)              256     64   58   78   95  100  107  119 |  115
-#   cube                   512    249  218  226  263  356  411  420 |  454
-#   nested cubes (36)      256    118  105  103  105  113  113  131 |  134
-#   nested cubes           512    506  438  436  474  584  655  693 |  785
-#   torus (2,304)          256     84   65   56   53   51   49   51 |   50
-#   torus                  512    345  254  226  216  200  253  258 |  303
-#   icosphere(4) (5,120)   256    136  116  104  101  100  101  119 |  116
-#   icosphere(4)           512    508  438  393  379  396  455  587 |  783
-#   icosphere(6) (81,920)  256    182  153  140  134  133  130  145 |  147
-#   icosphere(6)           512    729  597  541  496  491  573  703 | 1021
+#   cube (12)              256     34   28   36   43   47   51   61 |   61
+#   cube                   512    136  117  109  107  193  212  232 |  291
+#   nested cubes (36)      256     47   42   38   41   48   63   83 |   86
+#   nested cubes           512    201  181  161  167  235  287  315 |  359
+#   torus (2,304)          256     38   28   25   23   22   22   25 |   24
+#   torus                  512    186  128  115  111  108  113  142 |  194
+#   icosphere(4) (5,120)   256     63   53   48   47   51   52   77 |   78
+#   icosphere(4)           512    233  196  205  198  198  265  369 |  384
+#   icosphere(6) (81,920)  256    112   88   69   78   77   63   70 |   72
+#   icosphere(6)           512    302  250  217  218  244  289  441 |  528
 #
-# 2^12 and 2^13 have the lowest totals (2,303 and 2,316 ms), and 2^12 the
-# lower geometric mean against one 2^18-ray block (0.70 vs 0.71) and half
-# the working memory. Any block size gives bitwise the same hits.
+# 2^12 has the lowest total (1,023 ms; 2^13 1,033) and the lowest geometric
+# mean against one 2^18-ray block (0.57; 2^13 0.58). Any block size gives
+# bitwise the same hits.
 _RAY_CHUNK = 1 << 12
 
 
@@ -71,11 +75,11 @@ class HitBatch:
 class BvhAccel:
     """Complete median-split BVH in heap order. Immutable; share freely.
 
-    Node i has children 2i+1 and 2i+2, so only the node boxes are stored.
-    Leaf k is node 2^depth - 1 + k and holds the triangles
+    Node i has children 2i+1 and 2i+2 (grandchildren 4i+3 ... 4i+6), so
+    only the node boxes are stored; each cast takes them relative to its
+    fan's origin. Leaf k is node 2^depth - 1 + k and holds the triangles
     tri_order[leaf_bounds[k]:leaf_bounds[k + 1]]. Triangle data is stored
-    as per-component rows (shape (3, n_faces)) so gathered kernels stay
-    cache-friendly.
+    as per-component rows (shape (3, n_faces)), as are a cast's origin terms.
     """
 
     __slots__ = (
@@ -151,15 +155,16 @@ def build_bvh(mesh: TriangleMesh) -> BvhAccel:
     )
 
 
-def _moller_trumbore_components(
-    ox, oy, oz, dx, dy, dz, v0x, v0y, v0z, e1x, e1y, e1z, e2x, e2y, e2z
-):
-    """Intersection kernel on broadcastable component arrays.
+def _moller_trumbore(dirs_t, tri_terms, rr, tris):
+    """Hits (ray, t, triangle, u, v) of the (ray, triangle) pairs (rr, tris).
 
-    Returns (accept, t, u, v) with the shared broadcast shape. Edge and
-    vertex grazes are accepted inclusively (u, v >= 0, u + v <= 1);
-    duplicate records from shared edges merge downstream.
+    tri_terms holds e1, e2, s, q and e2 . q per triangle. Grazes are
+    accepted inclusively (u, v >= 0, u + v <= 1); shared-edge duplicates
+    merge downstream. A pair with u outside [0, 1] fails u >= 0 or (as
+    v >= 0) u + v <= 1, so it is dropped before v and t are computed.
     """
+    dx, dy, dz = (a.take(rr) for a in dirs_t)
+    e1x, e1y, e1z, e2x, e2y, e2z, sx, sy, sz = (a.take(tris) for a in tri_terms[:9])
     # pvec = cross(d, e2), det = dot(e1, pvec)
     px = dy * e2z - dz * e2y
     py = dz * e2x - dx * e2z
@@ -167,18 +172,15 @@ def _moller_trumbore_components(
     det = e1x * px + e1y * py + e1z * pz
     nonparallel = np.abs(det) > 1e-12
     inv_det = 1.0 / np.where(nonparallel, det, 1.0)
-    sx = ox - v0x
-    sy = oy - v0y
-    sz = oz - v0z
     u = (sx * px + sy * py + sz * pz) * inv_det
-    # qvec = cross(s, e1)
-    qx = sy * e1z - sz * e1y
-    qy = sz * e1x - sx * e1z
-    qz = sx * e1y - sy * e1x
+    live = np.flatnonzero(nonparallel & (u >= 0.0) & (u <= 1.0))
+    rr, tris, u, inv_det = rr.take(live), tris.take(live), u.take(live), inv_det.take(live)
+    dx, dy, dz = (a.take(rr) for a in dirs_t)
+    qx, qy, qz, e2q = (a.take(tris) for a in tri_terms[9:])
     v = (dx * qx + dy * qy + dz * qz) * inv_det
-    t = (e2x * qx + e2y * qy + e2z * qz) * inv_det
-    accept = nonparallel & (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0) & (t > EPS_MIN)
-    return accept, t, u, v
+    t = e2q * inv_det
+    hit = np.flatnonzero((v >= 0.0) & (u + v <= 1.0) & (t > EPS_MIN))
+    return rr.take(hit), t.take(hit), tris.take(hit), u.take(hit), v.take(hit)
 
 
 def _safe_inverse(dirs_t: np.ndarray) -> np.ndarray:
@@ -191,69 +193,61 @@ def _safe_inverse(dirs_t: np.ndarray) -> np.ndarray:
     return 1.0 / safe
 
 
-def _slab_pairs(accel, inv_t, oinv_t, rays, nodes):
+def _slab_pairs(box_min, box_max, inv_t, rays, nodes):
     """Ray/AABB overlap for (ray, node) pairs over [EPS_MIN, inf).
 
-    inv_t is the precomputed per-ray direction reciprocal (3, n) and
-    oinv_t = origin * inv (3, n), so each bound costs one gather, one
-    multiply, and one subtract per axis.
+    The boxes are relative to the fan's origin and inv_t is the per-ray
+    direction reciprocal (3, n), so each bound costs one multiply.
     """
-    bmin, bmax = accel.node_min, accel.node_max
-    ix, iy, iz = inv_t[0][rays], inv_t[1][rays], inv_t[2][rays]
-    px, py, pz = oinv_t[0][rays], oinv_t[1][rays], oinv_t[2][rays]
-    t1 = bmin[0][nodes] * ix - px
-    t2 = bmax[0][nodes] * ix - px
+    ix, iy, iz = (a.take(rays) for a in inv_t)
+    t1 = box_min[0].take(nodes) * ix
+    t2 = box_max[0].take(nodes) * ix
     near = np.minimum(t1, t2)
     far = np.maximum(t1, t2)
-    t1 = bmin[1][nodes] * iy - py
-    t2 = bmax[1][nodes] * iy - py
+    t1 = box_min[1].take(nodes) * iy
+    t2 = box_max[1].take(nodes) * iy
     near = np.maximum(near, np.minimum(t1, t2))
     far = np.minimum(far, np.maximum(t1, t2))
-    t1 = bmin[2][nodes] * iz - pz
-    t2 = bmax[2][nodes] * iz - pz
+    t1 = box_min[2].take(nodes) * iz
+    t2 = box_max[2].take(nodes) * iz
     near = np.maximum(near, np.minimum(t1, t2))
     far = np.minimum(far, np.maximum(t1, t2))
     return (far >= near) & (far >= EPS_MIN)
 
 
-def _cast_chunk(accel: BvhAccel, origins, dirs, first_ray: int):
-    """Unsorted hits (ray, t, face, u, v) of the rays numbered from first_ray.
+def _cast_chunk(accel: BvhAccel, fan, dirs):
+    """Unsorted hits (ray, t, face, u, v) of a block of the fan's rays.
 
-    A frontier of (ray, node) pairs descends one level per pass: each
-    pair whose box the ray crosses is replaced by the node's two
-    children. Every leaf is on the last level, so one pass then tests
-    the surviving pairs' triangles.
+    A frontier of (ray, node) pairs descends from the root two levels per
+    pass (one first when the depth is odd): each pair whose box the ray
+    crosses becomes the node's grandchildren 4i+3 ... 4i+6, the same leaf
+    set as one level per pass, since a box holds its descendants'. Every
+    leaf is on the last level; one pass then tests their triangles.
     """
-    origins_t = np.ascontiguousarray(origins.T)
+    box_min, box_max, tri_terms = fan
     dirs_t = np.ascontiguousarray(dirs.T)
     inv_t = _safe_inverse(dirs_t)
-    oinv_t = origins_t * inv_t
-    ray = np.arange(len(origins), dtype=np.int64)
-    node = np.zeros(len(origins), dtype=np.int64)
-    for level in range(accel.depth + 1):
-        if level:
-            ray = np.concatenate([ray, ray])
-            node = np.concatenate([2 * node + 1, 2 * node + 2])
-        keep = _slab_pairs(accel, inv_t, oinv_t, ray, node)
-        ray, node = ray[keep], node[keep]
+    ray = np.arange(len(dirs), dtype=np.int64)
+    node = np.zeros(len(dirs), dtype=np.int64)
+    for fanout in [1] + [2] * (accel.depth % 2) + [4] * (accel.depth // 2):
+        if fanout > 1:
+            ray = np.tile(ray, fanout)
+            node = (fanout * node + np.arange(fanout - 1, 2 * fanout - 1)[:, None]).ravel()
+        keep = np.flatnonzero(_slab_pairs(box_min, box_max, inv_t, ray, node))
+        ray, node = ray.take(keep), node.take(keep)
 
     leaf = node - ((1 << accel.depth) - 1)
-    first = accel.leaf_bounds[leaf]
-    count = accel.leaf_bounds[leaf + 1] - first
-    rr = np.repeat(ray, count)
-    tris = accel.tri_order[np.repeat(first, count) + _ramp(count)]
-    accept, t, u, v = _moller_trumbore_components(
-        origins_t[0][rr], origins_t[1][rr], origins_t[2][rr],
-        dirs_t[0][rr], dirs_t[1][rr], dirs_t[2][rr],
-        accel.tri_v0[0][tris], accel.tri_v0[1][tris], accel.tri_v0[2][tris],
-        accel.tri_e1[0][tris], accel.tri_e1[1][tris], accel.tri_e1[2][tris],
-        accel.tri_e2[0][tris], accel.tri_e2[1][tris], accel.tri_e2[2][tris],
-    )
-    return rr[accept] + first_ray, t[accept], tris[accept], u[accept], v[accept]
+    first = accel.leaf_bounds.take(leaf)
+    count = accel.leaf_bounds.take(leaf + 1) - first
+    tris = accel.tri_order.take(np.repeat(first, count) + _ramp(count))
+    return _moller_trumbore(dirs_t, tri_terms, np.repeat(ray, count), tris)
 
 
-def _sort_merge_cap(max_hits, ray, t, face, u, v):
-    """Sort hits by (ray, depth), merge near-duplicates, rank and keep each ray's nearest."""
+def _sort_merge_cap(max_hits, first_ray, ray, t, face, u, v):
+    """Sort hits by (ray, depth), merge near-duplicates, rank and keep each
+    ray's nearest. The sort key is the block-local ray in the narrowest
+    type holding -_RAY_CHUNK (int16: radix-sorted); first_ray is added after."""
+    ray = ray.astype(np.min_scalar_type(-_RAY_CHUNK))
     order = np.lexsort((face, t, ray))
     ray, t, face, u, v = ray[order], t[order], face[order], u[order], v[order]
     # Merge a hit into the previous one on its ray when they are closer than EPS_DUP.
@@ -261,24 +255,36 @@ def _sort_merge_cap(max_hits, ray, t, face, u, v):
     ray, t, face, u, v = ray[~dup], t[~dup], face[~dup], u[~dup], v[~dup]
     layer = np.arange(ray.size) - np.searchsorted(ray, ray)
     keep = layer < max_hits
-    return ray[keep], t[keep], face[keep], u[keep], v[keep], layer[keep]
+    return ray[keep].astype(np.int64) + first_ray, t[keep], face[keep], u[keep], v[keep], layer[keep]
 
 
 def cast_rays(accel: BvhAccel, origins: np.ndarray, directions: np.ndarray,
               max_hits: int) -> HitBatch:
-    """Each ray's nearest `max_hits` (>= 1) hits, ranked along it; unit directions."""
+    """Each ray's nearest `max_hits` (>= 1) hits, ranked along it; unit directions.
+
+    The rays are a fan: every row of `origins` is the same point, as for a
+    camera's rays (pass it with np.broadcast_to), whose terms are computed once.
+    """
     if max_hits < 1:
         raise ValueError(f"max_hits must be at least 1, got {max_hits!r}")
-    # Not copied: each block transposes its slice, and a camera's rays share one origin.
-    origins = np.asarray(origins, dtype=np.float64).reshape(-1, 3)
+    origins = np.asarray(origins, dtype=np.float64).reshape(-1, 3)  # not copied
     directions = np.ascontiguousarray(directions, dtype=np.float64).reshape(-1, 3)
+    if len(origins) != len(directions):
+        raise ValueError(f"got {len(origins)} ray origins for {len(directions)} directions")
+    o = origins[:1].T if len(origins) else np.zeros((3, 1))
+    stray = np.flatnonzero(np.any(origins != o.T, axis=1))
+    if stray.size:
+        raise ValueError(f"cast_rays casts a fan from one origin {o.ravel().tolist()}, but "
+                         f"ray {stray[0]} starts at {origins[stray[0]].tolist()}")
+    (sx, sy, sz), (e1x, e1y, e1z) = o - accel.tri_v0, accel.tri_e1
+    q = (sy * e1z - sz * e1y, sz * e1x - sx * e1z, sx * e1y - sy * e1x)
+    e2q = accel.tri_e2[0] * q[0] + accel.tri_e2[1] * q[1] + accel.tri_e2[2] * q[2]
+    fan = accel.node_min - o, accel.node_max - o, (*accel.tri_e1, *accel.tri_e2, sx, sy, sz, *q, e2q)
     # Blocks are disjoint, increasing ray ranges, so sorting each block on
     # its own and concatenating equals one global sort, merge and cap, and
     # a hit's rank in its block is its rank along its ray.
     blocks = [
-        _sort_merge_cap(max_hits, *_cast_chunk(
-            accel, origins[lo:lo + _RAY_CHUNK], directions[lo:lo + _RAY_CHUNK], lo
-        ))
-        for lo in range(0, max(len(origins), 1), _RAY_CHUNK)  # one block even for no rays
+        _sort_merge_cap(max_hits, lo, *_cast_chunk(accel, fan, directions[lo:lo + _RAY_CHUNK]))
+        for lo in range(0, max(len(directions), 1), _RAY_CHUNK)  # one block even for no rays
     ]
     return HitBatch(*(np.concatenate(column) for column in zip(*blocks)))

@@ -713,6 +713,29 @@ def test_pointcloud_ply_names_the_file_point_and_bad_value(tmp_path, row, point)
         load_pointcloud_ply(path)
 
 
+@pytest.mark.parametrize("value", ["300", "-1", "nan"])
+@pytest.mark.parametrize("kind", ["cloud", "mesh"])
+def test_ply_colour_outside_byte_range_names_the_file_point_and_value(tmp_path, kind, value):
+    """A float colour property past [0, 255] is refused as the file wrote
+    it, before it is scaled to [0, 1]."""
+    path = tmp_path / f"{kind}.ply"
+    normal = " 0 0 1" if kind == "cloud" else ""
+    path.write_text(
+        "ply\nformat ascii 1.0\nelement vertex 3\n"
+        "property float x\nproperty float y\nproperty float z\n"
+        + ("property float nx\nproperty float ny\nproperty float nz\n" if kind == "cloud" else "")
+        + "property float red\nproperty float green\nproperty float blue\n"
+        + ("" if kind == "cloud" else "element face 1\nproperty list uchar int vertex_indices\n")
+        + f"end_header\n0 0 0{normal} 255 0 0\n1 0 0{normal} 0 {value} 0\n0 1 0{normal} 0 0 255\n"
+        + ("" if kind == "cloud" else "3 0 1 2\n")
+    )
+    load = load_pointcloud_ply if kind == "cloud" else load_mesh
+    shown = {"300": "300.0", "-1": "-1.0", "nan": "nan"}[value]
+    with pytest.raises(MeshIOError, match=re.escape(
+            f"{path}: point 1 has colour {shown}, outside [0, 255]") + "$"):
+        load(path)
+
+
 def test_pointcloud_ply_not_a_mesh(tmp_path):
     save_pointcloud_ply(_example_cloud(), tmp_path / "cloud.ply")
     with pytest.raises(MeshIOError, match="load_pointcloud_ply"):

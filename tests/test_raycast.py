@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -8,7 +9,7 @@ from xray3d import raycast
 from xray3d.camera import Camera, camera_from_spherical, generate_rays, look_at, sample_view_angles
 from xray3d.fixtures import cube
 from xray3d.mesh import MeshError, TriangleMesh, normalize_mesh, surface_attributes
-from xray3d.raycast import EPS_DUP, EPS_MIN, build_bvh, cast_rays
+from xray3d.raycast import EPS_DUP, EPS_MIN, HitBatch, build_bvh, cast_rays
 
 EVERY_HIT = 1 << 20  # a cap no test ray reaches
 
@@ -40,6 +41,26 @@ def brute_force_hits(mesh, origin, direction):
 def _cast_one(mesh, origin, direction=(0.0, 0.0, -1.0)):
     """All hits of one ray, nearest first."""
     return cast_rays(build_bvh(mesh), np.array([origin]), np.array([direction]), EVERY_HIT)
+
+
+def _random_fans(rng, n_fans, fan_size, low, high):
+    """n_fans fans of fan_size random unit directions, each from a point
+    drawn uniformly from [low, high)^3, as per-ray (N, 3) origins and
+    directions; rays of one fan are consecutive."""
+    origins = np.repeat(rng.uniform(low, high, size=(n_fans, 3)), fan_size, axis=0)
+    directions = rng.normal(size=(n_fans * fan_size, 3))
+    return origins, directions / np.linalg.norm(directions, axis=1, keepdims=True)
+
+
+def _cast_fans(accel, origins, directions, max_hits, fan_size):
+    """cast_rays over each run of fan_size consecutive rays (one fan),
+    joined into one HitBatch that numbers rays as the inputs do."""
+    parts = []
+    for lo in range(0, len(origins), fan_size):
+        part = cast_rays(accel, origins[lo:lo + fan_size], directions[lo:lo + fan_size], max_hits)
+        parts.append(dataclasses.replace(part, ray=part.ray + lo))
+    return HitBatch(*(np.concatenate([getattr(part, field.name) for part in parts])
+                      for field in dataclasses.fields(HitBatch)))
 
 
 def test_cube_central_ray_two_hits(cube_mesh):
@@ -120,12 +141,11 @@ def test_bvh_equals_brute_force(
         "single": _repeated_triangle(1),  # the root node is a leaf
     }[mesh_name]
     accel = build_bvh(mesh)
-    origins = rng.uniform(-1.5, 1.5, size=(1000, 3))
-    directions = rng.normal(size=(1000, 3))
-    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    for origins, directions in [(origins, directions), *_pinhole_grids()]:
+    # 1,000 random rays: 20 fans of 50, each from its own random point.
+    fans = _random_fans(rng, 20, 50, -1.5, 1.5)
+    for origins, directions in [fans, *_pinhole_grids()]:
         n = len(origins)
-        batch = cast_rays(accel, origins, directions, EVERY_HIT)
+        batch = _cast_fans(accel, origins, directions, EVERY_HIT, 50)
         offsets = np.searchsorted(batch.ray, np.arange(n + 1))
         for i in range(n):
             got = [
@@ -141,10 +161,8 @@ def test_bvh_equals_brute_force(
 
 def test_depths_strictly_increasing(sphere_mesh, rng):
     accel = build_bvh(sphere_mesh)
-    origins = rng.uniform(-1.0, 1.0, size=(500, 3))
-    directions = rng.normal(size=(500, 3))
-    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    batch = cast_rays(accel, origins, directions, EVERY_HIT)
+    origins, directions = _random_fans(rng, 10, 50, -1.0, 1.0)
+    batch = _cast_fans(accel, origins, directions, EVERY_HIT, 50)
     same_ray = batch.ray[1:] == batch.ray[:-1]
     assert np.all(batch.depth[1:][same_ray] > batch.depth[:-1][same_ray])
 
@@ -154,13 +172,13 @@ def test_even_parity_from_outside(fixture, rng, cube_mesh, sphere_mesh):
     mesh = cube_mesh if fixture == "cube" else sphere_mesh
     accel = build_bvh(mesh)
     n = 400
-    # origins outside the unit-extent meshes, rays toward the interior
-    origins = rng.normal(size=(n, 3))
-    origins = 2.0 * origins / np.linalg.norm(origins, axis=1, keepdims=True)
+    # 20 fans of 20 from outside the unit-extent meshes, rays toward the interior
+    origins = rng.normal(size=(20, 3))
+    origins = np.repeat(2.0 * origins / np.linalg.norm(origins, axis=1, keepdims=True), 20, axis=0)
     targets = rng.uniform(-0.2, 0.2, size=(n, 3))
     directions = targets - origins
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    batch = cast_rays(accel, origins, directions, EVERY_HIT)
+    batch = _cast_fans(accel, origins, directions, EVERY_HIT, 20)
     offsets = np.searchsorted(batch.ray, np.arange(n + 1))
     checked = 0
     for i in range(n):
@@ -181,11 +199,9 @@ def test_translation_equivariance(sphere_mesh, rng):
     moved = TriangleMesh(sphere_mesh.vertices + offset, sphere_mesh.faces)
     a1 = build_bvh(sphere_mesh)
     a2 = build_bvh(moved)
-    origins = rng.uniform(-1.0, 1.0, size=(200, 3))
-    directions = rng.normal(size=(200, 3))
-    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    b1 = cast_rays(a1, origins, directions, EVERY_HIT)
-    b2 = cast_rays(a2, origins + offset, directions, EVERY_HIT)
+    origins, directions = _random_fans(rng, 4, 50, -1.0, 1.0)
+    b1 = _cast_fans(a1, origins, directions, EVERY_HIT, 50)
+    b2 = _cast_fans(a2, origins + offset, directions, EVERY_HIT, 50)
     assert len(b1.depth) == len(b2.depth)
     np.testing.assert_array_equal(b1.ray, b2.ray)
     np.testing.assert_allclose(b1.depth, b2.depth, atol=1e-9)
@@ -193,10 +209,12 @@ def test_translation_equivariance(sphere_mesh, rng):
 
 def test_hit_record_invariants(sphere_mesh, rng):
     accel = build_bvh(sphere_mesh)
-    origins = 2.0 * rng.normal(size=(20, 3))
-    origins /= np.linalg.norm(origins, axis=1, keepdims=True) / 2.0
-    directions = -origins / np.linalg.norm(origins, axis=1, keepdims=True)
-    hits = cast_rays(accel, origins, directions, EVERY_HIT)
+    # 4 fans of 5 from distance 2, each ray toward a point near the centre
+    origins = rng.normal(size=(4, 3))
+    origins = np.repeat(2.0 * origins / np.linalg.norm(origins, axis=1, keepdims=True), 5, axis=0)
+    directions = rng.uniform(-0.1, 0.1, size=(20, 3)) - origins
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    hits = _cast_fans(accel, origins, directions, EVERY_HIT, 5)
     assert hits.depth.size
     position = origins[hits.ray] + hits.depth[:, None] * directions[hits.ray]
     w0, w1, w2 = 1.0 - hits.bary_u - hits.bary_v, hits.bary_u, hits.bary_v
@@ -234,6 +252,16 @@ def test_cast_rejects_a_cap_below_one(cube_mesh, max_hits):
         cast_rays(build_bvh(cube_mesh), [[0.0, 0.0, 1.2]], [[0.0, 0.0, -1.0]], max_hits)
 
 
+def test_cast_refuses_rays_from_differing_origins(cube_mesh):
+    origins = np.array([[0.0, 0.0, 1.2], [0.0, 0.0, 1.2], [0.0, 0.5, 1.2], [1.0, 0.0, 1.2]])
+    directions = np.tile([0.0, 0.0, -1.0], (4, 1))
+    with pytest.raises(ValueError, match=r"from one origin \[0\.0, 0\.0, 1\.2\], but "
+                                         r"ray 2 starts at \[0\.0, 0\.5, 1\.2\]$"):
+        cast_rays(build_bvh(cube_mesh), origins, directions, 1)
+    with pytest.raises(ValueError, match=r"^got 1 ray origins for 4 directions$"):
+        cast_rays(build_bvh(cube_mesh), origins[:1], directions, 1)
+
+
 def test_duplicate_edge_hits_merged():
     # Two triangles sharing the diagonal of a square: a ray through the
     # shared edge must yield one record, not two.
@@ -248,9 +276,7 @@ def test_concurrent_casting_over_shared_accel(sphere_mesh, rng):
     from concurrent.futures import ThreadPoolExecutor
 
     accel = build_bvh(sphere_mesh)
-    origins = rng.uniform(-1.0, 1.0, size=(400, 3))
-    directions = rng.normal(size=(400, 3))
-    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    origins, directions = _random_fans(rng, 1, 400, -1.0, 1.0)  # every fourth ray is a fan too
     serial = cast_rays(accel, origins, directions, EVERY_HIT)
     chunks = [(origins[i::4], directions[i::4]) for i in range(4)]
     with ThreadPoolExecutor(max_workers=4) as pool:
@@ -314,17 +340,17 @@ def test_cast_across_chunks_matches_one_chunk(
     block_rays = 600 if block == "over" else block * max(1, 512 // block)
     n = block_rays + extra
     side = max(64, int(np.ceil(np.sqrt(n))))
-    camera = Camera(side, side, 1.2, look_at((0.4, 0.9, 0.7)))
+    # One fan from above the stack, at (3, 0, 1) on its diagonals' plane x - y = 3.
+    camera = Camera(side, side, 1.2, look_at((3.0, 0.0, 1.0)))
     spread = np.linspace(0, side * side - 1, n).astype(np.int64)
     origins, directions = (a[spread] for a in _flat_rays(camera))
     # Rays next to block edges cross the stack: 70 squares, one merged
-    # record each. Even ones run along the shared diagonals.
+    # record each. Even ones run straight down its shared diagonals.
     size = n + 1 if block == "over" else block
     edges = list(range(size, n, size))
     stack_rays = sorted({0, n - 1} | {i for e in edges[:2] + edges[-2:] for i in (e - 1, e)})
     for k, i in enumerate(stack_rays):
-        origins[i] = (3.0, 0.0, 1.0) if k % 2 == 0 else (3.1, 0.3, 1.0)
-        directions[i] = (0.0, 0.0, -1.0)
+        directions[i] = (0.0, 0.0, -1.0) if k % 2 == 0 else (0.05, 0.1, -1.0) / np.sqrt(1.0125)
 
     monkeypatch.setattr(raycast, "_RAY_CHUNK", n + 1)
     every = cast_rays(accel, origins, directions, EVERY_HIT)
@@ -348,6 +374,21 @@ def test_cast_across_chunks_matches_one_chunk(
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (max_hits, name)
 
 
+@pytest.mark.parametrize("block", [40_000, 1 << 16])
+def test_cast_in_blocks_past_int16_matches_default_blocks(block, torus_mesh, monkeypatch):
+    """Block-local ray numbers past 2^15 - 1 do not fit the int16 sort key
+    of a 2^12-ray block; a larger block must widen it, not wrap."""
+    accel = build_bvh(torus_mesh)
+    origins, directions = _flat_rays(camera_from_spherical(40.0, 25.0, width=256, height=256))
+    default = cast_rays(accel, origins, directions, EVERY_HIT)
+    assert np.count_nonzero(default.ray >= 1 << 15) > 1000
+    monkeypatch.setattr(raycast, "_RAY_CHUNK", block)
+    wide = cast_rays(accel, origins, directions, EVERY_HIT)
+    for name in ("ray", "depth", "face", "bary_u", "bary_v", "layer"):
+        a, b = getattr(default, name), getattr(wide, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 def test_cast_of_no_rays(torus_mesh):
     empty = cast_rays(build_bvh(torus_mesh), np.empty((0, 3)), np.empty((0, 3)), EVERY_HIT)
     for name, dtype in (("ray", np.int64), ("depth", np.float64), ("face", np.int64),
@@ -359,9 +400,10 @@ def test_cast_of_no_rays(torus_mesh):
 def test_cast_memory_bounded_by_block(nested_mesh):
     """A cast holds its result twice (the blocks' columns, then their
     concatenation) plus the working set of one block. That set is about 4
-    (ray, triangle) candidates per ray for this view, each with about 34
-    float64 kernel temporaries, so 1 KiB per block ray bounds it. Casting
-    all 262,144 rays as one block peaks at 327 MB for 13 MB of hits."""
+    (ray, triangle) candidates per ray for this view, each with about 27
+    eight-byte kernel temporaries (216 B per candidate at the one-block
+    peak), so 1 KiB per block ray bounds it. Casting all 262,144 rays as
+    one block peaks at 236 MB for 15 MB of hits."""
     mesh, _ = normalize_mesh(nested_mesh)
     accel = build_bvh(mesh)
     origins, directions = _flat_rays(camera_from_spherical(30.0, 20.0, width=512, height=512))
