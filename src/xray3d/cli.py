@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -177,7 +178,7 @@ def cmd_encode(args) -> int:
     mesh, _ = normalize_mesh(load_mesh(args.mesh_path))
     tensor = encode(mesh, camera, args.layers)
     write_xray(tensor, args.out_path)
-    used = np.count_nonzero(tensor.layer_occupancy())  # hits are prefix-dense
+    used = int(tensor.counts.max())
     print(f"wrote {args.out_path}: L={tensor.layers} H={tensor.height} W={tensor.width}")
     print(f"total hits: {tensor.total_hits()}, deepest layer used: {used}")
     _print_occupancy(tensor)
@@ -193,7 +194,7 @@ def cmd_decode(args) -> int:
              "world-frame Poisson domain")
     tensor = read_xray(args.xray_path)
     cloud = decode_to_pointcloud(tensor, frame=args.frame)
-    del tensor  # the payload, 16.8 MB at 8 layers of 256^2, is not read again
+    del tensor  # the file's bytes are not read again
     if len(cloud) == 0:
         raise ValueError("empty point cloud (tensor has no hits)")
     print(f"decoded {len(cloud)} points")
@@ -296,6 +297,7 @@ def cmd_info(args) -> int:
         print("  " + " ".join(f"{v: .6f}" for v in row))
     print(f"total hits: {tensor.total_hits()}")
     _print_occupancy(tensor)
+    print(f"file: {os.path.getsize(args.xray_path)} bytes")
     if tensor.height == tensor.width:
         ratio = storage_ratio(tensor.layers, tensor.width)
         change = "smaller" if ratio >= 0 else "larger"
@@ -303,6 +305,7 @@ def cmd_info(args) -> int:
             f"storage: {abs(ratio) * 100.0:.2f}% {change} than a "
             f"{tensor.width}^3 dense voxel grid"
         )
+        print(f"a 1-bit {tensor.width}^3 occupancy grid: {(tensor.width ** 3 + 7) // 8} bytes")
     return 0
 
 

@@ -1,10 +1,15 @@
 """Layered surface tensor codec.
 
-Encoding casts one ray per pixel through a mesh and records, for up to L
-surface crossings in depth order, an 8-channel sample per layer:
-[hit, depth, nx, ny, nz, r, g, b]. Decoding replays the camera rays and
-lifts every hit back to an oriented, colored 3D point. The `.xray` file
-format stores tensors losslessly (float32, little-endian).
+An X-Ray of a view is its hits. Encoding casts one ray per pixel through a
+mesh and keeps each ray's nearest L surface crossings as records of 7
+floats, [depth, nx, ny, nz, r, g, b]: layer k of a pixel is its ray's k-th
+nearest hit. Decoding replays the camera rays and lifts every hit back to
+an oriented, colored 3D point. Both work on the hits alone, so their cost
+follows the hit count, not L x H x W; the dense L x 8 x H x W tensor
+[hit, depth, nx, ny, nz, r, g, b] is built only on request. The `.xray`
+format stores tensors losslessly (little-endian): version 2, which
+`write_xray` writes, holds the hit-count plane and the records; version 1
+holds the dense tensor.
 """
 
 from __future__ import annotations
@@ -15,19 +20,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import Camera, _pose_error, generate_rays
-from .mesh import TriangleMesh, _frozen, surface_attributes
+from .mesh import TriangleMesh, _frozen, _ramp, surface_attributes
 from .raycast import BvhAccel, build_bvh, cast_rays
 
 MAGIC = b"XRAY"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 DTYPE_F32 = 1
 
 _HEADER = struct.Struct("<4sIIIIf16fI")
 
+# Channels of the dense tensor. A hit record holds channels 1-7, so its
+# normal and colour are record columns 1-3 and 4-6.
 CH_HIT = 0
 CH_DEPTH = 1
-CH_NORMAL = slice(2, 5)
-CH_COLOR = slice(5, 8)
+_NORMAL = slice(1, 4)
+_COLOR = slice(4, 7)
 _CHANNEL_NAMES = ("hit", "depth", "normal", "normal", "normal", "color", "color", "color")
 # Largest |R R^T - I| entry accepted for a stored pose: float32 rounding of
 # an orthonormal matrix reaches about 2e-7, anything else is corruption.
@@ -51,7 +58,7 @@ def _bad_value(channel: int, value, where: str) -> str:
 
 
 class XRayFormatError(ValueError):
-    """Malformed `.xray` file (bad magic, version, or payload size)."""
+    """Malformed `.xray` file (bad magic, version, hit counts, or payload size)."""
 
 
 class XRayDataError(ValueError):
@@ -85,121 +92,199 @@ class PointCloud:
         if len(col) and (col.min() < 0 or col.max() > 1):
             i, k = np.argwhere((col < 0) | (col > 1))[0]
             raise ValueError(f"colors must lie in [0, 1], got {col[i, k]!s} at point {i}")
-        object.__setattr__(self, "positions", _frozen(pos))
-        object.__setattr__(self, "normals", _frozen(nrm))
-        object.__setattr__(self, "colors", _frozen(col))
+        _set_points(self, pos, nrm, col)
 
     def __len__(self) -> int:
         return len(self.positions)
 
 
+def _set_points(cloud: PointCloud, positions, normals, colors) -> PointCloud:
+    """Give cloud its (n, 3) float64 arrays, read-only, unchecked: decode
+    builds a cloud this way from values it has already checked."""
+    for name, arr in (("positions", positions), ("normals", normals), ("colors", colors)):
+        object.__setattr__(cloud, name, _frozen(arr))
+    return cloud
+
+
 @dataclass(frozen=True)
 class XRayTensor:
-    """L x 8 x H x W float32 tensor plus the camera that produced it.
+    """One camera view's hits: an (H, W) hit-count plane and one record per hit.
 
-    Channel order per layer: hit flag, depth, unit normal (3), RGB (3).
-    Hits are prefix-dense along the layer axis and depths strictly
-    increase within a pixel; all channels are zero where hit = 0.
+    counts[row, col] is how many of the pixel's ray crossings are kept, at
+    most `layers`; layer k of a pixel is its k-th nearest hit, so hits are
+    prefix-dense along the layer axis by construction. records is an
+    (N, 7) float32 array, N = counts.sum(), of [depth, nx, ny, nz, r, g, b]
+    rows in (layer, row, col) order, the order decode emits points in.
+    The contract on the records (finite, depths positive and strictly
+    increasing within a pixel, unit normals, colours in [0, 1]) and on the
+    header pose is checked by validate and decode_to_pointcloud.
+
+    `data` builds the dense L x 8 x H x W float32 tensor on request, with
+    channels [hit, depth, normal (3), RGB (3)], all zero where hit = 0;
+    `from_dense` converts such a tensor back.
     """
 
-    data: np.ndarray
+    layers: int
+    counts: np.ndarray
+    records: np.ndarray
     fov_x: float
     c2w: np.ndarray
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float32)
-        if data.ndim != 4 or data.shape[1] != 8:
-            raise XRayDataError(f"expected (L, 8, H, W) data, got {data.shape}")
+        counts = np.asarray(self.counts)
+        if counts.ndim != 2 or counts.dtype.kind not in "iu":
+            raise XRayDataError(f"expected an (H, W) integer hit-count plane, "
+                                f"got {counts.dtype} of shape {counts.shape}")
+        _check_counts(counts, self.layers)
+        records = np.asarray(self.records, dtype=np.float32)
+        hits = int(counts.sum())
+        if records.shape != (hits, 7):
+            raise XRayDataError(f"expected ({hits}, 7) hit records for the hit counts, "
+                                f"got {records.shape}")
         c2w = np.asarray(self.c2w, dtype=np.float32).reshape(4, 4)
-        object.__setattr__(self, "data", _frozen(data))
+        object.__setattr__(self, "layers", int(self.layers))
+        object.__setattr__(self, "counts", _frozen(counts.astype(np.uint32, copy=False)))
+        object.__setattr__(self, "records", _frozen(records))
         object.__setattr__(self, "c2w", _frozen(c2w))
         object.__setattr__(self, "fov_x", float(np.float32(self.fov_x)))
 
-    @property
-    def layers(self) -> int:
-        return self.data.shape[0]
+    @classmethod
+    def from_dense(cls, data, fov_x, c2w) -> XRayTensor:
+        """The tensor of a dense (L, 8, H, W) array. It checks what records
+        cannot hold: every unhit slot zero, hit values 0 or 1 and prefix-dense
+        hits. XRayDataError names the first bad entry's layer, pixel and value."""
+        data = np.asarray(data, dtype=np.float32)
+        if data.ndim != 4 or data.shape[1] != 8:
+            raise XRayDataError(f"expected (L, 8, H, W) data, got {data.shape}")
+        mask = data[:, CH_HIT] > 0.5
+        unhit = ~mask
+        for ch in range(8):  # NaN != 0, so this also finds a non-finite unhit value
+            stray = (data[:, ch] != 0) & unhit
+            if stray.any():
+                raise XRayDataError(_bad_value(ch, data[:, ch][stray][0], _place(stray)))
+        flags = data[:, CH_HIT][mask]
+        bad = np.abs(flags - 1.0) > 1e-6  # true for +inf too
+        if bad.any():
+            i = np.argmax(bad)
+            raise XRayDataError(_bad_value(CH_HIT, flags[i], _place(mask, i)))
+        gap = ~mask[:-1] & mask[1:]
+        if gap.any():
+            raise XRayDataError(f"hit flags are not prefix-dense: no hit {_place(gap)}, "
+                                "but a hit at the next layer")
+        records = data[:, CH_DEPTH:].transpose(0, 2, 3, 1)[mask]
+        return cls(len(data), mask.sum(axis=0), records, fov_x, c2w)
 
     @property
     def height(self) -> int:
-        return self.data.shape[2]
+        return self.counts.shape[0]
 
     @property
     def width(self) -> int:
-        return self.data.shape[3]
+        return self.counts.shape[1]
+
+    @property
+    def data(self) -> np.ndarray:
+        """The dense L x 8 x H x W float32 tensor, built by one scatter."""
+        layer, pixel, _ = self._slots()
+        data = np.zeros((self.layers, 8, self.height * self.width), dtype=np.float32)
+        data[layer, CH_HIT, pixel] = 1.0
+        data[layer, CH_DEPTH:, pixel] = self.records
+        return data.reshape(self.layers, 8, self.height, self.width)
 
     def camera(self) -> Camera:
         c2w = self.c2w.astype(np.float64)
         # The stored pose is float32-quantized; project the rotation back
         # onto the nearest orthonormal matrix before ray generation. Only
-        # rounding is repaired here: _hit_records rejects anything larger.
+        # rounding is repaired here: _hit_slots rejects anything larger.
         u, _, vt = np.linalg.svd(c2w[:3, :3])
         c2w[:3, :3] = u @ vt
         return Camera(self.width, self.height, self.fov_x, c2w)
 
-    def _hit_records(self) -> tuple[np.ndarray, np.ndarray]:
-        """Check the codec contract, all but unit normals; return the hit mask
-        and one 8-float record per hit in (layer, row, col) order. Contract: a
-        pinhole header pose (Camera's rule at the float32 tolerance _POSE_TOL),
-        zero unhit slots, finite hit records with hit value 1, prefix-dense hits,
-        positive and strictly increasing depths, colours in [0, 1]. XRayDataError
-        names the field, or the first bad entry's layer, pixel and value."""
+    def _slots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each record's layer and flat pixel index, and where it falls when
+        the records are put in (row, col, layer) order, which keeps each
+        pixel's hits adjacent. One stable radix sort by layer; O(hits + H W)."""
+        counts = self.counts.ravel().astype(np.int64)
+        rank = _ramp(counts)  # each hit's layer, in (row, col, layer) order
+        order = np.argsort(rank.astype(np.min_scalar_type(self.layers)), kind="stable")
+        return rank[order], np.repeat(np.arange(counts.size), counts)[order], order
+
+    def _at(self, layer: np.ndarray, pixel: np.ndarray, i: int) -> str:
+        row, col = divmod(int(pixel[i]), self.width)
+        return f"at layer {layer[i]}, pixel ({row}, {col})"
+
+    def _hit_slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """Check the codec contract, all but unit normals, and return each
+        record's layer and flat pixel index. Contract: a pinhole header pose
+        (Camera's rule at the float32 tolerance _POSE_TOL), finite records,
+        positive and strictly increasing depths, colours in [0, 1].
+        XRayDataError names the field, or the first bad record's layer,
+        pixel and value."""
         error = _pose_error(self.fov_x, self.c2w.astype(np.float64), _POSE_TOL)
         if error:
             raise XRayDataError(error)
-        mask = self.hit_mask()
-        unhit = ~mask
-        for ch in range(8):  # NaN != 0, so this also finds a non-finite unhit value
-            stray = (self.data[:, ch] != 0) & unhit
-            if stray.any():
-                raise XRayDataError(_bad_value(ch, self.data[:, ch][stray][0], _place(stray)))
-        hits = self.data.transpose(0, 2, 3, 1)[mask]
-        bad = ~np.isfinite(hits)
-        bad[:, CH_HIT] = np.abs(hits[:, CH_HIT] - 1.0) > 1e-6  # true for +inf too
-        if bad.any():
-            i, ch = np.argwhere(bad)[0]
-            raise XRayDataError(_bad_value(ch, hits[i, ch], _place(mask, i)))
-        gap = ~mask[:-1] & mask[1:]
-        if gap.any():
-            raise XRayDataError(f"hit flags are not prefix-dense: no hit {_place(gap)}, "
-                                "but a hit at the next layer")
-        bad = hits[:, CH_DEPTH] <= 0
+        layer, pixel, order = self._slots()
+        records = self.records
+        if not np.isfinite(records).all():
+            i, k = np.argwhere(~np.isfinite(records))[0]
+            raise XRayDataError(f"non-finite {_CHANNEL_NAMES[CH_DEPTH + k]} "
+                                f"{self._at(layer, pixel, i)}")
+        depth = records[:, 0]
+        bad = depth <= 0
         if bad.any():
             i = np.argmax(bad)
-            raise XRayDataError(f"non-positive depth {hits[i, CH_DEPTH]!s} {_place(mask, i)}")
-        depth = self.data[:, CH_DEPTH]
-        bad = mask[1:] & (depth[1:] <= depth[:-1])  # mask[1:] implies mask[:-1] once dense
+            raise XRayDataError(f"non-positive depth {depth[i]!s} {self._at(layer, pixel, i)}")
+        adjacent = np.empty_like(depth)
+        adjacent[order] = depth
+        near = adjacent[order - 1]  # the depth in front, where layer > 0
+        bad = (layer > 0) & (depth <= near)
         if bad.any():
-            layer, row, col = np.argwhere(bad)[0]
-            near, far = depth[layer:layer + 2, row, col]
-            raise XRayDataError(f"depths do not strictly increase: {far!s} at layer {layer + 1} "
-                                f"after {near!s} at layer {layer}, pixel ({row}, {col})")
-        colors = hits[:, CH_COLOR]
+            i = np.argmax(bad)
+            row, col = divmod(int(pixel[i]), self.width)
+            raise XRayDataError(f"depths do not strictly increase: {depth[i]!s} at layer "
+                                f"{layer[i]} after {near[i]!s} at layer {layer[i] - 1}, "
+                                f"pixel ({row}, {col})")
+        colors = records[:, _COLOR]
         bad = (colors < 0) | (colors > 1)
         if bad.any():
             i, k = np.argwhere(bad)[0]
-            raise XRayDataError(f"color {colors[i, k]!s} outside [0, 1] {_place(mask, i)}")
-        return mask, hits
+            raise XRayDataError(f"color {colors[i, k]!s} outside [0, 1] "
+                                f"{self._at(layer, pixel, i)}")
+        return layer, pixel
 
     def hit_mask(self) -> np.ndarray:
-        return self.data[:, CH_HIT] > 0.5
+        return self.counts > np.arange(self.layers)[:, None, None]
 
     def validate(self) -> None:
         """Check every tensor invariant, unit normals included; raises
         XRayDataError naming the first violating entry's layer, pixel and value."""
-        mask, hits = self._hit_records()
-        lengths = np.linalg.norm(hits[:, CH_NORMAL], axis=1)
+        layer, pixel = self._hit_slots()
+        lengths = np.linalg.norm(self.records[:, _NORMAL], axis=1)
         bad = np.abs(lengths - 1.0) > 1e-3
         if bad.any():
             i = np.argmax(bad)
             raise XRayDataError(f"hit normal of length {lengths[i]!s} is not unit length "
-                                f"(within 1e-3) {_place(mask, i)}")
+                                f"(within 1e-3) {self._at(layer, pixel, i)}")
 
     def total_hits(self) -> int:
-        return int(self.hit_mask().sum())
+        return len(self.records)
 
     def layer_occupancy(self) -> np.ndarray:
         """Fraction of pixels hit at each layer."""
-        return self.hit_mask().mean(axis=(1, 2))
+        pixels = np.bincount(self.counts.ravel(), minlength=self.layers + 1)
+        return np.cumsum(pixels[::-1])[::-1][1:] / self.counts.size
+
+
+def _check_counts(counts: np.ndarray, layers: int, error=XRayDataError) -> None:
+    """Each pixel keeps 0 to `layers` hits; the error names the first pixel
+    outside that range."""
+    if layers < 1:
+        raise error(f"need at least one layer, got {layers!r}")
+    bad = (counts < 0) | (counts > layers)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise error(f"hit count {counts[row, col]} at pixel ({row}, {col}) "
+                            f"is outside [0, L={layers}]")
 
 
 def encode(
@@ -218,38 +303,39 @@ def encode(
     if layers < 1:
         raise ValueError(f"need at least one layer, got {layers!r}")
     h, w = camera.height, camera.width
-    data = np.zeros((layers, 8, h, w), dtype=np.float32)
     if mesh.is_empty:
-        return XRayTensor(data, camera.fov_x, camera.c2w)
+        return XRayTensor(layers, np.zeros((h, w), dtype=np.uint32),
+                          np.empty((0, 7), dtype=np.float32), camera.fov_x, camera.c2w)
 
     if accel is None:
         accel = build_bvh(mesh)
     dirs = generate_rays(camera).reshape(-1, 3)
     batch = cast_rays(accel, np.broadcast_to(camera.position, dirs.shape), dirs, layers)
-    layer, row, col = batch.layer, batch.ray // w, batch.ray % w
-    normal, color = surface_attributes(mesh, batch.face, batch.bary_u, batch.bary_v)
-    data[layer, CH_HIT, row, col] = 1.0
-    data[layer, CH_DEPTH, row, col] = batch.depth
-    data[layer, CH_NORMAL, row, col] = normal
-    data[layer, CH_COLOR, row, col] = color
-    return XRayTensor(data, camera.fov_x, camera.c2w)
+    # The hits come in (ray, layer) order; a stable sort by layer puts them in
+    # (layer, row, col) order.
+    order = np.argsort(batch.layer.astype(np.min_scalar_type(layers)), kind="stable")
+    normal, color = surface_attributes(mesh, batch.face[order], batch.bary_u[order],
+                                       batch.bary_v[order])
+    records = np.empty((len(order), 7), dtype=np.float32)
+    records[:, 0] = batch.depth[order]
+    records[:, _NORMAL] = normal
+    records[:, _COLOR] = color
+    counts = np.bincount(batch.ray, minlength=h * w).reshape(h, w)
+    return XRayTensor(layers, counts, records, camera.fov_x, camera.c2w)
 
 
 def pad_or_truncate(x: XRayTensor, target_layers: int) -> XRayTensor:
     """Zero-pad or drop layers from the deep end to reach `target_layers`.
 
-    Dropping layers copies nothing: the result's data is a read-only view
-    of the leading layers of x's.
+    Padding keeps x's records; dropping layers keeps a prefix of them, a
+    read-only view, since the records are in (layer, row, col) order.
     """
     if target_layers < 1:
         raise ValueError(f"target layer count must be at least 1, got {target_layers!r}")
     if target_layers == x.layers:
         return x
-    if target_layers < x.layers:
-        return XRayTensor(x.data[:target_layers], x.fov_x, x.c2w)
-    data = np.zeros((target_layers, 8, x.height, x.width), dtype=np.float32)
-    data[:x.layers] = x.data
-    return XRayTensor(data, x.fov_x, x.c2w)
+    counts = np.minimum(x.counts, target_layers)
+    return XRayTensor(target_layers, counts, x.records[:int(counts.sum())], x.fov_x, x.c2w)
 
 
 def decode_to_pointcloud(x: XRayTensor, frame: str = "camera") -> PointCloud:
@@ -261,22 +347,23 @@ def decode_to_pointcloud(x: XRayTensor, frame: str = "camera") -> PointCloud:
     camera-to-world pose. Every tensor that x.validate() rejects raises
     its XRayDataError here too, except a hit normal of length other than
     1, which is renormalised; a zero-length one names its layer and pixel.
+    Each record is checked once: the PointCloud is built from the checked
+    values without a second scan.
     """
     if frame not in ("camera", "world"):
         raise ValueError(f"unknown frame {frame!r}")
-    mask, hits = x._hit_records()
+    layer, pixel = x._hit_slots()
     camera = Camera(x.width, x.height, x.fov_x, np.eye(4)) if frame == "camera" else x.camera()
-    _, row_idx, col_idx = np.nonzero(mask)
-    depth = hits[:, CH_DEPTH].astype(np.float64)
-    positions = camera.position + depth[:, None] * generate_rays(camera)[row_idx, col_idx]
+    depth = x.records[:, 0].astype(np.float64)
+    positions = camera.position + depth[:, None] * generate_rays(camera).reshape(-1, 3)[pixel]
 
-    normals = hits[:, CH_NORMAL].astype(np.float64)
+    normals = x.records[:, _NORMAL].astype(np.float64)
     lengths = np.linalg.norm(normals, axis=1, keepdims=True)
     if not lengths.all():
-        raise XRayDataError(f"zero-length normal {_place(mask, np.argmin(lengths))}")
+        raise XRayDataError(f"zero-length normal {x._at(layer, pixel, np.argmin(lengths))}")
     normals /= lengths
-    colors = hits[:, CH_COLOR].astype(np.float64)
-    return PointCloud(positions, normals, colors)
+    colors = x.records[:, _COLOR].astype(np.float64)
+    return _set_points(object.__new__(PointCloud), positions, normals, colors)
 
 
 def storage_ratio(layers: int, grid_resolution: int) -> float:
@@ -289,7 +376,8 @@ def storage_ratio(layers: int, grid_resolution: int) -> float:
 
 
 def write_xray(x: XRayTensor, path) -> None:
-    """Serialize losslessly; read_xray(write_xray(x)) is bitwise identical."""
+    """Serialize losslessly as version 2: the header, the u32 hit-count
+    plane and the f32 records. read_xray(write_xray(x)) is bitwise identical."""
     header = _HEADER.pack(
         MAGIC,
         FORMAT_VERSION,
@@ -302,10 +390,13 @@ def write_xray(x: XRayTensor, path) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(x.data, dtype="<f4").data)
+        fh.write(np.ascontiguousarray(x.counts, dtype="<u4").data)
+        fh.write(np.ascontiguousarray(x.records, dtype="<f4").data)
 
 
 def read_xray(path) -> XRayTensor:
+    """Read a version 1 (dense) or version 2 (hit records) file into the same
+    tensor. A version 2 tensor's arrays are read-only views of the file's bytes."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER.size:
@@ -316,17 +407,29 @@ def read_xray(path) -> XRayTensor:
     dtype_tag = fields[22]
     if magic != MAGIC:
         raise XRayFormatError(f"bad magic {magic!r}")
-    if version != FORMAT_VERSION:
+    if version not in (1, 2):
         raise XRayFormatError(f"unsupported version {version}")
     if dtype_tag != DTYPE_F32:
         raise XRayFormatError(f"unsupported dtype tag {dtype_tag}")
     if min(layers, height, width) < 1:
         raise XRayFormatError(f"non-positive tensor dimensions L={layers}, H={height}, W={width}")
-    expected = layers * 8 * height * width * 4
     payload = len(raw) - _HEADER.size
+    if version == 1:
+        expected = layers * 8 * height * width * 4
+    else:
+        plane = 4 * height * width
+        if payload < plane:
+            raise XRayFormatError(f"truncated hit-count plane: {payload} bytes, expected {plane}")
+        counts = np.frombuffer(raw, dtype="<u4", count=height * width, offset=_HEADER.size)
+        counts = counts.reshape(height, width)
+        _check_counts(counts, layers, XRayFormatError)
+        expected = plane + 28 * int(counts.sum(dtype=np.uint64))
     if payload < expected:
         raise XRayFormatError(f"truncated payload: {payload} bytes, expected {expected}")
     if payload > expected:
         raise XRayFormatError(f"payload size mismatch: {payload} bytes, expected {expected}")
-    data = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).reshape(layers, 8, height, width)
-    return XRayTensor(data, float(fov_x), c2w)
+    if version == 1:
+        data = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size)
+        return XRayTensor.from_dense(data.reshape(layers, 8, height, width), fov_x, c2w)
+    records = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size + plane).reshape(-1, 7)
+    return XRayTensor(layers, counts, records, fov_x, c2w)

@@ -245,11 +245,23 @@ def _cast_chunk(accel: BvhAccel, fan, dirs):
 
 def _sort_merge_cap(max_hits, first_ray, ray, t, face, u, v):
     """Sort hits by (ray, depth), merge near-duplicates, rank and keep each
-    ray's nearest. The sort key is the block-local ray in the narrowest
-    type holding -_RAY_CHUNK (int16: radix-sorted); first_ray is added after."""
+    ray's nearest. The ray key is the block-local ray in the narrowest type
+    holding -_RAY_CHUNK (int16: radix-sorted); first_ray is added after.
+
+    A ray crosses a triangle at most once, so the (ray, t, face) keys are
+    unique and any exact sort on them gives one order: an unstable sort on
+    t, a stable one on the ray, then the rare runs of exactly equal t on a
+    ray are put in face order."""
     ray = ray.astype(np.min_scalar_type(-_RAY_CHUNK))
-    order = np.lexsort((face, t, ray))
-    ray, t, face, u, v = ray[order], t[order], face[order], u[order], v[order]
+    order = np.argsort(t)
+    order = order[np.argsort(ray[order], kind="stable")]
+    r, s = ray[order], t[order]
+    tie = np.flatnonzero((r[1:] == r[:-1]) & (s[1:] == s[:-1]))
+    if tie.size:
+        run = np.union1d(tie, tie + 1)
+        order[run] = order[run][np.lexsort((face[order[run]], s[run], r[run]))]
+    # Reordering within a run of equal (ray, t) leaves r and s as they are.
+    ray, t, face, u, v = r, s, face[order], u[order], v[order]
     # Merge a hit into the previous one on its ray when they are closer than EPS_DUP.
     dup = (np.diff(ray, prepend=-1) == 0) & (np.diff(t, prepend=0.0) < EPS_DUP)
     ray, t, face, u, v = ray[~dup], t[~dup], face[~dup], u[~dup], v[~dup]

@@ -267,7 +267,7 @@ def run_sweep(
             ]
         # Layers past the deepest hit are empty, so every cell at or above
         # it decodes the same cloud: compute once per distinct depth.
-        used = max(1, np.count_nonzero(full.layer_occupancy()))
+        used = max(1, int(full.counts.max()))
         cells, rows = {}, []
         for layers in layers_list:
             depth = min(layers, used)

@@ -126,7 +126,7 @@ def test_camera_and_tensor_header_share_the_pose_rule(fov_x, entry, value, messa
     with pytest.raises(ValueError) as info:
         Camera(4, 4, fov_x, c2w)
     assert str(info.value) == message
-    tensor = XRayTensor(np.zeros((1, 8, 4, 4), dtype=np.float32), fov_x, c2w)
+    tensor = XRayTensor.from_dense(np.zeros((1, 8, 4, 4), dtype=np.float32), fov_x, c2w)
     with pytest.raises(XRayDataError) as info:
         tensor.validate()
     assert str(info.value) == message

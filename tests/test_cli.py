@@ -159,13 +159,13 @@ def _negative_depth(x: XRayTensor) -> XRayTensor:
     data = x.data.copy()
     layer, row, col = np.argwhere(data[:, 0] > 0.5)[0]
     data[layer, 1, row, col] = -0.5
-    return XRayTensor(data, x.fov_x, x.c2w)
+    return XRayTensor.from_dense(data, x.fov_x, x.c2w)
 
 
 def _mirrored_pose(x: XRayTensor) -> XRayTensor:
     c2w = x.c2w.copy()
     c2w[:3, 0] *= -1
-    return XRayTensor(x.data, x.fov_x, c2w)
+    return XRayTensor(x.layers, x.counts, x.records, x.fov_x, c2w)
 
 
 @pytest.mark.parametrize("corrupt, message", [
@@ -251,7 +251,8 @@ def test_process_refuses_bad_options_before_reading_inputs(tmp_path, ico_xray):
 
 def test_decode_empty_tensor_errors(tmp_path, capsys):
     xray = tmp_path / "zero.xray"
-    write_xray(XRayTensor(np.zeros((2, 8, 8, 8), dtype=np.float32), 0.8, np.eye(4)), xray)
+    write_xray(XRayTensor.from_dense(np.zeros((2, 8, 8, 8), dtype=np.float32), 0.8, np.eye(4)),
+               xray)
     code = run_cli("decode", xray, tmp_path / "out.ply", "--points-only")
     assert code == 1
     assert "empty point cloud" in capsys.readouterr().err
@@ -477,7 +478,7 @@ def test_views_seeds_differ(tmp_path, cube_obj):
 def test_info_reports_storage_claim(tmp_path, capsys):
     xray = tmp_path / "t.xray"
     write_xray(
-        XRayTensor(np.zeros((8, 8, 256, 256), dtype=np.float32), 0.857556, np.eye(4)),
+        XRayTensor.from_dense(np.zeros((8, 8, 256, 256), dtype=np.float32), 0.857556, np.eye(4)),
         xray,
     )
     assert run_cli("info", xray) == 0
@@ -486,10 +487,21 @@ def test_info_reports_storage_claim(tmp_path, capsys):
     assert "layer 0" in printed
 
 
+def test_info_prints_the_file_size_next_to_a_one_bit_grid(tmp_path, cube_obj, capsys):
+    xray = tmp_path / "c.xray"
+    assert run_cli("encode", cube_obj, xray, "--width", "40", "--height", "40") == 0
+    capsys.readouterr()
+    assert run_cli("info", xray) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert f"file: {os.path.getsize(xray)} bytes" in printed
+    assert "a 1-bit 40^3 occupancy grid: 8000 bytes" in printed
+
+
 def test_info_words_a_negative_saving_as_larger(tmp_path, capsys):
     # 5 layers of a 4x4 frame store more than a 4^3 grid: 1 - 5/4 = -25%.
     xray = tmp_path / "t.xray"
-    write_xray(XRayTensor(np.zeros((5, 8, 4, 4), dtype=np.float32), 0.8, np.eye(4)), xray)
+    write_xray(XRayTensor.from_dense(np.zeros((5, 8, 4, 4), dtype=np.float32), 0.8, np.eye(4)),
+               xray)
     assert run_cli("info", xray) == 0
     printed = capsys.readouterr().out
     assert "storage: 25.00% larger than a 4^3 dense voxel grid" in printed

@@ -1,10 +1,13 @@
+import struct
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import box_surface_distance
+from xray3d import codec
 from xray3d.camera import Camera, camera_from_spherical, generate_rays
 from xray3d.codec import (
     PointCloud,
@@ -46,7 +49,7 @@ def random_valid_tensor(rng, layers=None, height=None, width=None) -> XRayTensor
             data[:k, 5:8, j, i] = rng.uniform(0, 1, size=(k, 3))
     c2w = np.eye(4)
     c2w[:3, 3] = rng.uniform(-1, 1, size=3)
-    return XRayTensor(data, float(rng.uniform(0.3, 1.5)), c2w)
+    return XRayTensor.from_dense(data, float(rng.uniform(0.3, 1.5)), c2w)
 
 
 def test_encode_cube_central_pixel():
@@ -149,8 +152,8 @@ def test_truncate_keeps_prefix():
     x = random_valid_tensor(rng, layers=12, height=4, width=4)
     cut = pad_or_truncate(x, 8)
     np.testing.assert_array_equal(cut.data, x.data[:8])
-    assert np.shares_memory(cut.data, x.data)
-    assert cut.data.flags.c_contiguous and not cut.data.flags.writeable
+    assert np.shares_memory(cut.records, x.records)
+    assert cut.records.flags.c_contiguous and not cut.records.flags.writeable
     assert (cut.fov_x, cut.c2w.tobytes()) == (x.fov_x, x.c2w.tobytes())
     cut.validate()
 
@@ -181,7 +184,7 @@ def test_decode_single_synthetic_hit():
     data[0, 1, 2, 2] = 0.7
     data[0, 2:5, 2, 2] = [0, 0, 1]
     data[0, 5:8, 2, 2] = [1, 0, 0]
-    x = XRayTensor(data, 0.9, np.eye(4))
+    x = XRayTensor.from_dense(data, 0.9, np.eye(4))
     cloud = decode_to_pointcloud(x, frame="camera")
     assert len(cloud) == 1
     direction = generate_rays(Camera(5, 5, x.fov_x, np.eye(4)))[2, 2]
@@ -218,7 +221,7 @@ def test_decode_camera_frame_relates_by_pose():
 
 
 def test_decode_all_zero_empty():
-    x = XRayTensor(np.zeros((2, 8, 4, 4), dtype=np.float32), 0.8, np.eye(4))
+    x = XRayTensor.from_dense(np.zeros((2, 8, 4, 4), dtype=np.float32), 0.8, np.eye(4))
     assert len(decode_to_pointcloud(x)) == 0
     for frame in ("camera", "world"):
         cloud = decode_to_pointcloud(x, frame=frame)
@@ -227,11 +230,11 @@ def test_decode_all_zero_empty():
 
 
 def test_decode_corrupt_hit_channel():
+    # A hit value is dense-only: converting the array to a tensor refuses it.
     data = np.zeros((1, 8, 2, 2), dtype=np.float32)
     data[0, 0, 0, 0] = 0.5
-    x = XRayTensor(data, 0.8, np.eye(4))
     with pytest.raises(XRayDataError, match="corrupt hit"):
-        decode_to_pointcloud(x)
+        decode_to_pointcloud(XRayTensor.from_dense(data, 0.8, np.eye(4)))
 
 
 def test_validate_and_decode_name_the_bad_hit_value():
@@ -239,12 +242,11 @@ def test_validate_and_decode_name_the_bad_hit_value():
     for value in (0.7, 0.25):
         data = np.zeros((1, 8, 2, 2), dtype=np.float32)
         data[0, 0, 1, 0] = value
-        x = XRayTensor(data, 0.8, np.eye(4))
-        for check in (x.validate, lambda: decode_to_pointcloud(x)):
-            with pytest.raises(XRayDataError) as info:
-                check()
-            assert str(info.value) == (f"corrupt hit channel (value {value} is neither 0 nor 1) "
-                                       "at layer 0, pixel (1, 0)")
+        # Records hold no hit value, so the dense array's conversion names it.
+        with pytest.raises(XRayDataError) as info:
+            XRayTensor.from_dense(data, 0.8, np.eye(4))
+        assert str(info.value) == (f"corrupt hit channel (value {value} is neither 0 nor 1) "
+                                   "at layer 0, pixel (1, 0)")
 
 
 def test_decode_zero_normal_names_its_pixel():
@@ -252,13 +254,13 @@ def test_decode_zero_normal_names_its_pixel():
     data[:, 0] = 1.0
     data[0, 1], data[1, 1] = 0.5, 0.9
     data[:, 4] = 2.0  # normal (0, 0, 2): decode renormalises it
-    normals = decode_to_pointcloud(XRayTensor(data.copy(), 0.8, np.eye(4))).normals
+    normals = decode_to_pointcloud(XRayTensor.from_dense(data.copy(), 0.8, np.eye(4))).normals
     np.testing.assert_array_equal(normals, np.tile([0.0, 0.0, 1.0], (24, 1)))
     data[1, 2:5, 2, 3] = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(XRayDataError) as info:
-            decode_to_pointcloud(XRayTensor(data, 0.8, np.eye(4)))
+            decode_to_pointcloud(XRayTensor.from_dense(data, 0.8, np.eye(4)))
     assert str(info.value) == "zero-length normal at layer 1, pixel (2, 3)"
 
 
@@ -279,21 +281,94 @@ def test_write_read_round_trip_bitwise(tmp_path, rng):
         assert np.float32(x.fov_x) == np.float32(y.fov_x)
 
 
+def _round_trip(x, path):
+    write_xray(x, path)
+    y = read_xray(path)
+    assert y.layers == x.layers
+    assert (y.counts.tobytes(), y.records.tobytes()) == (x.counts.tobytes(), x.records.tobytes())
+    assert y.data.tobytes() == x.data.tobytes()
+    assert y.c2w.tobytes() == x.c2w.tobytes()
+    assert np.float32(y.fov_x) == np.float32(x.fov_x)
+
+
+def test_write_read_round_trip_edge_cases(tmp_path, rng):
+    """No hits, every slot hit, one layer, and more layers than a byte counts."""
+    data = np.zeros((3, 8, 4, 5), dtype=np.float32)
+    _round_trip(XRayTensor.from_dense(data, 0.8, np.eye(4)), tmp_path / "none.xray")
+    data[:, 0] = 1.0
+    data[:, 1] = np.arange(1, 4, dtype=np.float32)[:, None, None]
+    data[:, 3] = 1.0
+    data[:, 5:8] = 0.25
+    full = XRayTensor.from_dense(data, 0.8, np.eye(4))
+    assert full.total_hits() == data[:, 0].size
+    _round_trip(full, tmp_path / "full.xray")
+    _round_trip(random_valid_tensor(rng, layers=1, height=6, width=7), tmp_path / "one.xray")
+    data = random_valid_tensor(rng, layers=300, height=2, width=3).data
+    data[:, 0, 1, 2] = 1.0  # one pixel hit at all 300 layers
+    data[:, 1, 1, 2] = np.linspace(0.5, 2.0, 300, dtype=np.float32)
+    data[:, 2:5, 1, 2] = [0.0, 0.6, 0.8]
+    data[:, 5:8, 1, 2] = 0.5
+    deep = XRayTensor.from_dense(data, 0.8, np.eye(4))
+    assert deep.counts.max() == 300
+    _round_trip(deep, tmp_path / "deep.xray")
+    _round_trip(pad_or_truncate(deep, 400), tmp_path / "padded.xray")
+
+
+V1_FIXTURE = Path(__file__).parent / "data" / "cube_2x6x7_v1.xray"
+
+
+def test_committed_v1_file_reads_as_built():
+    """A version 1 file (dense payload) reads into the tensor it holds: the
+    cube from azimuth 30, elevation 20 at 2 layers of 6 x 7 pixels."""
+    x = encode(cube(), camera_from_spherical(30.0, 20.0, width=7, height=6), 2)
+    header = struct.pack("<4sIIIIf16fI", b"XRAY", 1, 2, 6, 7, x.fov_x, *x.c2w.ravel().tolist(), 1)
+    assert V1_FIXTURE.read_bytes() == header + x.data.astype("<f4").tobytes()
+    y = read_xray(V1_FIXTURE)
+    assert y.layers == x.layers and y.total_hits() == x.total_hits() == 22
+    assert (y.counts.tobytes(), y.records.tobytes()) == (x.counts.tobytes(), x.records.tobytes())
+    assert y.data.tobytes() == x.data.tobytes()
+    assert y.c2w.tobytes() == x.c2w.tobytes() and y.fov_x == x.fov_x
+
+
+def test_encode_and_decode_memory_follows_the_hits(nested_mesh, monkeypatch):
+    """At 256 layers of 256^2 pixels, encode and decode allocate a fixed
+    multiple of the hit count plus a fixed multiple of the (H, W, 3) ray
+    plane, never an L x 8 x H x W tensor (537 MB here). The cast is run
+    first and handed to encode: its own memory is bounded by its block
+    (test_cast_memory_bounded_by_block)."""
+    mesh, _ = normalize_mesh(nested_mesh)
+    camera = camera_from_spherical(30.0, 20.0, width=256, height=256)
+    rays = generate_rays(camera)
+    batch = codec.cast_rays(codec.build_bvh(mesh), np.broadcast_to(camera.position, (256 * 256, 3)),
+                            rays.reshape(-1, 3), 256)
+    monkeypatch.setattr(codec, "cast_rays", lambda *args: batch)
+    tracemalloc.start()
+    try:
+        x = encode(mesh, camera, 256)
+        cloud = decode_to_pointcloud(x, frame="world")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cloud) == x.total_hits() == batch.ray.size > 50_000
+    assert peak <= 200 * x.total_hits() + 5 * rays.nbytes
+
+
 def test_read_memory_one_payload(tmp_path, rng):
     """The tensor read back is a view of the file's bytes, so a read holds
     one payload (plus the header and array objects). Slicing the header
     off the bytes first holds it twice."""
-    x = XRayTensor(rng.random((8, 8, 128, 128), dtype=np.float32), 1.0, np.eye(4))
+    x = random_valid_tensor(rng, layers=8, height=128, width=128)
     path = tmp_path / "big.xray"
     write_xray(x, path)
+    payload = x.counts.nbytes + x.records.nbytes
     tracemalloc.start()
     try:
         y = read_xray(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert y.data.tobytes() == x.data.tobytes()
-    assert peak <= 1.1 * x.data.nbytes
+    assert (y.counts.tobytes(), y.records.tobytes()) == (x.counts.tobytes(), x.records.tobytes())
+    assert peak <= 1.1 * payload
 
 
 def test_read_bad_magic(tmp_path, rng):
@@ -368,27 +443,27 @@ def test_validate_catches_violations():
 
     bad = _tweak(x.data, 0, 0, j, i, 0.7)
     with pytest.raises(XRayDataError, match="hit channel"):
-        XRayTensor(bad, x.fov_x, x.c2w).validate()
+        XRayTensor.from_dense(bad, x.fov_x, x.c2w).validate()
 
     bad = _tweak(x.data, 0, 0, j, i, 0.0)  # hole before a later hit
     bad[0, 1:, j, i] = 0.0
     with pytest.raises(XRayDataError, match="prefix"):
-        XRayTensor(bad, x.fov_x, x.c2w).validate()
+        XRayTensor.from_dense(bad, x.fov_x, x.c2w).validate()
 
     bad = _tweak(x.data, 1, 1, j, i, x.data[0, 1, j, i] - 1e-3)  # depth order
     with pytest.raises(XRayDataError, match="strictly increase"):
-        XRayTensor(bad, x.fov_x, x.c2w).validate()
+        XRayTensor.from_dense(bad, x.fov_x, x.c2w).validate()
 
     bad = _tweak(x.data, 0, 2, j, i, 5.0)  # non-unit normal
     with pytest.raises(XRayDataError, match="unit"):
-        XRayTensor(bad, x.fov_x, x.c2w).validate()
+        XRayTensor.from_dense(bad, x.fov_x, x.c2w).validate()
 
     zero_pixel = np.argwhere(counts == 0)
     if len(zero_pixel):
         zj, zi = zero_pixel[0]
         bad = _tweak(x.data, x.layers - 1, 5, zj, zi, 0.3)
         with pytest.raises(XRayDataError, match="unhit"):
-            XRayTensor(bad, x.fov_x, x.c2w).validate()
+            XRayTensor.from_dense(bad, x.fov_x, x.c2w).validate()
 
 
 def _every_pixel_hit_twice():
@@ -419,18 +494,18 @@ EVERY_CHANNEL = slice(None)
 ], ids=["prefix", "unhit", "depth", "order", "normal", "color"])
 def test_validate_names_the_entry_and_value(edits, message):
     data = _every_pixel_hit_twice()
-    XRayTensor(data.copy(), 0.8, np.eye(4)).validate()
+    XRayTensor.from_dense(data.copy(), 0.8, np.eye(4)).validate()
     for index, value in edits:
         data[index] = value
     with pytest.raises(XRayDataError) as info:
-        XRayTensor(data, 0.8, np.eye(4)).validate()
+        XRayTensor.from_dense(data, 0.8, np.eye(4)).validate()
     assert str(info.value) == message
 
 
 def test_decode_rejects_a_color_outside_the_unit_range():
     data = _every_pixel_hit_twice()
     data[1, 5, 2, 1] = 1.5
-    x = XRayTensor(data, 0.8, np.eye(4))
+    x = XRayTensor.from_dense(data, 0.8, np.eye(4))
     for check in (x.validate, lambda: decode_to_pointcloud(x)):
         with pytest.raises(XRayDataError) as info:
             check()
@@ -454,49 +529,54 @@ def test_pointcloud_validation():
 
 
 def test_constructors_leave_the_callers_arrays_writable():
-    data = np.zeros((1, 8, 2, 2), dtype=np.float32)
+    counts, records = np.ones((2, 2), dtype=np.uint32), np.ones((4, 7), dtype=np.float32)
     c2w = np.eye(4)
     positions, colors = np.zeros((2, 3)), np.ones((2, 3))
     normals = np.tile([0.0, 0.0, 1.0], (2, 1))
     vertices, faces = np.eye(3), np.array([[0, 1, 2]], dtype=np.int64)
     cloud = PointCloud(positions, normals, colors)
     mesh = TriangleMesh(vertices, faces)
-    tensor = XRayTensor(data, 0.8, c2w)
-    held = [(data, tensor.data), (c2w, Camera(2, 2, 0.8, c2w).c2w),
+    tensor = XRayTensor(1, counts, records, 0.8, c2w)
+    held = [(counts, tensor.counts), (records, tensor.records), (c2w, Camera(2, 2, 0.8, c2w).c2w),
             (positions, cloud.positions), (normals, cloud.normals), (colors, cloud.colors),
             (vertices, mesh.vertices), (faces, mesh.faces)]
     for caller, kept in held:
         assert caller.flags.writeable and not kept.flags.writeable
-    assert np.shares_memory(data, tensor.data)  # held as a view, not a copy
+    for caller, kept in held[:2]:
+        assert np.shares_memory(caller, kept)  # held as a view, not a copy
 
 
 def _non_finite_cases(channel, name):
     """A two-layer cube tensor with one NaN or +-inf in `channel`, in one of
-    two hit slots or two unhit ones, each with the message that names it."""
+    two hit slots or two unhit ones, each with the message that names it.
+    Each case is a function that builds the tensor: a non-finite value that
+    records cannot hold (in the hit channel or an unhit slot) is refused
+    there, and one in a hit record by validate and decode."""
     x = encode(cube(), front_camera(8), 2)
     assert x.hit_mask()[0, 4, 4]
     hit_slots = np.argwhere(x.hit_mask())
     unhit_slots = np.argwhere(~x.hit_mask())
     for value in (np.nan, np.inf, -np.inf):
         for layer, row, col in (hit_slots[0], (0, 4, 4), unhit_slots[0], unhit_slots[-1]):
-            bad = XRayTensor(_tweak(x.data, layer, channel, row, col, value), x.fov_x, x.c2w)
-            yield bad, f"non-finite {name} at layer {layer}, pixel ({row}, {col})"
+            bad = _tweak(x.data, layer, channel, row, col, value)
+            yield (lambda bad=bad: XRayTensor.from_dense(bad, x.fov_x, x.c2w),
+                   f"non-finite {name} at layer {layer}, pixel ({row}, {col})")
 
 
 @pytest.mark.parametrize("channel,name", [(1, "depth"), (2, "normal"), (6, "color"), (0, "hit")])
 def test_validate_rejects_non_finite(channel, name):
-    for bad, message in _non_finite_cases(channel, name):
+    for build, message in _non_finite_cases(channel, name):
         with pytest.raises(XRayDataError) as info:
-            bad.validate()
+            build().validate()
         assert str(info.value) == message
 
 
 @pytest.mark.parametrize("name", ["depth", "normal", "color", "hit"])
 def test_decode_rejects_non_finite(name):
     channel = {"depth": 1, "normal": 2, "color": 6, "hit": 0}[name]
-    for bad, message in _non_finite_cases(channel, name):
+    for build, message in _non_finite_cases(channel, name):
         with pytest.raises(XRayDataError) as info:
-            decode_to_pointcloud(bad, frame="world")
+            decode_to_pointcloud(build(), frame="world")
         assert str(info.value) == message
 
 
@@ -523,7 +603,7 @@ def _corrupt_header(c2w_entry=None, value=None, fov_x=None):
     c2w = np.array(x.c2w)
     if c2w_entry is not None:
         c2w[c2w_entry] = value
-    return XRayTensor(x.data, x.fov_x if fov_x is None else fov_x, c2w)
+    return XRayTensor(x.layers, x.counts, x.records, x.fov_x if fov_x is None else fov_x, c2w)
 
 
 @pytest.mark.parametrize(
@@ -561,7 +641,7 @@ def test_float32_rounded_poses_accepted(tmp_path):
         c2w = np.eye(4)
         c2w[:3, :3] = q
         c2w[:3, 3] = rng.uniform(-5, 5, size=3)
-        write_xray(XRayTensor(x.data, x.fov_x, c2w), tmp_path / "pose.xray")
+        write_xray(XRayTensor(x.layers, x.counts, x.records, x.fov_x, c2w), tmp_path / "pose.xray")
         y = read_xray(tmp_path / "pose.xray")
         y.validate()
         assert len(decode_to_pointcloud(y, frame="world")) == x.total_hits()

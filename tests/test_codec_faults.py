@@ -1,7 +1,10 @@
 """Fault injection at the codec boundary: a `.xray` file with one corrupted
 value, field or size must fail with an error that names it, at the first
-boundary the fault reaches (read_xray for the byte format, validate and
-decode_to_pointcloud for the contents)."""
+boundary the fault reaches. read_xray names faults in the byte format, and
+in a version 1 file's dense payload what hit records cannot hold: a hit
+value other than 0 or 1, a non-zero unhit slot, a gap in the hits.
+validate and decode_to_pointcloud name faults in the hit records and the
+header camera."""
 
 import math
 import struct
@@ -22,8 +25,10 @@ from xray3d.codec import (
 )
 from xray3d.fixtures import cube
 
-# The v1 header, spelled out here rather than imported: magic, version,
-# L, H, W, fov_x, c2w (16 floats, row-major), dtype tag.
+# The header, spelled out here rather than imported: magic, version,
+# L, H, W, fov_x, c2w (16 floats, row-major), dtype tag. Version 1 follows
+# it with the L x 8 x H x W f32 payload, version 2 with H x W u32 hit
+# counts and then one 7-f32 record per hit, in (layer, row, col) order.
 HEADER = struct.Struct("<4sIIIIf16fI")
 CHANNELS = ("hit", "depth", "normal", "normal", "normal", "color", "color", "color")
 SHAPE = (2, 8, 6, 7)  # L, channels, H, W
@@ -31,15 +36,28 @@ SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 
 
 @pytest.fixture(scope="module")
-def valid_file(tmp_path_factory):
-    """Bytes of a valid 2-layer 6x7 `.xray` file with hits in every layer."""
+def cube_tensor():
+    """A valid 2-layer 6x7 tensor with hits in every layer."""
     layers, _, height, width = SHAPE
     camera = camera_from_spherical(30.0, 20.0, width=width, height=height)
     tensor = encode(cube(), camera, layers)
     assert tensor.hit_mask()[-1].any()
-    path = tmp_path_factory.mktemp("faults") / "valid.xray"
-    write_xray(tensor, path)
-    return path.read_bytes()
+    return tensor
+
+
+@pytest.fixture(scope="module")
+def valid_file(cube_tensor):
+    """Bytes of the cube tensor as a version 1 `.xray` file, written here."""
+    x = cube_tensor
+    layers, _, height, width = SHAPE
+    header = HEADER.pack(b"XRAY", 1, layers, height, width, x.fov_x, *x.c2w.ravel().tolist(), 1)
+    return header + x.data.astype("<f4").tobytes()
+
+
+def _assert_read_rejected(raw, tmp_path_factory, message, error=XRayDataError):
+    with pytest.raises(error) as info:
+        _reread(raw, tmp_path_factory)
+    assert str(info.value) == message
 
 
 def _reread(raw: bytes, tmp_path_factory):
@@ -93,11 +111,13 @@ def _with_header(raw: bytes, **changes) -> bytes:
 def test_non_finite_payload_value_is_named(
     valid_file, tmp_path_factory, channel, layer, row, col, value
 ):
-    tensor = _reread(_with_values(valid_file, {(layer, channel, row, col): value}),
-                     tmp_path_factory)
-    _assert_contents_rejected(
-        tensor, f"non-finite {CHANNELS[channel]} at layer {layer}, pixel ({row}, {col})"
-    )
+    raw = _with_values(valid_file, {(layer, channel, row, col): value})
+    message = f"non-finite {CHANNELS[channel]} at layer {layer}, pixel ({row}, {col})"
+    payload = np.frombuffer(valid_file, dtype="<f4", offset=HEADER.size).reshape(SHAPE)
+    if channel == 0 or payload[layer, 0, row, col] != 1:  # a value no hit record holds
+        _assert_read_rejected(raw, tmp_path_factory, message)
+    else:
+        _assert_contents_rejected(_reread(raw, tmp_path_factory), message)
 
 
 FINITE = st.floats(width=32, allow_nan=False, allow_infinity=False)
@@ -143,7 +163,11 @@ def test_contract_fault_is_named_alike_by_validate_and_decode(
         value = np.float32(data.draw(FINITE.filter(lambda v: v != 0 and abs(v - 1) > 1e-6)))
         edits = {(layer, 0, row, col): value}
         message = f"corrupt hit channel (value {value!s} is neither 0 nor 1) {place}"
-    _assert_contents_rejected(_reread(_with_values(valid_file, edits), tmp_path_factory), message)
+    raw = _with_values(valid_file, edits)
+    if fault in ("gap", "unhit", "hit"):  # faults no hit records can hold
+        _assert_read_rejected(raw, tmp_path_factory, message)
+    else:
+        _assert_contents_rejected(_reread(raw, tmp_path_factory), message)
 
 
 @given(data=st.data(), scale=st.floats(0.01, 100).filter(lambda s: abs(s - 1) > 0.01))
@@ -203,7 +227,7 @@ def test_corrupted_header_field_is_named(valid_file, tmp_path_factory, field, da
         magic = data.draw(st.binary(min_size=4, max_size=4).filter(lambda b: b != b"XRAY"))
         raw, message = _with_header(valid_file, magic=magic), f"bad magic {magic!r}"
     elif field == "version":
-        version = data.draw(st.integers(0, 2**32 - 1).filter(lambda v: v != 1))
+        version = data.draw(st.integers(0, 2**32 - 1).filter(lambda v: v not in (1, 2)))
         raw, message = _with_header(valid_file, version=version), f"unsupported version {version}"
     elif field == "dtype":
         tag = data.draw(st.integers(0, 2**32 - 1).filter(lambda v: v != 1))
@@ -277,3 +301,135 @@ def test_mirrored_c2w_is_named(valid_file, tmp_path_factory, col):
         fields[6 + 4 * row + col] *= -1
     tensor = _reread(HEADER.pack(*fields) + valid_file[HEADER.size:], tmp_path_factory)
     _assert_contents_rejected(tensor, "c2w rotation determinant must be +1, got -1")
+
+
+# Version 2: the same cube tensor as written by write_xray.
+PLANE = 4 * SHAPE[2] * SHAPE[3]  # bytes of the u32 hit-count plane
+
+
+@pytest.fixture(scope="module")
+def valid_v2(cube_tensor, tmp_path_factory):
+    path = tmp_path_factory.mktemp("faults_v2") / "valid.xray"
+    write_xray(cube_tensor, path)
+    raw = path.read_bytes()
+    assert HEADER.unpack_from(raw)[1] == 2
+    return raw
+
+
+def _counts(raw: bytes) -> np.ndarray:
+    return np.frombuffer(raw, dtype="<u4", count=SHAPE[2] * SHAPE[3],
+                         offset=HEADER.size).reshape(SHAPE[2], SHAPE[3])
+
+
+def _record_slots(raw: bytes) -> list[tuple[int, int, int]]:
+    """(layer, row, col) of each record, in file order: layer by layer, and
+    row-major within a layer, over the pixels whose count reaches it."""
+    counts = _counts(raw)
+    return [(layer, row, col) for layer in range(SHAPE[0])
+            for row in range(SHAPE[2]) for col in range(SHAPE[3]) if counts[row, col] > layer]
+
+
+def _with_record(raw: bytes, record: int, column: int, value) -> bytes:
+    offset = HEADER.size + PLANE + 4 * (7 * record + column)
+    return raw[:offset] + struct.pack("<f", value) + raw[offset + 4:]
+
+
+def _with_count(raw: bytes, row: int, col: int, value: int) -> bytes:
+    offset = HEADER.size + 4 * (row * SHAPE[3] + col)
+    return raw[:offset] + struct.pack("<I", value) + raw[offset + 4:]
+
+
+def test_v2_file_holds_the_counts_and_records(cube_tensor, valid_v2):
+    counts = _counts(valid_v2)
+    slots = _record_slots(valid_v2)
+    assert len(valid_v2) == HEADER.size + PLANE + 28 * len(slots) == HEADER.size + PLANE + 28 * 22
+    dense = cube_tensor.data
+    records = np.frombuffer(valid_v2, dtype="<f4", offset=HEADER.size + PLANE).reshape(-1, 7)
+    for record, (layer, row, col) in zip(records, slots):
+        assert dense[layer, 0, row, col] == 1
+        assert record.tobytes() == dense[layer, 1:, row, col].tobytes()
+    np.testing.assert_array_equal(counts, dense[:, 0].sum(axis=0))
+
+
+@given(data=st.data())
+@SETTINGS
+def test_v2_count_above_layers_is_named(valid_v2, tmp_path_factory, data):
+    row, col = data.draw(st.integers(0, SHAPE[2] - 1)), data.draw(st.integers(0, SHAPE[3] - 1))
+    count = data.draw(st.integers(SHAPE[0] + 1, 2**32 - 1))
+    _assert_read_rejected(_with_count(valid_v2, row, col, count), tmp_path_factory,
+                          f"hit count {count} at pixel ({row}, {col}) is outside [0, L=2]",
+                          XRayFormatError)
+
+
+@given(data=st.data())
+@SETTINGS
+def test_v2_record_count_other_than_the_counts_sum_is_named(valid_v2, tmp_path_factory, data):
+    payload = len(valid_v2) - HEADER.size
+    if data.draw(st.booleans()):  # one pixel's count changed within [0, L]
+        row, col = data.draw(st.integers(0, SHAPE[2] - 1)), data.draw(st.integers(0, SHAPE[3] - 1))
+        old = int(_counts(valid_v2)[row, col])
+        count = data.draw(st.integers(0, SHAPE[0]).filter(lambda c: c != old))
+        raw = _with_count(valid_v2, row, col, count)
+        expected = payload + 28 * (count - old)
+    else:  # whole records dropped or appended
+        extra = data.draw(st.integers(-22, 8).filter(lambda k: k != 0))
+        raw = valid_v2[:len(valid_v2) + 28 * extra] if extra < 0 else valid_v2 + bytes(28 * extra)
+        expected, payload = payload, payload + 28 * extra
+    kind = "truncated payload" if payload < expected else "payload size mismatch"
+    _assert_read_rejected(raw, tmp_path_factory, f"{kind}: {payload} bytes, expected {expected}",
+                          XRayFormatError)
+
+
+@given(cut=st.integers(0, 2 * (HEADER.size + PLANE + 28 * 22)))
+@SETTINGS
+def test_v2_truncated_or_oversized_file_is_named(valid_v2, tmp_path_factory, cut):
+    expected = PLANE + 28 * 22
+    raw = valid_v2[:cut] if cut < len(valid_v2) else valid_v2 + b"\x01" * (cut - len(valid_v2))
+    payload = len(raw) - HEADER.size
+    if cut == len(valid_v2):
+        assert _reread(raw, tmp_path_factory).total_hits() == 22
+        return
+    if cut < HEADER.size:
+        message = "file too short for header"
+    elif payload < PLANE:
+        message = f"truncated hit-count plane: {payload} bytes, expected {PLANE}"
+    elif payload < expected:
+        message = f"truncated payload: {payload} bytes, expected {expected}"
+    else:
+        message = f"payload size mismatch: {payload} bytes, expected {expected}"
+    _assert_read_rejected(raw, tmp_path_factory, message, XRayFormatError)
+
+
+RECORD_FIELDS = ("depth", "normal", "normal", "normal", "color", "color", "color")
+
+
+@given(data=st.data(), value=st.sampled_from([math.nan, math.inf, -math.inf]))
+@SETTINGS
+def test_v2_non_finite_record_value_is_named(valid_v2, tmp_path_factory, data, value):
+    record = data.draw(st.integers(0, 21))
+    column = data.draw(st.integers(0, 6))
+    layer, row, col = _record_slots(valid_v2)[record]
+    tensor = _reread(_with_record(valid_v2, record, column, value), tmp_path_factory)
+    _assert_contents_rejected(
+        tensor, f"non-finite {RECORD_FIELDS[column]} at layer {layer}, pixel ({row}, {col})")
+
+
+@given(data=st.data())
+@SETTINGS
+def test_v2_bad_depth_is_named(valid_v2, tmp_path_factory, data):
+    slots = _record_slots(valid_v2)
+    depths = np.frombuffer(valid_v2, dtype="<f4", offset=HEADER.size + PLANE)[::7]
+    if data.draw(st.booleans()):
+        record = data.draw(st.integers(0, 21))
+        value = np.float32(data.draw(FINITE.filter(lambda v: v <= 0)))
+        layer, row, col = slots[record]
+        message = f"non-positive depth {value!s} at layer {layer}, pixel ({row}, {col})"
+    else:  # a depth behind a hit, moved to or in front of it
+        record = data.draw(st.sampled_from([i for i, s in enumerate(slots) if s[0] > 0]))
+        layer, row, col = slots[record]
+        near = depths[slots.index((layer - 1, row, col))]
+        value = np.float32(data.draw(st.floats(0.0, float(near), width=32, exclude_min=True)))
+        message = (f"depths do not strictly increase: {value!s} at layer {layer} "
+                   f"after {near!s} at layer {layer - 1}, pixel ({row}, {col})")
+    tensor = _reread(_with_record(valid_v2, record, 0, value), tmp_path_factory)
+    _assert_contents_rejected(tensor, message)

@@ -21,7 +21,7 @@ def test_all_exports_resolve():
     (lambda: GridSpec(300), "resolution must be in [2, 256], got 300"),
     (lambda: sample_surface(cube(), 0), "need at least one sample, got 0"),
     (lambda: run_sweep({"cube": cube()}, [1], [1]), "resolutions must be at least 2, got 1"),
-    (lambda: pad_or_truncate(XRayTensor(np.zeros((1, 8, 2, 2)), 0.8, np.eye(4)), 0),
+    (lambda: pad_or_truncate(XRayTensor.from_dense(np.zeros((1, 8, 2, 2)), 0.8, np.eye(4)), 0),
      "target layer count must be at least 1, got 0"),
     (lambda: storage_ratio(8, 0),
      "layer count and grid resolution must be at least 1, got 8 and 0"),
